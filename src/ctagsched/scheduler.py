@@ -77,18 +77,31 @@ class SchedulerConfig:
 
 @dataclass
 class SchedulerState:
-    """Mutable context threaded through the heuristic rounds."""
+    """Mutable context threaded through the heuristic rounds.
+
+    inv is the site -> logical inverse of mapping; _apply_swaps moves both
+    together.  paths memoises _shortest_paths for the life of one run.
+    """
 
     g: ProblemGraph
     arch: Architecture
     mapping: Mapping
     remaining: set[Edge]
     circuit: list[list[Gate]]  # cycles built so far
-    cycle_cursor: int = 0
     # per-cycle constraint sets, rebuilt each round
     busy: set[int] = field(default_factory=set)
     re_sites: set[int] = field(default_factory=set)
     protected: set[int] = field(default_factory=set)
+    inv: dict[int, int] = field(init=False)
+    paths: dict[tuple[int, int, int], list[tuple[int, ...]]] = field(
+        init=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        self.inv = self.mapping.inverse()
+
+    def blocked(self, site: int) -> bool:
+        return site in self.busy or site in self.re_sites or site in self.protected
 
 
 @dataclass(frozen=True)
@@ -169,8 +182,10 @@ def maximal_matching(edges, mapping: Mapping, exact: bool = False) -> list[Edge]
 
 
 def _shortest_paths(arch: Architecture, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
-    # first `limit` shortest s-t site paths in lexicographic order
-    d = arch.dist
+    # first `limit` shortest s-t site paths in lexicographic order; arch.adj
+    # rows are sorted and dist is symmetric, so row t gives every d(., t)
+    dt = arch.dist[t]
+    adj = arch.adj
     out: list[tuple[int, ...]] = []
 
     def walk(p: int, prefix: list[int]) -> None:
@@ -179,8 +194,8 @@ def _shortest_paths(arch: Architecture, s: int, t: int, limit: int) -> list[tupl
         if p == t:
             out.append(tuple(prefix))
             return
-        for q in sorted(arch.adj[p]):
-            if d[q][t] == d[p][t] - 1:
+        for q in adj[p]:
+            if dt[q] == dt[p] - 1:
                 prefix.append(q)
                 walk(q, prefix)
                 prefix.pop()
@@ -208,91 +223,111 @@ def enumerate_swap_strategies(
     cycle: they may not touch sites of gates already scheduled, of currently
     executable edges, or of endpoints parked by earlier strategies this
     round.  Later hops land in later cycles where the rules are re-evaluated.
+
+    So only four sites can block a strategy: the first endpoint's site pu and
+    path[1] when it moves (d1 > 0), the second's pv and path[-2] when it moves
+    (d2 > 0).  The two first hops never share a site: at distance 2 only one
+    endpoint moves.  Each call tests those sites per path and builds only the
+    feasible strategies, in path order and then by d1; the shortest paths are
+    memoised in `state`, so a call costs O(max_paths * dist) once they are
+    known, and returns [] in O(1) when both endpoints are blocked.
     """
     u, v = edge
-    pu, pv = state.mapping[u], state.mapping[v]
+    pu, pv = state.mapping.pi[u], state.mapping.pi[v]
     dist = state.arch.dist[pu][pv]
     if dist < 2:
         raise ValueError("edge is already executable")
-    blocked = state.busy | state.re_sites | state.protected
+    blocked = state.blocked
+    pu_free, pv_free = not blocked(pu), not blocked(pv)
+    if not (pu_free or pv_free):
+        return []
+    key = (pu, pv, max_paths)
+    paths = state.paths.get(key)
+    if paths is None:
+        paths = state.paths[key] = _shortest_paths(state.arch, pu, pv, max_paths)
     out = []
-    for path in _shortest_paths(state.arch, pu, pv, max_paths):
+    for path in paths:
+        u_moves = pu_free and not blocked(path[1])  # d1 > 0 allowed
+        v_moves = pv_free and not blocked(path[-2])  # d2 > 0 allowed
         for d1 in range(dist):
-            d2 = dist - 1 - d1
-            ss = SwapStrategy(
-                edge,
-                (d1, d2),
-                (tuple(path[: d1 + 1]), tuple(reversed(path[d1 + 1 :]))),
-                (path[d1], path[d1 + 1]),
+            if (d1 > 0 and not u_moves) or (d1 < dist - 1 and not v_moves):
+                continue
+            out.append(
+                SwapStrategy(
+                    edge,
+                    (d1, dist - 1 - d1),
+                    (path[: d1 + 1], path[:d1:-1]),
+                    (path[d1], path[d1 + 1]),
+                )
             )
-            hops = _first_hops(ss)
-            sites = [s for h in hops for s in h]
-            if len(set(sites)) < len(sites):  # the two hops collide
-                continue
-            if any(s in blocked for s in sites):
-                continue
-            out.append(ss)
     return out
 
 
 def score_strategy(ss: SwapStrategy, state: SchedulerState) -> int:
     """Sum of distances from each endpoint's final site to its unscheduled
-    neighbors; the routed edge itself does not count.  Lower is better."""
+    neighbors; the routed edge itself does not count.  Lower is better.
+
+    Walks the problem-graph neighbours of the two endpoints, so a call costs
+    O(deg(u) + deg(v)).
+    """
     dist = state.arch.dist
+    pi, remaining = state.mapping.pi, state.remaining
     score = 0
     for end, newpos in zip(ss.edge, ss.new_positions):
-        for x, y in state.remaining:
-            if (x, y) == ss.edge:
-                continue
-            if x == end:
-                nb = y
-            elif y == end:
-                nb = x
-            else:
-                continue
-            score += dist[newpos][state.mapping[nb]]
+        row = dist[newpos]
+        for nb in state.g.adj[end]:
+            e = (end, nb) if end < nb else (nb, end)
+            if e != ss.edge and e in remaining:
+                score += row[pi[nb]]
     return score
 
 
 def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
-    # distance change over other remaining edges whose qubits get carried
-    # along by the strategy's SWAPs; breaks score ties toward strategies that
-    # park bystanders closer to their own partners
+    """Distance change over other remaining edges whose qubits the
+    strategy's SWAPs carry along.
+
+    Breaks score ties toward strategies that park bystanders closer to their
+    own partners.  Edges touching the routed edge's endpoints do not count.
+    Walks the problem-graph neighbours of the moved qubits and reads the
+    maintained inverse map, so a call costs O(dist * deg).
+    """
     u, v = ss.edge
-    inv = state.mapping.inverse()
+    inv = state.inv
     moved: dict[int, int] = {}
     for path in ss.paths:
         for k in range(1, len(path)):
             l = inv.get(path[k])
             if l is not None:
                 moved[l] = path[k - 1]
-    moved.pop(u, None)
-    moved.pop(v, None)
     if not moved:
         return 0
     dist = state.arch.dist
+    pi, remaining = state.mapping.pi, state.remaining
     delta = 0
-    for x, y in state.remaining:
-        if (x, y) == ss.edge or x in (u, v) or y in (u, v):
-            continue
-        if x not in moved and y not in moved:
-            continue
-        px0, py0 = state.mapping[x], state.mapping[y]
-        delta += dist[moved.get(x, px0)][moved.get(y, py0)] - dist[px0][py0]
+    for x, px in moved.items():
+        px0 = pi[x]
+        for y in state.g.adj[x]:
+            if y == u or y == v or (y in moved and y < x):
+                continue  # an edge between two moved qubits counts once
+            if ((x, y) if x < y else (y, x)) in remaining:
+                py0 = pi[y]
+                delta += dist[px][moved.get(y, py0)] - dist[px0][py0]
     return delta
 
 
-def _apply_swaps(mapping: Mapping, hops) -> Mapping:
-    pos = list(mapping.pi)
-    inv = {p: l for l, p in enumerate(pos)}
+def _apply_swaps(state: SchedulerState, hops) -> None:
+    # move the qubits on each hop's sites, keeping state.inv in step
+    pos = list(state.mapping.pi)
+    inv = state.inv
     for a, b in hops:
-        la, lb = inv.get(a), inv.get(b)
+        la, lb = inv.pop(a, None), inv.pop(b, None)
         if la is not None:
             pos[la] = b
+            inv[b] = la
         if lb is not None:
             pos[lb] = a
-        inv = {p: l for l, p in enumerate(pos)}
-    return Mapping(tuple(pos))
+            inv[a] = lb
+    state.mapping = Mapping(tuple(pos))
 
 
 def _run_rounds(state: SchedulerState, cfg: SchedulerConfig) -> None:
@@ -301,34 +336,37 @@ def _run_rounds(state: SchedulerState, cfg: SchedulerConfig) -> None:
     dist = state.arch.dist
     while state.remaining:
         mp = state.mapping
-        re = sorted(e for e in state.remaining if dist[mp[e[0]]][mp[e[1]]] == 1)
+        pi = mp.pi
+        re = sorted(e for e in state.remaining if dist[pi[e[0]]][pi[e[1]]] == 1)
         re_set = set(re)
         matching = maximal_matching(re, mp, cfg.exact_matching)
         cycle: list[Gate] = []
         state.busy = set()
         state.protected = set()
-        state.re_sites = {mp[x] for e in re for x in e}
+        state.re_sites = {pi[x] for e in re for x in e}
         for u, v in matching:
-            a, b = mp[u], mp[v]
+            a, b = pi[u], pi[v]
             cycle.append(Gate(CPHASE, min(a, b), max(a, b), (u, v)))
             state.busy |= {a, b}
             state.remaining.discard((u, v))
-        start_d = {e: dist[mp[e[0]]][mp[e[1]]] for e in state.remaining}
+        start_d = {e: dist[pi[e[0]]][pi[e[1]]] for e in state.remaining}
         for e in sorted(
             (e for e in state.remaining if e not in re_set),
             key=lambda e: (start_d[e], e),
         ):
-            if dist[state.mapping[e[0]]][state.mapping[e[1]]] < 2:
+            pi = state.mapping.pi
+            if dist[pi[e[0]]][pi[e[1]]] < 2:
                 continue  # earlier swaps this round already parked it adjacent
             strategies = enumerate_swap_strategies(e, state, cfg.max_paths)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
+            scores = [score_strategy(ss, state) for ss in strategies]
+            low = min(scores)
+            # the bystander delta only breaks score ties, so only ties pay for it
             best = min(
-                strategies,
+                (ss for ss, sc in zip(strategies, scores) if sc == low),
                 key=lambda ss: (
-                    score_strategy(ss, state),
                     _bystander_delta(ss, state),
-                    ss.split[0] + ss.split[1],
                     _first_hops(ss),
                     ss.split,
                     ss.paths,
@@ -338,11 +376,10 @@ def _run_rounds(state: SchedulerState, cfg: SchedulerConfig) -> None:
             for a, b in hops:
                 cycle.append(Gate(SWAP, a, b))
                 state.busy |= {a, b}
-            state.mapping = _apply_swaps(state.mapping, hops)
+            _apply_swaps(state, hops)
             state.protected |= {state.mapping[e[0]], state.mapping[e[1]]}
         assert cycle, "scheduler round made no progress"
         state.circuit.append(cycle)
-        state.cycle_cursor += 1
 
 
 def _grid_shape(arch: Architecture) -> tuple[int, int] | None:
@@ -439,7 +476,6 @@ def _ctag_h_run(
         Mapping(tuple(phys)),
         set(g.edges) - executed,
         [list(cyc) for cyc in relabeled.cycles],
-        cycle_cursor=len(prefix),
     )
     _run_rounds(state, cfg)
     return ScheduledCircuit(
@@ -513,7 +549,7 @@ def schedule(
                     candidates.append(_pattern_candidate(g, arch, order, m0))
     else:
         placement = _bfs_placement(arch, n)
-        state = SchedulerState(g, arch, placement, set(g.edges), [], 0)
+        state = SchedulerState(g, arch, placement, set(g.edges), [])
         _run_rounds(state, cfg)
         candidates.append(
             ScheduledCircuit(tuple(tuple(c) for c in state.circuit), placement, arch)

@@ -51,12 +51,16 @@ class VerificationReport:
 def verify(c: ScheduledCircuit, g: ProblemGraph, arch: Architecture) -> VerificationReport:
     """Replay c and check it executes exactly the edges of g on arch.
 
-    Structural violations (non-coupled gates, qubit conflicts within a cycle,
-    gates on sites holding no logical qubit) are collected in illegal_gates;
-    an illegal gate is skipped rather than applied.  ok holds iff the executed
-    multiset equals g.edges exactly once each and nothing illegal occurred.
+    Structural violations (an init that does not place exactly g.n qubits,
+    non-coupled gates, qubit conflicts within a cycle, gates on sites holding
+    no logical qubit) are collected in illegal_gates; an illegal gate is
+    skipped rather than applied.  ok holds iff the executed multiset equals
+    g.edges exactly once each and nothing illegal occurred.
     """
     illegal = []
+    if c.init.n != g.n:
+        reason = f"init places {c.init.n} qubits, graph has {g.n}"
+        illegal.append((-1, "init", c.init.n, g.n, reason))
     occ: dict[int, int] = {}
     for logical, site in enumerate(c.init.pi):
         if not 0 <= site < arch.q:

@@ -168,6 +168,20 @@ class TestVerify:
         assert code == 1
         assert "qubit used twice in cycle" in stdout
 
+    def test_short_init_exits_1(self, k6_file, tmp_path, capsys):
+        sched = self.schedule_k6(k6_file, tmp_path, capsys)
+        doc = json.loads(open(sched).read())
+        doc["init"] = doc["init"][:3]
+        doc["cycles"] = []
+        open(sched, "w").write(json.dumps(doc))
+        code, stdout, _ = run(
+            capsys, "verify", "--schedule", sched, "--graph", k6_file,
+            "--arch", "linear:6",
+        )
+        assert code == 1
+        assert "ok: false" in stdout
+        assert "init places 3 qubits, graph has 6" in stdout
+
     def test_unknown_gate_kind_exits_2(self, k6_file, tmp_path, capsys):
         sched = self.schedule_k6(k6_file, tmp_path, capsys)
         doc = json.loads(open(sched).read())

@@ -1,9 +1,14 @@
 """Heuristic scheduler: pattern prefix, matching, routing, and end-to-end runs."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctagsched.graphs import (
     Architecture,
+    Mapping,
     clique,
     grid,
     identity_mapping,
@@ -12,11 +17,15 @@ from ctagsched.graphs import (
     make_problem_graph,
     random_graph,
 )
-from ctagsched.pattern import SWAP, generate_clique_pattern
+from ctagsched.pattern import SWAP, generate_clique_pattern, to_text
 from ctagsched.scheduler import (
     STRATEGIES,
     SchedulerConfig,
     SchedulerState,
+    SwapStrategy,
+    _apply_swaps,
+    _bystander_delta,
+    _first_hops,
     enumerate_swap_strategies,
     maximal_matching,
     partial_pattern_cycles,
@@ -35,7 +44,7 @@ def fig_variant(*chords):
 def state_on_line(n, edges, q=None):
     arch = linear(q or n)
     g = make_problem_graph(n, edges)
-    return SchedulerState(g, arch, identity_mapping(n), set(g.edges), [], 0)
+    return SchedulerState(g, arch, identity_mapping(n), set(g.edges), [])
 
 
 class TestPartialPatternCycles:
@@ -129,7 +138,7 @@ class TestSwapStrategies:
     def test_grid_corner_pairs_use_multiple_paths(self):
         arch = grid(2, 3)
         g = make_problem_graph(6, [(0, 5)])
-        st = SchedulerState(g, arch, identity_mapping(6), set(g.edges), [], 0)
+        st = SchedulerState(g, arch, identity_mapping(6), set(g.edges), [])
         out = enumerate_swap_strategies((0, 5), st)
         paths = {ss.paths for ss in out}
         assert len(out) == 9  # 3 shortest paths x 3 splits
@@ -181,6 +190,163 @@ class TestScoreStrategy:
                     nb = y if x == end else x
                     expect += dist[pos][st.mapping[nb]]
             assert score_strategy(ss, st) == expect
+
+
+# Reference versions of the round engine's hot path as it was before it was
+# made O(degree) per candidate: build every (path, split) strategy and then
+# filter, and scan every remaining edge when scoring.
+
+
+def ref_shortest_paths(arch, s, t, limit):
+    d = arch.dist
+    out = []
+
+    def walk(p, prefix):
+        if len(out) >= limit:
+            return
+        if p == t:
+            out.append(tuple(prefix))
+            return
+        for q in sorted(arch.adj[p]):
+            if d[q][t] == d[p][t] - 1:
+                prefix.append(q)
+                walk(q, prefix)
+                prefix.pop()
+
+    walk(s, [s])
+    return out
+
+
+def ref_enumerate(edge, state, max_paths):
+    u, v = edge
+    pu, pv = state.mapping[u], state.mapping[v]
+    dist = state.arch.dist[pu][pv]
+    blocked = state.busy | state.re_sites | state.protected
+    out = []
+    for path in ref_shortest_paths(state.arch, pu, pv, max_paths):
+        for d1 in range(dist):
+            d2 = dist - 1 - d1
+            ss = SwapStrategy(
+                edge,
+                (d1, d2),
+                (tuple(path[: d1 + 1]), tuple(reversed(path[d1 + 1 :]))),
+                (path[d1], path[d1 + 1]),
+            )
+            sites = [s for h in _first_hops(ss) for s in h]
+            if len(set(sites)) < len(sites):
+                continue
+            if any(s in blocked for s in sites):
+                continue
+            out.append(ss)
+    return out
+
+
+def ref_score(ss, state):
+    dist = state.arch.dist
+    score = 0
+    for end, newpos in zip(ss.edge, ss.new_positions):
+        for x, y in state.remaining:
+            if (x, y) == ss.edge:
+                continue
+            if x == end:
+                nb = y
+            elif y == end:
+                nb = x
+            else:
+                continue
+            score += dist[newpos][state.mapping[nb]]
+    return score
+
+
+def ref_bystander_delta(ss, state):
+    u, v = ss.edge
+    inv = state.mapping.inverse()
+    moved = {}
+    for path in ss.paths:
+        for k in range(1, len(path)):
+            l = inv.get(path[k])
+            if l is not None:
+                moved[l] = path[k - 1]
+    moved.pop(u, None)
+    moved.pop(v, None)
+    if not moved:
+        return 0
+    dist = state.arch.dist
+    delta = 0
+    for x, y in state.remaining:
+        if (x, y) == ss.edge or x in (u, v) or y in (u, v):
+            continue
+        if x not in moved and y not in moved:
+            continue
+        px0, py0 = state.mapping[x], state.mapping[y]
+        delta += dist[moved.get(x, px0)][moved.get(y, py0)] - dist[px0][py0]
+    return delta
+
+
+def ref_apply_swaps(mapping, hops):
+    pos = list(mapping.pi)
+    inv = {p: l for l, p in enumerate(pos)}
+    for a, b in hops:
+        la, lb = inv.get(a), inv.get(b)
+        if la is not None:
+            pos[la] = b
+        if lb is not None:
+            pos[lb] = a
+        inv = {p: l for l, p in enumerate(pos)}
+    return Mapping(tuple(pos))
+
+
+@st.composite
+def routing_states(draw):
+    arch = make_architecture(
+        draw(st.sampled_from(["linear:9", "grid:3x4", "grid:2x6", "grid:4x4", "ibm20"]))
+    )
+    n = draw(st.integers(2, arch.q))
+    sites = draw(st.permutations(range(arch.q)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=40))
+    remaining = draw(st.sets(st.sampled_from(sorted(edges)), min_size=1))
+    site_sets = st.sets(st.integers(0, arch.q - 1), max_size=arch.q // 2)
+    state = SchedulerState(
+        make_problem_graph(n, edges), arch, Mapping(tuple(sites[:n])), remaining, []
+    )
+    state.busy, state.re_sites, state.protected = (
+        draw(site_sets), draw(site_sets), draw(site_sets)
+    )
+    return state, draw(st.integers(1, 4))
+
+
+class TestRoundEngineMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(routing_states())
+    def test_strategies_scores_and_deltas(self, drawn):
+        state, max_paths = drawn
+        dist = state.arch.dist
+        for e in sorted(state.remaining):
+            if dist[state.mapping[e[0]]][state.mapping[e[1]]] < 2:
+                continue
+            ref = ref_enumerate(e, state, max_paths)
+            assert enumerate_swap_strategies(e, state, max_paths) == ref
+            for ss in ref:
+                assert score_strategy(ss, state) == ref_score(ss, state)
+                assert _bystander_delta(ss, state) == ref_bystander_delta(ss, state)
+            # cached paths give the same list on a second call
+            assert enumerate_swap_strategies(e, state, max_paths) == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(routing_states())
+    def test_apply_swaps_keeps_the_inverse(self, drawn):
+        state, max_paths = drawn
+        state.busy, state.re_sites, state.protected = set(), set(), set()
+        dist = state.arch.dist
+        for e in sorted(state.remaining):
+            if dist[state.mapping[e[0]]][state.mapping[e[1]]] < 2:
+                continue
+            hops = _first_hops(enumerate_swap_strategies(e, state, max_paths)[-1])
+            expect = ref_apply_swaps(state.mapping, hops)
+            _apply_swaps(state, hops)
+            assert state.mapping == expect
+            assert state.inv == expect.inverse()
 
 
 class TestScheduleEndToEnd:
@@ -285,3 +451,29 @@ class TestScheduleEndToEnd:
         c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
         assert all(len(cyc) > 0 for cyc in c.cycles)
         assert verify(c, g, arch).ok
+
+
+# sha256 of to_text for heuristic-only ctag-h runs (fallback_guard off, so
+# the round engine's output is what gets pinned), captured before the round
+# engine was rewritten for speed; ibm27 at n=25 has no 25-site chain and takes
+# the breadth-first placement path
+ROUND_ENGINE_DIGESTS = [
+    ("grid:4x4", 16, 0.3, 1, "a88761c8cb898f2b4d00e9d7384027c9e0b0e3db6d3a109ef8ae972e72206e03"),
+    ("grid:5x5", 20, 0.3, 2, "e359f93fd32dc69de6ea0ace5b949ed19b257733a9abc8630da7a2b1c4511ffd"),
+    ("grid:2x10", 20, 0.3, 3, "634546c7d1de5caf9d9926348892863600bca0eee59e03ba5c1f0e4fc4e0bb72"),
+    ("ibm20", 18, 0.3, 4, "321a21553208d8349c709ac7c35baec3c4bbdbc3f0289d075a2be15e0083532c"),
+    ("ibm27", 25, 0.2, 5, "94a6edff0ab555a550ca336040e429f51d191369e1b0bed4a4253715e7e98b31"),
+    ("linear:24", 24, 0.15, 7, "f166f133c41d05cf8933b2e668446c98b1edcbad9d942561a2d1e112fb7cbadb"),
+]
+
+
+@pytest.mark.parametrize(
+    "arch_spec,n,dens,seed,digest",
+    ROUND_ENGINE_DIGESTS,
+    ids=[case[0] for case in ROUND_ENGINE_DIGESTS],
+)
+def test_round_engine_output_is_pinned(arch_spec, n, dens, seed, digest):
+    g = random_graph(n, dens, seed)
+    arch = make_architecture(arch_spec)
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", fallback_guard=False))
+    assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest

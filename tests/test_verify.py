@@ -98,6 +98,17 @@ class TestVerify:
         assert not r.ok
         assert r.illegal_gates[0][1] == "init"
 
+    @pytest.mark.parametrize("init", [(0, 1, 2), (0, 1, 2, 3, 4, 5)])
+    def test_init_length_mismatch_is_illegal(self, init):
+        # with no illegal gate the replay used to rebuild the final mapping
+        # for all g.n qubits and raised KeyError on a short init
+        g = make_problem_graph(5, [])
+        arch = linear(6)
+        r = verify(circuit([], Mapping(init), arch), g, arch)
+        assert not r.ok
+        assert r.illegal_gates[0][:2] == (-1, "init")
+        assert r.final_mapping is None
+
     def test_unknown_kind(self):
         g = make_problem_graph(2, [(0, 1)])
         c = circuit([[Gate("iswap", 0, 1, None)]], identity_mapping(2), linear(2))

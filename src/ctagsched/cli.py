@@ -23,10 +23,8 @@ from ctagsched.graphs import (
     random_graph,
 )
 from ctagsched.pattern import from_json_dict, to_json_dict, to_text
-from ctagsched.scheduler import STRATEGIES, SchedulerConfig, schedule, _circuit_key
+from ctagsched.scheduler import STRATEGIES, SchedulerConfig, schedule
 from ctagsched.verify import metrics, verify
-
-CLI_STRATEGIES = STRATEGIES + ("ctag",)
 
 CSV_COLUMNS = (
     "n",
@@ -74,18 +72,8 @@ class BenchRow:
 
 
 def _compile(g, arch, strategy: str, cfg: SchedulerConfig):
-    """Run one strategy; "ctag" takes the better of ctag-i-astar and ctag-h.
-
-    Returns (circuit, compile seconds); timing covers scheduling only.
-    """
-    if strategy == "ctag":
-        total = 0.0
-        picks = []
-        for s in ("ctag-i-astar", "ctag-h"):
-            t0 = perf_counter()
-            picks.append(schedule(g, arch, replace(cfg, strategy=s)))
-            total += perf_counter() - t0
-        return min(picks, key=_circuit_key), total
+    """Run one strategy; returns (circuit, compile seconds), timing covers
+    scheduling only."""
     t0 = perf_counter()
     c = schedule(g, arch, replace(cfg, strategy=strategy))
     return c, perf_counter() - t0
@@ -220,7 +208,7 @@ def cmd_bench(args) -> int:
     arch_specs = _parse_list(args.arch, str, "--arch")
     strategies = _parse_list(args.strategy, str, "--strategy")
     for s in strategies:
-        if s not in CLI_STRATEGIES:
+        if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
     cfg_kw = {"threshold": args.threshold, "beam": args.beam}
 
@@ -276,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--graph", required=True, help="problem graph file")
     ps.add_argument("--arch", required=True,
                     help="linear:N | grid:RxC | ibm20 | ibm27 | file:PATH")
-    ps.add_argument("--strategy", default="ctag-h", choices=CLI_STRATEGIES)
+    ps.add_argument("--strategy", default="ctag-h", choices=STRATEGIES)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--threshold", type=float, default=0.5)
     ps.add_argument("--beam", type=int, default=8)

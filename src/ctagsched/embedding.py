@@ -202,16 +202,6 @@ def multi_embeddings(
     return found
 
 
-def load_embedding(path: str) -> LineEmbedding:
-    with open(path) as fh:
-        return LineEmbedding(tuple(int(tok) for tok in fh.read().split()))
-
-
-def save_embedding(emb: LineEmbedding, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(" ".join(str(v) for v in emb.order) + "\n")
-
-
 def device_embedding(name: str) -> LineEmbedding:
     """Cached chain for a shipped device topology (ibm20 full path, ibm27 the
     longest chain it admits; six pendants rule out a full Hamiltonian path)."""

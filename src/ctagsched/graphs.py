@@ -253,36 +253,56 @@ def grid(rows: int, cols: int) -> Architecture:
     return Architecture(rows * cols, frozenset(edges), f"grid:{rows}x{cols}")
 
 
-def _load_coupling_file(text: str, name: str) -> Architecture:
-    q = None
-    m = None
-    edges = []
-    count = 0
+def _parse_edge_list(text: str, what: str) -> tuple[int, list[Edge]]:
+    """Read a 'count m' header and m 'a b' lines over vertices 0..count-1.
+
+    Graph files and coupling files share this format; '#' comments and blank
+    lines are skipped.  Returns the count and the normalized pairs in file
+    order; every fault raises GraphFormatError with its 1-based line number.
+    """
+    count = m = header = None
+    edges: list[Edge] = []
+    seen: set[Edge] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if q is None:
+        if count is None:
             if len(parts) != 2:
-                raise GraphFormatError("expected header 'q m'", ln)
+                raise GraphFormatError("expected header 'count m'", ln)
             try:
-                q, m = int(parts[0]), int(parts[1])
+                count, m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GraphFormatError(f"bad header {line!r}", ln) from None
+            if count < 1:
+                raise GraphFormatError(f"need at least one vertex, got {count}", ln)
+            header = ln
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"expected 'a b', got {line!r}", ln)
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"non-integer endpoint in {line!r}", ln) from None
-        edges.append(_norm_edge(a, b))
-        count += 1
-    if q is None:
-        raise GraphFormatError("empty architecture file", 1)
-    if count != m:
-        raise GraphFormatError(f"header promised {m} couplings, found {count}", 1)
+            raise GraphFormatError(f"non-integer vertex in {line!r}", ln) from None
+        if a == b:
+            raise GraphFormatError(f"self-loop on vertex {a}", ln)
+        if not (0 <= a < count and 0 <= b < count):
+            raise GraphFormatError(f"vertex out of range in {line!r}", ln)
+        e = _norm_edge(a, b)
+        if e in seen:
+            raise GraphFormatError(f"duplicate pair {e}", ln)
+        seen.add(e)
+        edges.append(e)
+    if count is None:
+        raise GraphFormatError(f"empty {what} file", 1)
+    if len(edges) != m:
+        raise GraphFormatError(f"header promised {m} pairs, found {len(edges)}", header)
+    return count, edges
+
+
+def _load_coupling_file(text: str, name: str) -> Architecture:
+    q, edges = _parse_edge_list(text, "architecture")
     return Architecture(q, frozenset(edges), name)
 
 
@@ -327,42 +347,8 @@ def make_architecture(spec: str) -> Architecture:
 def load_problem_graph(path: str) -> ProblemGraph:
     """Read the 'n m' + edge-list format; raises GraphFormatError with a line number."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    n = None
-    m = None
-    edges = []
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2:
-                raise GraphFormatError("expected header 'n m'", ln)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"bad header {line!r}", ln) from None
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected 'u v', got {line!r}", ln)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer vertex in {line!r}", ln) from None
-        if u == v:
-            raise GraphFormatError(f"self-loop on vertex {u}", ln)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"vertex out of range in {line!r}", ln)
-        edges.append((u, v))
-    if n is None:
-        raise GraphFormatError("empty graph file", 1)
-    if len(edges) != m:
-        raise GraphFormatError(f"header promised {m} edges, found {len(edges)}", 1)
-    try:
-        return make_problem_graph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc), 1) from None
+        n, edges = _parse_edge_list(fh.read(), "graph")
+    return ProblemGraph(n, frozenset(edges))
 
 
 def save_problem_graph(g: ProblemGraph, path: str) -> None:
@@ -402,31 +388,3 @@ def random_initial_mapping(n: int, seed: int) -> Mapping:
     perm = list(range(n))
     SplitMix64(seed).shuffle(perm)
     return Mapping(tuple(perm))
-
-
-def load_mapping(path: str) -> Mapping:
-    pairs = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh.read().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"expected 'logical physical', got {line!r}", ln)
-            try:
-                l, p = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"non-integer in {line!r}", ln) from None
-            if l in pairs:
-                raise GraphFormatError(f"duplicate logical qubit {l}", ln)
-            pairs[l] = p
-    if sorted(pairs) != list(range(len(pairs))):
-        raise GraphFormatError("logical qubits must be 0..n-1", 1)
-    return Mapping(tuple(pairs[l] for l in range(len(pairs))))
-
-
-def save_mapping(mp: Mapping, path: str) -> None:
-    with open(path, "w") as fh:
-        for l, p in enumerate(mp.pi):
-            fh.write(f"{l} {p}\n")

@@ -55,20 +55,6 @@ class ScheduledCircuit:
         return sum(1 for cyc in self.cycles for g in cyc if g.kind == SWAP)
 
 
-@dataclass(frozen=True)
-class PatternPosition:
-    """Where a pattern qubit sits after t outer loops, with its cyclic rank."""
-
-    n: int
-    t: int
-    pos: int
-    cyclic_rank: int
-
-    def __post_init__(self):
-        if not (0 <= self.pos < self.n and 0 <= self.cyclic_rank < self.n):
-            raise ValueError("position or rank out of range")
-
-
 def _pairs(start: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((p, p + 1) for p in range(start, n - 1, 2))
 
@@ -236,12 +222,6 @@ def _rank_of_start(n: int) -> tuple[int, ...]:
     for k, p in enumerate(_rank_start_positions(n)):
         inv[p] = k
     return tuple(inv)
-
-
-def pattern_position(n: int, start_pos: int, t: int) -> PatternPosition:
-    return PatternPosition(
-        n, t, position_at(n, start_pos, t), _rank_of_start(n)[start_pos]
-    )
 
 
 def interaction_ranks(n: int, i: int, t: int) -> frozenset[int]:

@@ -5,7 +5,8 @@ Strategy names accepted by schedule():
   pattern-only   pruned line pattern under the natural mapping
   ctag-r         pruned line pattern under a seeded random mapping
   ctag-i-astar   pruned line pattern under the beam-searched mapping
-  ctag-i-iso     like ctag-i-astar but tries subgraph isomorphism first
+  ctag-i-iso     like ctag-i-astar, then refined by an exact node-budgeted
+                 search over the meet table
   ctag-h         partial pattern plus matching/swap-routing rounds
 
 The line strategies need a chain of g.n coupled sites in the architecture.
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from ctagsched.embedding import (
     EmbeddingBudgetExceeded,
@@ -69,9 +68,7 @@ class SchedulerConfig:
     beam: int | None = 8
     max_paths: int = 4
     seed: int = 0
-    timeout_ms: int = 10_000
     fallback_guard: bool = True
-    exact_matching: bool = False
     num_embeddings: int = 2
 
 
@@ -153,19 +150,13 @@ def partial_pattern_cycles(g: ProblemGraph, mapping: Mapping, threshold: float) 
     return k
 
 
-def maximal_matching(edges, mapping: Mapping, exact: bool = False) -> list[Edge]:
-    """Site-disjoint subset of executable edges; greedy unless exact.
+def maximal_matching(edges, mapping: Mapping) -> list[Edge]:
+    """Greedy site-disjoint subset of executable edges.
 
-    Greedy picks by descending max endpoint degree within `edges`, ties by
-    lowest edge id, so a path a-b-c-d keeps its two outer edges.  Exact mode
-    computes a maximum-cardinality matching instead.
+    Picks by descending max endpoint degree within `edges`, ties by lowest
+    edge id, so a path a-b-c-d keeps its two outer edges.
     """
     es = sorted(edges)
-    if exact:
-        gx = nx.Graph()
-        gx.add_edges_from(es)
-        mm = nx.max_weight_matching(gx, maxcardinality=True)
-        return sorted((u, v) if u < v else (v, u) for u, v in mm)
     deg: dict[int, int] = {}
     for u, v in es:
         deg[u] = deg.get(u, 0) + 1
@@ -339,7 +330,7 @@ def _run_rounds(state: SchedulerState, cfg: SchedulerConfig) -> None:
         pi = mp.pi
         re = sorted(e for e in state.remaining if dist[pi[e[0]]][pi[e[1]]] == 1)
         re_set = set(re)
-        matching = maximal_matching(re, mp, cfg.exact_matching)
+        matching = maximal_matching(re, mp)
         cycle: list[Gate] = []
         state.busy = set()
         state.protected = set()
@@ -519,6 +510,9 @@ def schedule(
     if arch.q < g.n:
         raise ValueError(f"{arch.name} has {arch.q} qubits, input needs {g.n}")
     n = g.n
+    if n == 1:
+        # nothing to execute, and the line pattern needs two sites
+        return ScheduledCircuit((), Mapping((0,)), arch)
     orders = _line_orders(arch, n, cfg)
 
     if cfg.strategy != "ctag-h":
@@ -532,8 +526,7 @@ def schedule(
         elif cfg.strategy == "ctag-i-astar":
             m0, _ = astar_initial_mapping(g, cfg.beam, cfg.seed)
         else:  # ctag-i-iso
-            found = iso_initial_mapping(g, cfg.timeout_ms / 1000.0)
-            m0 = found[0] if found else astar_initial_mapping(g, cfg.beam, cfg.seed)[0]
+            m0, _ = iso_initial_mapping(g)
         return _pattern_candidate(g, arch, order, m0)
 
     candidates = []

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctagsched
 from ctagsched.cli import main
 from ctagsched.graphs import clique, make_problem_graph, save_problem_graph
 
@@ -32,6 +37,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_cli_import_leaves_networkx_out():
+    src = str(Path(ctagsched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import ctagsched.cli, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 class TestSchedule:
     def test_k6_writes_artifacts(self, k6_file, tmp_path, capsys):
         out = str(tmp_path / "k6run")
@@ -55,8 +67,6 @@ class TestSchedule:
         )
         assert code == 0
         assert k6_file.replace(".graph", ".sched.json") != k6_file
-        import os
-
         assert os.path.exists(k6_file[:-6] + ".sched.json")
 
     def test_chorded_ladder_depth(self, fig_file, tmp_path, capsys):
@@ -79,15 +89,29 @@ class TestSchedule:
         assert doc["verified"] is True
         assert len(doc["files"]) == 3
 
-    def test_combined_strategy(self, fig_file, tmp_path, capsys):
-        # "ctag" runs the mapped pattern and the heuristic, keeps the better
-        out = str(tmp_path / "both")
+    def test_ctag_strategy_is_rejected(self, fig_file, capsys):
+        # the former "ctag" meta-strategy duplicated ctag-h's candidate pool
+        with pytest.raises(SystemExit) as ei:
+            main(["schedule", "--graph", fig_file, "--arch", "linear:6",
+                  "--strategy", "ctag"])
+        assert ei.value.code == 2
+        assert "invalid choice: 'ctag'" in capsys.readouterr().err
+
+    def test_single_vertex_graph(self, tmp_path, capsys):
+        p = tmp_path / "one.graph"
+        p.write_text("1 0\n")
+        out = str(tmp_path / "one")
         code, stdout, _ = run(
-            capsys, "schedule", "--graph", fig_file, "--arch", "linear:6",
-            "--strategy", "ctag", "--out", out,
+            capsys, "schedule", "--graph", str(p), "--arch", "grid:2x2",
+            "--out", out,
         )
         assert code == 0
-        assert "abstract_depth: 4" in stdout
+        assert "abstract_depth: 0" in stdout and "verified: true" in stdout
+        code, _, _ = run(
+            capsys, "verify", "--schedule", out + ".sched.json",
+            "--graph", str(p), "--arch", "grid:2x2",
+        )
+        assert code == 0
 
     def test_missing_graph_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -102,6 +126,15 @@ class TestSchedule:
         p.write_text("4 2\n0 1\n0 one\n")
         code, _, err = run(
             capsys, "schedule", "--graph", str(p), "--arch", "linear:4",
+        )
+        assert code == 2
+        assert "line 3" in err
+
+    def test_malformed_coupling_line_exits_2(self, fig_file, tmp_path, capsys):
+        dev = tmp_path / "dev.arch"
+        dev.write_text("3 2\n0 1\n1 7\n")
+        code, _, err = run(
+            capsys, "schedule", "--graph", fig_file, "--arch", f"file:{dev}",
         )
         assert code == 2
         assert "line 3" in err

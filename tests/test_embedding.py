@@ -8,9 +8,7 @@ from ctagsched.embedding import (
     device_embedding,
     find_line_embedding,
     hilbert_embedding,
-    load_embedding,
     multi_embeddings,
-    save_embedding,
 )
 from ctagsched.graphs import (
     Architecture,
@@ -151,11 +149,3 @@ class TestDeviceEmbeddings:
         # 22 is provably unreachable: a fresh search at length 22 exhausts
         arch = ibm27()
         assert find_line_embedding(arch, length=22, budget=10**7) is None
-
-
-class TestEmbeddingIO:
-    def test_round_trip(self, tmp_path):
-        emb = hilbert_embedding(3, 3)
-        p = tmp_path / "e.emb"
-        save_embedding(emb, p)
-        assert load_embedding(p).order == emb.order

@@ -14,13 +14,11 @@ from ctagsched.graphs import (
     ibm27,
     identity_mapping,
     linear,
-    load_mapping,
     load_problem_graph,
     make_architecture,
     make_problem_graph,
     random_graph,
     random_initial_mapping,
-    save_mapping,
     save_problem_graph,
     shortest_dist,
 )
@@ -167,6 +165,23 @@ class TestMakeArchitecture:
         assert ei.value.line == 3
         assert "line 3" in str(ei.value)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("3 2\n0 1\n1 7\n", 3),  # site out of range
+            ("3 2\n0 1\n\n2 2\n", 4),  # self-coupling
+            ("3 2\n0 1\n1 0\n", 3),  # duplicate coupling
+            ("# dev\n3 3\n0 1\n1 2\n", 2),  # count short of the header
+        ],
+        ids=["out-of-range", "self-coupling", "duplicate", "short-count"],
+    )
+    def test_bad_coupling_is_a_format_error(self, tmp_path, text, line):
+        p = tmp_path / "dev.arch"
+        p.write_text(text)
+        with pytest.raises(GraphFormatError) as ei:
+            make_architecture(f"file:{p}")
+        assert ei.value.line == line
+
 
 class TestGraphIO:
     def test_round_trip(self, tmp_path):
@@ -224,9 +239,3 @@ class TestMapping:
     def test_random_initial_mapping_deterministic(self):
         assert random_initial_mapping(8, 3).pi == random_initial_mapping(8, 3).pi
         assert random_initial_mapping(8, 3).pi != random_initial_mapping(8, 4).pi
-
-    def test_mapping_io(self, tmp_path):
-        m = random_initial_mapping(6, 1)
-        p = tmp_path / "m.map"
-        save_mapping(m, p)
-        assert load_mapping(p).pi == m.pi

@@ -1,15 +1,13 @@
-"""Initial-mapping search: pattern graphs, beam search, monomorphism scan."""
+"""Initial-mapping search: beam search and its exact, budgeted refinement."""
 
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctagsched.graphs import Mapping, clique, make_problem_graph
-from ctagsched.initial_mapping import (
-    astar_initial_mapping,
-    iso_initial_mapping,
-    pattern_graph,
-)
+from ctagsched.graphs import clique, make_problem_graph, random_graph
+from ctagsched.initial_mapping import astar_initial_mapping, iso_initial_mapping
 from ctagsched.pattern import meet_cycle, prune_pattern
 
 
@@ -34,42 +32,43 @@ FIG_CHORDED = make_problem_graph(
 )
 
 
+def horizon_pairs(n, i):
+    """Start-position pairs whose CPHASE fires before cycle horizon i."""
+    return {(a, b) for a in range(n) for b in range(a + 1, n) if meet_cycle(n, a, b) < i}
+
+
 class TestPatternGraph:
+    """Horizon graphs read off meet_cycle: a mapping finishes within i cycles
+    exactly when it places every input edge on a pair of horizon_pairs(n, i)."""
+
     def test_horizon_one_is_the_even_matching(self):
-        assert pattern_graph(6, 1).edges == frozenset({(0, 1), (2, 3), (4, 5)})
+        assert horizon_pairs(6, 1) == {(0, 1), (2, 3), (4, 5)}
 
     def test_full_horizon_is_complete(self):
-        assert pattern_graph(6, 10).edges == clique(6).edges
+        for n in (3, 6, 7):
+            assert horizon_pairs(n, 2 * n - 2) == set(clique(n).edges)
+            assert horizon_pairs(n, 2 * n - 3) != set(clique(n).edges)
 
     def test_mid_horizon_path(self):
         # positions reachable within 4 cycles on 8 qubits form a path
-        assert sorted(pattern_graph(8, 4).edges) == [
+        assert sorted(horizon_pairs(8, 4)) == [
             (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)
         ]
 
     def test_monotone_in_horizon(self):
-        prev = frozenset()
+        prev = set()
         for i in range(1, 11):
-            cur = pattern_graph(6, i).edges
+            cur = horizon_pairs(6, i)
             assert prev <= cur
             prev = cur
 
     def test_edge_count_matches_meet_table(self):
-        n = 7
-        for i in range(1, 2 * n - 1):
-            expect = sum(
-                1
-                for a in range(n)
-                for b in range(a + 1, n)
-                if meet_cycle(n, a, b) < i
-            )
-            assert len(pattern_graph(n, i).edges) == expect
-
-    def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            pattern_graph(6, 0)
-        with pytest.raises(ValueError):
-            pattern_graph(6, 11)
+        # pairs per horizon, frozen from the generated pattern
+        for n, counts in (
+            (6, [3, 5, 5, 5, 8, 10, 10, 10, 13, 15]),
+            (7, [3, 6, 6, 6, 9, 12, 12, 12, 15, 18, 18, 21]),
+        ):
+            assert [len(horizon_pairs(n, i)) for i in range(1, 2 * n - 1)] == counts
 
 
 class TestAstar:
@@ -157,8 +156,7 @@ class TestIso:
         )
 
     def test_result_is_minimal(self):
-        # iso scans horizons upward, so the returned depth is the least
-        # horizon admitting an embedding; cross-check exhaustively
+        # the search is exact at this size; cross-check exhaustively
         for edges in ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)],
                       [(0, 2), (1, 4), (3, 5)]):
             g = make_problem_graph(6, edges)
@@ -171,5 +169,33 @@ class TestIso:
         _, d_astar = astar_initial_mapping(g, beam=None)
         assert d_iso == d_astar
 
-    def test_zero_timeout_gives_up(self):
-        assert iso_initial_mapping(FIG_CHORDED, timeout=0.0) is None
+    def test_zero_budget_keeps_astar(self):
+        # the refinement takes this graph from 14 cycles to 10
+        g = random_graph(9, 0.4, 3)
+        assert iso_initial_mapping(g, budget=0) == astar_initial_mapping(g)
+        assert iso_initial_mapping(g)[1] == 10
+
+    def test_deterministic(self):
+        g = random_graph(10, 0.5, 7)
+        assert iso_initial_mapping(g) == iso_initial_mapping(g)
+
+    def test_budget_bounds_the_search(self):
+        # 40 vertices are far beyond exhaustive search; the node budget ends
+        # it, and the result may only improve on astar
+        g = random_graph(40, 0.2, 1)
+        mapping, depth = iso_initial_mapping(g, budget=2000)
+        assert depth <= astar_initial_mapping(g)[1]
+        assert depth == 1 + max(meet_cycle(40, mapping[u], mapping[v]) for u, v in g.edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_on_small_graphs(self, data):
+        n = data.draw(st.integers(2, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        g = make_problem_graph(n, edges)
+        mapping, depth = iso_initial_mapping(g)
+        assert depth == exhaustive_best(g)
+        worst = max((meet_cycle(n, mapping[u], mapping[v]) for u, v in edges), default=-1)
+        assert depth == worst + 1
+        assert depth <= astar_initial_mapping(g, beam=8)[1]

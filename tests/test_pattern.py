@@ -22,7 +22,6 @@ from ctagsched.pattern import (
     generate_clique_pattern,
     interaction_ranks,
     meet_cycle,
-    pattern_position,
     position_at,
     prune_pattern,
     to_json_dict,
@@ -186,10 +185,6 @@ class TestPositionAlgebra:
             occ = snaps[4 * t - 1]
             for site, logical in occ.items():
                 assert position_at(n, logical, t) == site
-
-    def test_pattern_position_carries_rank(self):
-        pp = pattern_position(6, 1, 0)
-        assert pp.pos == 1 and pp.cyclic_rank == 0
 
 
 class TestMeetCycle:

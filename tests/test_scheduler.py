@@ -108,14 +108,6 @@ class TestMaximalMatching:
         got = maximal_matching(g.edges, identity_mapping(5))
         assert (0, 1) in got
 
-    def test_exact_mode_maximizes_cardinality(self):
-        # greedy can strand vertices that an optimal matching pairs up
-        edges = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)}
-        greedy = maximal_matching(edges, identity_mapping(6))
-        exact = maximal_matching(edges, identity_mapping(6), True)
-        assert len(exact) == 3
-        assert len(greedy) <= len(exact)
-
     def test_empty(self):
         assert maximal_matching(set(), identity_mapping(4)) == []
 
@@ -429,6 +421,15 @@ class TestScheduleEndToEnd:
         g = make_problem_graph(4, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             schedule(g, star, SchedulerConfig(strategy="ctag-i-astar"))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("spec", ["linear:1", "grid:2x3", "ibm27"])
+    def test_single_vertex_is_an_empty_circuit(self, strategy, spec):
+        g = make_problem_graph(1, [])
+        arch = make_architecture(spec)
+        c = schedule(g, arch, SchedulerConfig(strategy=strategy))
+        assert c.depth == 0
+        assert verify(c, g, arch).ok
 
     def test_too_small_device(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,7 @@ class BenchRow:
     swap_count: int
     compile_time_ms: float
     verified: bool
+    error: str = ""  # why the cell failed; not a CSV column
 
     def as_record(self) -> dict:
         return {
@@ -181,9 +182,13 @@ def _bench_cell(cell) -> BenchRow:
             n, dens, seed, arch_spec, strategy,
             mx.abstract_depth, mx.decomposed_depth,
             mx.cphase_count, mx.swap_count, secs * 1000, ok,
+            "" if ok else "verification failed",
         )
-    except Exception:
-        return BenchRow(n, dens, seed, arch_spec, strategy, -1, -1, -1, -1, 0.0, False)
+    except Exception as exc:
+        return BenchRow(
+            n, dens, seed, arch_spec, strategy, -1, -1, -1, -1, 0.0, False,
+            f"{type(exc).__name__}: {exc}",
+        )
 
 
 def _parse_list(text: str, conv, flag: str) -> list:
@@ -250,6 +255,11 @@ def cmd_bench(args) -> int:
             fh.write(body)
     else:
         sys.stdout.write(body)
+    for r in rows:
+        if not r.verified:
+            cell = (f"n={r.n} density={r.density:g} seed={r.seed} "
+                    f"arch={r.architecture} strategy={r.strategy}")
+            print(f"error: {cell}: {r.error}", file=sys.stderr)
     return 0 if all(r.verified for r in rows) else 1
 
 

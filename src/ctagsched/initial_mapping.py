@@ -44,13 +44,16 @@ def astar_initial_mapping(
     """Assign vertices (highest degree first) to positions, keeping the best
     `beam` partial assignments per level by max meeting cycle.
 
-    beam=1 is the greedy search, beam=None expands every branch and is exact.
-    Returns the mapping and its finishing cycle count, which equals the depth
-    of the pruned pattern under that mapping.
+    beam=1 is the greedy search, beam=None expands every branch and is exact;
+    a beam below 1 is a ValueError.  Returns the mapping and its finishing
+    cycle count, which equals the depth of the pruned pattern under that
+    mapping.
     """
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
+    if beam is not None and beam < 1:
+        raise ValueError(f"beam must be at least 1, got {beam}")
     table = _meet_table(n)
     order = _search_order(g)
     vertex_level = {v: k for k, v in enumerate(order)}

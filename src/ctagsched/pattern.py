@@ -2,9 +2,11 @@
 
 The clique pattern alternates two CPHASE layers with two SWAP layers so that
 every qubit pair becomes adjacent, and executes, exactly once within 2n-2
-cycles.  This module generates that pattern, its pruned variant for sparse
-input graphs, the closed-form position model used to reason about it, and the
-2xN grid variant that drops every second SWAP layer.
+cycles.  _layer_stream yields those layers; prune_pattern walks the stream
+once and keeps only the CPHASEs of an input graph under an initial mapping,
+and the full pattern is the pruning of the clique under the natural mapping.
+The module also holds the closed-form position model used to reason about the
+pattern, and the 2xN grid variant that drops every second SWAP layer.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from ctagsched.graphs import (
     Architecture,
     Mapping,
     ProblemGraph,
+    clique,
     grid,
     identity_mapping,
     linear,
@@ -94,21 +97,7 @@ def generate_clique_pattern(n: int) -> ScheduledCircuit:
     """
     if n < 2:
         raise ValueError(f"pattern needs n >= 2, got {n}")
-    occ = list(range(n))  # occ[position] = logical qubit
-    cycles = []
-    for kind, pairs in _layer_stream(n):
-        gates = []
-        for a, b in pairs:
-            if kind == CPHASE:
-                la, lb = occ[a], occ[b]
-                gates.append(Gate(CPHASE, a, b, (la, lb) if la < lb else (lb, la)))
-            else:
-                gates.append(Gate(SWAP, a, b))
-        if kind == SWAP:
-            for a, b in pairs:
-                occ[a], occ[b] = occ[b], occ[a]
-        cycles.append(tuple(gates))
-    return ScheduledCircuit(_trim(cycles), identity_mapping(n), linear(n))
+    return prune_pattern(clique(n), identity_mapping(n), n)
 
 
 def _trim(cycles) -> tuple[tuple[Gate, ...], ...]:
@@ -120,48 +109,38 @@ def _trim(cycles) -> tuple[tuple[Gate, ...], ...]:
     return tuple(tuple(c) for c in cycles[: last + 1])
 
 
-def prune_circuit(circ: ScheduledCircuit, g: ProblemGraph) -> ScheduledCircuit:
-    """Drop CPHASEs whose logical pair is not an edge of g; keep SWAP layers.
-
-    Execution cycles emptied by pruning stay as empty cycles (the SWAP cadence
-    around them is unchanged), but everything after the last surviving CPHASE
-    is removed.  Works for any circuit whose init covers g's vertices.
-    """
-    occ = {p: l for l, p in enumerate(circ.init.pi)}  # site -> logical
-    out = []
-    for cyc in circ.cycles:
-        kept = []
-        for gate in cyc:
-            if gate.kind == SWAP:
-                kept.append(gate)
-                continue
-            la, lb = occ.get(gate.a), occ.get(gate.b)
-            if la is None or lb is None:
-                continue
-            pair = (la, lb) if la < lb else (lb, la)
-            if pair in g.edges:
-                kept.append(gate._replace(logical=pair))
-        for gate in cyc:
-            if gate.kind == SWAP:
-                va, vb = occ.pop(gate.a, None), occ.pop(gate.b, None)
-                if va is not None:
-                    occ[gate.b] = va
-                if vb is not None:
-                    occ[gate.a] = vb
-        out.append(tuple(kept))
-    return ScheduledCircuit(_trim(out), circ.init, circ.arch)
-
-
 def prune_pattern(g: ProblemGraph, init: Mapping, n: int) -> ScheduledCircuit:
-    """Clique pattern on linear(n) restricted to g's edges under init."""
+    """Clique pattern on linear(n) restricted to g's edges under init.
+
+    One walk of the layer stream: SWAP layers are kept whole, and a CPHASE is
+    kept only when the logical pair on its two positions is an edge of g.
+    Execution cycles emptied by pruning stay as empty cycles (the SWAP
+    cadence around them is unchanged), but everything after the last
+    surviving CPHASE is removed.
+    """
     if g.n != n:
         raise ValueError(f"graph has {g.n} vertices, pattern needs {n}")
     if init.n != n or any(not 0 <= p < n for p in init.pi):
         raise ValueError("init must map g's vertices onto positions 0..n-1")
-    base = generate_clique_pattern(n)
-    return prune_circuit(
-        ScheduledCircuit(base.cycles, init, base.arch), g
-    )
+    occ = [0] * n  # occ[position] = logical qubit
+    for l, p in enumerate(init.pi):
+        occ[p] = l
+    edges = g.edges
+    cycles = []
+    for kind, pairs in _layer_stream(n):
+        if kind == SWAP:
+            cycles.append(tuple(Gate(SWAP, a, b) for a, b in pairs))
+            for a, b in pairs:
+                occ[a], occ[b] = occ[b], occ[a]
+            continue
+        gates = []
+        for a, b in pairs:
+            la, lb = occ[a], occ[b]
+            pair = (la, lb) if la < lb else (lb, la)
+            if pair in edges:
+                gates.append(Gate(CPHASE, a, b, pair))
+        cycles.append(tuple(gates))
+    return ScheduledCircuit(_trim(cycles), init, linear(n))
 
 
 def _loop_step(n: int, p: int) -> int:
@@ -244,11 +223,15 @@ def interaction_ranks(n: int, i: int, t: int) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def _meet_table(n: int) -> tuple[tuple[int, ...], ...]:
+    # occ[position] = start position of the qubit now there
     table = [[-1] * n for _ in range(n)]
-    for c, cyc in enumerate(generate_clique_pattern(n).cycles):
-        for g in cyc:
-            if g.kind == CPHASE:
-                u, v = g.logical
+    occ = list(range(n))
+    for c, (kind, pairs) in enumerate(_layer_stream(n)):
+        for a, b in pairs:
+            if kind == SWAP:
+                occ[a], occ[b] = occ[b], occ[a]
+            else:
+                u, v = occ[a], occ[b]
                 table[u][v] = table[v][u] = c
     return tuple(tuple(row) for row in table)
 

@@ -10,9 +10,10 @@ Strategy names accepted by schedule():
   ctag-h         partial pattern plus matching/swap-routing rounds
 
 The line strategies need a chain of g.n coupled sites in the architecture.
-ctag-h tries several chains and initial mappings, keeps the pruned pattern as
-a fallback candidate, and falls back to a breadth-first placement with no
-pattern prefix when no chain exists at all.
+ctag-h prunes the pattern once per initial mapping and lays it on several
+chains: each pruned pattern is a fallback candidate, and its first cycles are
+the prefix that _route continues with matching/swap-routing rounds.  With no
+chain at all, _route starts from a breadth-first placement and no prefix.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ctagsched.embedding import (
-    EmbeddingBudgetExceeded,
     device_embedding,
     hilbert_embedding,
     multi_embeddings,
@@ -58,15 +58,20 @@ __all__ = [
 
 STRATEGIES = ("pattern-only", "ctag-r", "ctag-i-astar", "ctag-i-iso", "ctag-h")
 
+# shortest paths the round engine tries per distant edge
+MAX_PATHS = 4
+
 
 @dataclass
 class SchedulerConfig:
-    """Knobs for schedule(); flat so it round-trips a config file unchanged."""
+    """Knobs for schedule(): threshold sets ctag-h's pattern prefix, beam and
+    seed the mapping search (seed also ctag-r's mapping and the chain search),
+    fallback_guard keeps the pruned pattern as a ctag-h candidate, and
+    num_embeddings caps the chains tried."""
 
     strategy: str = "ctag-h"
     threshold: float = 0.5
     beam: int | None = 8
-    max_paths: int = 4
     seed: int = 0
     fallback_guard: bool = True
     num_embeddings: int = 2
@@ -206,7 +211,7 @@ def _first_hops(ss: SwapStrategy) -> tuple[tuple[int, int], ...]:
 
 
 def enumerate_swap_strategies(
-    edge: Edge, state: SchedulerState, max_paths: int = 4
+    edge: Edge, state: SchedulerState, max_paths: int = MAX_PATHS
 ) -> list[SwapStrategy]:
     """Feasible (path, split) strategies that bring `edge` adjacent.
 
@@ -321,15 +326,18 @@ def _apply_swaps(state: SchedulerState, hops) -> None:
     state.mapping = Mapping(tuple(pos))
 
 
-def _run_rounds(state: SchedulerState, cfg: SchedulerConfig) -> None:
+def _run_rounds(state: SchedulerState) -> None:
     """One cycle per round: a maximal matching of the executable edges plus
     the first SWAPs of the best-scored strategy for each distant edge."""
     dist = state.arch.dist
     while state.remaining:
         mp = state.mapping
         pi = mp.pi
-        re = sorted(e for e in state.remaining if dist[pi[e[0]]][pi[e[1]]] == 1)
-        re_set = set(re)
+        # each distance is read once per round: adjacent edges are
+        # executable, the others are routed nearest first, ties by edge id
+        ranked = sorted((dist[pi[u]][pi[v]], (u, v)) for u, v in state.remaining)
+        re = [e for d, e in ranked if d == 1]
+        far = [e for d, e in ranked if d > 1]
         matching = maximal_matching(re, mp)
         cycle: list[Gate] = []
         state.busy = set()
@@ -340,15 +348,11 @@ def _run_rounds(state: SchedulerState, cfg: SchedulerConfig) -> None:
             cycle.append(Gate(CPHASE, min(a, b), max(a, b), (u, v)))
             state.busy |= {a, b}
             state.remaining.discard((u, v))
-        start_d = {e: dist[pi[e[0]]][pi[e[1]]] for e in state.remaining}
-        for e in sorted(
-            (e for e in state.remaining if e not in re_set),
-            key=lambda e: (start_d[e], e),
-        ):
+        for e in far:
             pi = state.mapping.pi
             if dist[pi[e[0]]][pi[e[1]]] < 2:
                 continue  # earlier swaps this round already parked it adjacent
-            strategies = enumerate_swap_strategies(e, state, cfg.max_paths)
+            strategies = enumerate_swap_strategies(e, state, MAX_PATHS)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
             scores = [score_strategy(ss, state) for ss in strategies]
@@ -410,11 +414,8 @@ def _line_orders(arch: Architecture, n: int, cfg: SchedulerConfig) -> list[tuple
     if arch.name in ("ibm20", "ibm27"):
         add(device_embedding(arch.name).order)
     if len(out) < want:
-        try:
-            for le in multi_embeddings(arch, want, seed=cfg.seed, length=n):
-                add(le.order)
-        except EmbeddingBudgetExceeded:
-            pass
+        for le in multi_embeddings(arch, want, seed=cfg.seed, length=n):
+            add(le.order)
     return out[:want]
 
 
@@ -431,47 +432,15 @@ def _relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCirc
     return ScheduledCircuit(tuple(cycles), init, arch)
 
 
-def _pattern_candidate(
-    g: ProblemGraph, arch: Architecture, order, m0: Mapping
-) -> ScheduledCircuit:
-    return _relabel(prune_pattern(g, m0, g.n), order, arch)
-
-
-def _ctag_h_run(
-    g: ProblemGraph, arch: Architecture, order, m0: Mapping, cfg: SchedulerConfig
-) -> ScheduledCircuit:
-    n = g.n
-    k = partial_pattern_cycles(g, m0, cfg.threshold)
-    prefix = prune_pattern(g, m0, n).cycles[:k]
-    inv = [0] * n
-    for l, p in enumerate(m0.pi):
-        inv[p] = l
-    executed = set()
+def _route(g: ProblemGraph, arch: Architecture, init: Mapping, prefix) -> ScheduledCircuit:
+    """Run `prefix` (cycles on arch's sites) from `init`, then schedule the
+    edges it leaves with the heuristic rounds."""
+    state = SchedulerState(g, arch, init, set(g.edges), [list(cyc) for cyc in prefix])
     for cyc in prefix:
-        for gate in cyc:
-            if gate.kind == CPHASE:
-                executed.add(gate.logical)
-        for gate in cyc:
-            if gate.kind == SWAP:
-                inv[gate.a], inv[gate.b] = inv[gate.b], inv[gate.a]
-    phys = [0] * n
-    for p, l in enumerate(inv):
-        phys[l] = order[p]
-    init = Mapping(tuple(order[p] for p in m0.pi))
-    relabeled = _relabel(
-        ScheduledCircuit(tuple(prefix), m0, arch), order, arch
-    )
-    state = SchedulerState(
-        g,
-        arch,
-        Mapping(tuple(phys)),
-        set(g.edges) - executed,
-        [list(cyc) for cyc in relabeled.cycles],
-    )
-    _run_rounds(state, cfg)
-    return ScheduledCircuit(
-        tuple(tuple(cyc) for cyc in state.circuit), init, arch
-    )
+        state.remaining.difference_update(x.logical for x in cyc if x.kind == CPHASE)
+        _apply_swaps(state, [(x.a, x.b) for x in cyc if x.kind == SWAP])
+    _run_rounds(state)
+    return ScheduledCircuit(tuple(tuple(cyc) for cyc in state.circuit), init, arch)
 
 
 def _bfs_placement(arch: Architecture, n: int) -> Mapping:
@@ -527,24 +496,25 @@ def schedule(
             m0, _ = astar_initial_mapping(g, cfg.beam, cfg.seed)
         else:  # ctag-i-iso
             m0, _ = iso_initial_mapping(g)
-        return _pattern_candidate(g, arch, order, m0)
+        return _relabel(prune_pattern(g, m0, n), order, arch)
 
+    if not orders:
+        return _route(g, arch, _bfs_placement(arch, n), ())
+    inits = [astar_initial_mapping(g, cfg.beam, cfg.seed)[0]]
+    ident = identity_mapping(n)
+    if ident.pi != inits[0].pi:
+        inits.append(ident)
+    # the pruned pattern depends only on the mapping; its first k cycles
+    # are the heuristic's prefix on every chain
+    pruned = [
+        (prune_pattern(g, m0, n), partial_pattern_cycles(g, m0, cfg.threshold))
+        for m0 in inits
+    ]
     candidates = []
-    if orders:
-        inits = [astar_initial_mapping(g, cfg.beam, cfg.seed)[0]]
-        ident = identity_mapping(n)
-        if ident.pi != inits[0].pi:
-            inits.append(ident)
-        for order in orders:
-            for m0 in inits:
-                candidates.append(_ctag_h_run(g, arch, order, m0, cfg))
-                if cfg.fallback_guard:
-                    candidates.append(_pattern_candidate(g, arch, order, m0))
-    else:
-        placement = _bfs_placement(arch, n)
-        state = SchedulerState(g, arch, placement, set(g.edges), [])
-        _run_rounds(state, cfg)
-        candidates.append(
-            ScheduledCircuit(tuple(tuple(c) for c in state.circuit), placement, arch)
-        )
+    for order in orders:
+        for base, k in pruned:
+            full = _relabel(base, order, arch)
+            candidates.append(_route(g, arch, full.init, full.cycles[:k]))
+            if cfg.fallback_guard:
+                candidates.append(full)
     return min(candidates, key=_circuit_key)

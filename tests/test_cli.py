@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ctagsched
-from ctagsched.cli import main
+from ctagsched.cli import CSV_COLUMNS, main
 from ctagsched.graphs import clique, make_problem_graph, save_problem_graph
 
 FIG_EDGES = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (1, 3), (2, 4)]
@@ -138,6 +138,19 @@ class TestSchedule:
         )
         assert code == 2
         assert "line 3" in err
+
+    @pytest.mark.parametrize("beam", ["0", "-1"])
+    def test_beam_below_one_exits_1(self, fig_file, tmp_path, beam):
+        src = str(Path(ctagsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctagsched.cli", "schedule", "--graph", fig_file,
+             "--arch", "linear:6", "--beam", beam, "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: beam must be at least 1")
+        assert "Traceback" not in proc.stderr
 
     def test_too_small_arch_exits_1(self, k6_file, capsys):
         code, _, err = run(
@@ -295,15 +308,23 @@ class TestBench:
         assert out.read_text().startswith("n,density,seed")
 
     def test_failed_cell_reports_and_exits_1(self, capsys):
-        # a 2x2 grid cannot hold 6 logical qubits; the row records the failure
-        code, stdout, _ = run(
-            capsys, "bench", "--n", "6", "--density", "0.5", "--seed", "1",
-            "--arch", "grid:2x2", "--strategy", "ctag-h",
-        )
-        assert code == 1
-        rows = list(csv.DictReader(io.StringIO(stdout)))
-        assert rows[0]["verified"] == "false"
-        assert rows[0]["abstract_depth"] == "-1"
+        # a 2x2 grid cannot hold 6 logical qubits; the row records the
+        # failure and stderr says why, also from worker processes
+        for jobs in ("1", "2"):
+            code, stdout, err = run(
+                capsys, "bench", "--n", "6", "--density", "0.5", "--seed", "1",
+                "--arch", "grid:2x2,linear", "--strategy", "ctag-h", "--jobs", jobs,
+            )
+            assert code == 1
+            rows = list(csv.DictReader(io.StringIO(stdout)))
+            assert list(rows[0]) == list(CSV_COLUMNS)
+            failed = [r for r in rows if r["architecture"] == "grid:2x2"]
+            assert failed[0]["verified"] == "false"
+            assert failed[0]["abstract_depth"] == "-1"
+            assert err.splitlines() == [
+                "error: n=6 density=0.5 seed=1 arch=grid:2x2 strategy=ctag-h: "
+                "ValueError: grid:2x2 has 4 qubits, input needs 6"
+            ]
 
     def test_json_format(self, capsys):
         code, stdout, _ = run(

@@ -120,6 +120,11 @@ class TestAstar:
         _, depth = astar_initial_mapping(g, beam=None)
         assert depth == exhaustive_best(g)
 
+    @pytest.mark.parametrize("beam", [0, -1])
+    def test_beam_below_one_is_rejected(self, beam):
+        with pytest.raises(ValueError, match="beam must be at least 1"):
+            astar_initial_mapping(path(6), beam=beam)
+
     def test_beam_never_beats_exhaustive(self):
         g = make_problem_graph(6, [(0, 3), (1, 4), (2, 5), (1, 2), (3, 4)])
         _, d_beam = astar_initial_mapping(g, beam=4)

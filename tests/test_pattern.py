@@ -1,6 +1,8 @@
 """Line-pattern generation, pruning, and the position/meet algebra."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctagsched.graphs import (
     Mapping,
@@ -16,6 +18,8 @@ from ctagsched.pattern import (
     SWAP,
     Gate,
     ScheduledCircuit,
+    _layer_stream,
+    _trim,
     cyclic_rank_shift,
     from_json_dict,
     generate_2xn_pattern,
@@ -142,6 +146,73 @@ class TestPrunePattern:
     def test_rejects_undersized_n(self):
         with pytest.raises(ValueError):
             prune_pattern(clique(4), identity_mapping(4), 3)
+
+
+def ref_prune_pattern(g, init, n):
+    # the clique pattern built in full under the natural mapping, then
+    # replayed from init and pruned to g, as prune_pattern did before it
+    # walked the layer stream itself
+    occ = list(range(n))
+    full = []
+    for kind, pairs in _layer_stream(n):
+        gates = []
+        for a, b in pairs:
+            if kind == CPHASE:
+                la, lb = occ[a], occ[b]
+                gates.append(Gate(CPHASE, a, b, (la, lb) if la < lb else (lb, la)))
+            else:
+                gates.append(Gate(SWAP, a, b))
+        if kind == SWAP:
+            for a, b in pairs:
+                occ[a], occ[b] = occ[b], occ[a]
+        full.append(tuple(gates))
+    site = {p: l for l, p in enumerate(init.pi)}
+    out = []
+    for cyc in _trim(full):
+        kept = []
+        for gate in cyc:
+            if gate.kind == SWAP:
+                kept.append(gate)
+                continue
+            la, lb = site.get(gate.a), site.get(gate.b)
+            if la is None or lb is None:
+                continue
+            pair = (la, lb) if la < lb else (lb, la)
+            if pair in g.edges:
+                kept.append(gate._replace(logical=pair))
+        for gate in cyc:
+            if gate.kind == SWAP:
+                va, vb = site.pop(gate.a, None), site.pop(gate.b, None)
+                if va is not None:
+                    site[gate.b] = va
+                if vb is not None:
+                    site[gate.a] = vb
+        out.append(tuple(kept))
+    return ScheduledCircuit(_trim(out), init, linear(n))
+
+
+@st.composite
+def pruning_inputs(draw):
+    n = draw(st.integers(2, 24))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
+    init = Mapping(tuple(draw(st.permutations(range(n)))))
+    return make_problem_graph(n, edges), init
+
+
+class TestPruneMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(pruning_inputs())
+    def test_one_walk_equals_generate_then_prune(self, drawn):
+        g, init = drawn
+        assert prune_pattern(g, init, g.n) == ref_prune_pattern(g, init, g.n)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 24])
+    def test_dense_graphs(self, n):
+        for seed in (1, 2):
+            g = clique(n)
+            init = random_initial_mapping(n, seed)
+            assert prune_pattern(g, init, n) == ref_prune_pattern(g, init, n)
 
 
 class TestPositionAlgebra:

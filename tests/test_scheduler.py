@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctagsched.scheduler
 from ctagsched.graphs import (
     Architecture,
     Mapping,
@@ -478,3 +479,21 @@ def test_round_engine_output_is_pinned(arch_spec, n, dens, seed, digest):
     arch = make_architecture(arch_spec)
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", fallback_guard=False))
     assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
+
+
+def test_ctag_h_prunes_once_per_initial_mapping(monkeypatch):
+    # two chains and two initial mappings: the pattern is pruned per mapping,
+    # not per (chain, mapping) candidate
+    g = random_graph(12, 0.25, 17)
+    arch = make_architecture("grid:3x4")
+    real = ctagsched.scheduler.prune_pattern
+    inits = []
+
+    def counting(g, init, n):
+        inits.append(init.pi)
+        return real(g, init, n)
+
+    monkeypatch.setattr(ctagsched.scheduler, "prune_pattern", counting)
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=2))
+    assert verify(c, g, arch).ok
+    assert len(inits) == len(set(inits)) == 2

@@ -1,19 +1,17 @@
 """Initial logical-to-position assignments for the line pattern.
 
-The finishing cycle of a pruned pattern is fixed entirely by where each edge's
-endpoints start, via the meeting table, so choosing the initial mapping is a
-search over permutations scored by max edge meeting cycle.
+The pruned pattern fires each edge at the meet-table cycle of its endpoints'
+start positions, so the mapping alone sets the depth.  Both searches place
+vertices in one order (_search_order), score a placement by its meets with
+the neighbours placed before it, and build their result with _as_mapping.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ctagsched.graphs import Mapping, ProblemGraph, random_initial_mapping
 from ctagsched.pattern import _meet_table
 
 __all__ = [
     "ISO_NODE_BUDGET",
-    "MappingSearchNode",
     "astar_initial_mapping",
     "iso_initial_mapping",
     "random_initial_mapping",
@@ -25,17 +23,21 @@ __all__ = [
 ISO_NODE_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class MappingSearchNode:
-    """Partial assignment in the mapping search; cost bounds the finish cycle."""
+def _search_order(g: ProblemGraph) -> tuple[list[int], list[list[int]]]:
+    # highest degree first, so the most constrained vertices are placed
+    # early; nbrs[k] holds the levels of order[k]'s earlier neighbours
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    level = {v: k for k, v in enumerate(order)}
+    nbrs = [[level[u] for u in g.adj[v] if level[u] < k] for k, v in enumerate(order)]
+    return order, nbrs
 
-    partial_pi: tuple[int, ...]  # positions of the first k search vertices
-    cost: int  # max meet index over edges mapped so far, -1 when none
 
-
-def _search_order(g: ProblemGraph) -> list[int]:
-    # highest degree first, so the most constrained vertices are placed early
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _as_mapping(order: list[int], positions) -> Mapping:
+    # positions[k] is the position of order[k]
+    pi = [0] * len(order)
+    for v, p in zip(order, positions):
+        pi[v] = p
+    return Mapping(tuple(pi))
 
 
 def astar_initial_mapping(
@@ -48,6 +50,11 @@ def astar_initial_mapping(
     a beam below 1 is a ValueError.  Returns the mapping and its finishing
     cycle count, which equals the depth of the pruned pattern under that
     mapping.
+
+    Ties on cost go to the lexicographically smallest positions read through
+    `salt`, a seeded permutation when tie_seed is nonzero.  A child is its
+    parent plus one position, so that is the parent's rank by salted
+    positions, then the new position's salt; only beam survivors get a tuple.
     """
     n = g.n
     if n < 2:
@@ -55,39 +62,33 @@ def astar_initial_mapping(
     if beam is not None and beam < 1:
         raise ValueError(f"beam must be at least 1, got {beam}")
     table = _meet_table(n)
-    order = _search_order(g)
-    vertex_level = {v: k for k, v in enumerate(order)}
+    order, nbrs = _search_order(g)
+    salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
 
-    # partial_pi holds positions aligned with the `order` prefix
-    frontier = [MappingSearchNode((), -1)]
-    salt = None
-    if tie_seed:
-        salt = random_initial_mapping(n, tie_seed).pi
-    for level, v in enumerate(order):
-        nbrs = [u for u in g.adj[v] if vertex_level[u] < level]
+    # (positions of the order prefix, max meet so far or -1), by salted prefix
+    parents: list[tuple[tuple[int, ...], int]] = [((), -1)]
+    for k in range(n):
         children = []
-        for node in frontier:
-            used = set(node.partial_pi)
+        for rank, (prefix, cost) in enumerate(parents):
+            used = set(prefix)
+            rows = [table[prefix[j]] for j in nbrs[k]]
             for p in range(n):
                 if p in used:
                     continue
-                c = node.cost
-                for u in nbrs:
-                    m = table[p][node.partial_pi[vertex_level[u]]]
-                    if m > c:
-                        c = m
-                children.append(MappingSearchNode(node.partial_pi + (p,), c))
-        if salt is not None:
-            children.sort(key=lambda ch: (ch.cost, [salt[p] for p in ch.partial_pi]))
-        else:
-            children.sort(key=lambda ch: (ch.cost, ch.partial_pi))
-        frontier = children if beam is None else children[:beam]
+                c = cost
+                for row in rows:
+                    if row[p] > c:
+                        c = row[p]
+                children.append((c, rank, salt[p], p))
+        children.sort()
+        if beam is not None:
+            del children[beam:]
+        children.sort(key=lambda ch: (ch[1], ch[2]))
+        parents = [(parents[r][0] + (p,), c) for c, r, _, p in children]
 
-    best = frontier[0]
-    pi = [0] * n
-    for k, v in enumerate(order):
-        pi[v] = best.partial_pi[k]
-    return Mapping(tuple(pi)), best.cost + 1 if g.edges else 0
+    # parents are in salted order, so the first of lowest cost wins ties
+    prefix, cost = min(parents, key=lambda node: node[1])
+    return _as_mapping(order, prefix), cost + 1
 
 
 def iso_initial_mapping(
@@ -108,13 +109,11 @@ def iso_initial_mapping(
     mapping, depth = astar_initial_mapping(g)
     n = g.n
     table = _meet_table(n)
-    order = _search_order(g)
-    level = {v: k for k, v in enumerate(order)}
+    order, placed_nbrs = _search_order(g)
     # floor[k][p]: earliest cycle by which position p has met all of
     # order[k]'s partners, one per cycle
     rows = [sorted(m for q, m in enumerate(row) if q != p) for p, row in enumerate(table)]
     floor = [[row[g.degree(v) - 1] if g.adj[v] else -1 for row in rows] for v in order]
-    placed_nbrs = [[level[u] for u in g.adj[v] if level[u] < k] for k, v in enumerate(order)]
     lower = max(min(f) for f in floor)
 
     best = depth - 1  # max meet of the incumbent; a new mapping must beat it
@@ -162,7 +161,4 @@ def iso_initial_mapping(
             best, best_pos = c, pos[:]
             if best <= lower:
                 break
-    pi = [0] * n
-    for k, v in enumerate(order):
-        pi[v] = best_pos[k]
-    return Mapping(tuple(pi)), best + 1
+    return _as_mapping(order, best_pos), best + 1

@@ -17,7 +17,7 @@ chain at all, _route starts from a breadth-first placement and no prefix.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from ctagsched.embedding import (
@@ -40,6 +40,7 @@ from ctagsched.pattern import (
     Gate,
     ScheduledCircuit,
     _layer_stream,
+    _meet_table,
     prune_pattern,
     to_text,
 )
@@ -135,21 +136,14 @@ def partial_pattern_cycles(g: ProblemGraph, mapping: Mapping, threshold: float) 
     if mapping.n != n or any(not 0 <= p < n for p in mapping.pi):
         raise ValueError("mapping must place g's vertices onto positions 0..n-1")
     bar = threshold * (n // 2)
-    occ = [0] * n
-    for l, p in enumerate(mapping.pi):
-        occ[p] = l
+    # the pattern fires each edge at the meet cycle of its start positions
+    table, pi = _meet_table(n), mapping.pi
+    fired = Counter(table[pi[u]][pi[v]] for u, v in g.edges)
     k = 0
-    for t, (kind, pairs) in enumerate(_layer_stream(n)):
+    for t, (kind, _) in enumerate(_layer_stream(n)):
         if kind == SWAP:
-            for a, b in pairs:
-                occ[a], occ[b] = occ[b], occ[a]
             continue
-        fired = 0
-        for a, b in pairs:
-            la, lb = occ[a], occ[b]
-            if ((la, lb) if la < lb else (lb, la)) in g.edges:
-                fired += 1
-        if fired < bar:
+        if fired[t] < bar:
             break
         k = t + 1
     return k
@@ -394,9 +388,13 @@ def _line_orders(arch: Architecture, n: int, cfg: SchedulerConfig) -> list[tuple
     seen: set[tuple[int, ...]] = set()
 
     def add(order) -> None:
+        # a built-in chain is kept only if arch really couples it: a coupling
+        # file may carry a built-in name such as ibm20 or grid:4x5
         if order is None or len(order) < n:
             return
         sl = tuple(order[:n])
+        if not all(arch.coupled(a, b) for a, b in zip(sl, sl[1:])):
+            return
         key = min(sl, tuple(reversed(sl)))
         if key not in seen:
             seen.add(key)
@@ -426,7 +424,9 @@ def _relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCirc
         gates = []
         for g in cyc:
             a, b = order[g.a], order[g.b]
-            gates.append(g._replace(a=min(a, b), b=max(a, b)))
+            if a > b:
+                a, b = b, a
+            gates.append(Gate(g.kind, a, b, g.logical))
         cycles.append(tuple(gates))
     init = Mapping(tuple(order[p] for p in circ.init.pi))
     return ScheduledCircuit(tuple(cycles), init, arch)
@@ -457,10 +457,6 @@ def _bfs_placement(arch: Architecture, n: int) -> Mapping:
                 seen[q] = True
                 dq.append(q)
     return Mapping(tuple(order[:n]))
-
-
-def _circuit_key(c: ScheduledCircuit):
-    return (c.depth, c.cphase_count + c.swap_count, to_text(c))
 
 
 def schedule(
@@ -517,4 +513,8 @@ def schedule(
             candidates.append(_route(g, arch, full.init, full.cycles[:k]))
             if cfg.fallback_guard:
                 candidates.append(full)
-    return min(candidates, key=_circuit_key)
+    # the text form only breaks ties, so only tied candidates are rendered
+    keys = [(c.depth, c.cphase_count + c.swap_count) for c in candidates]
+    low = min(keys)
+    tied = [c for c, key in zip(candidates, keys) if key == low]
+    return tied[0] if len(tied) == 1 else min(tied, key=to_text)

@@ -139,6 +139,18 @@ class TestSchedule:
         assert code == 2
         assert "line 3" in err
 
+    def test_coupling_file_named_like_a_device(self, fig_file, tmp_path, monkeypatch, capsys):
+        # a 20-site line saved as "ibm20" is named ibm20 but is not the device
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ibm20").write_text("20 19\n" + "".join(f"{i} {i + 1}\n" for i in range(19)))
+        for strategy in ("ctag-i-astar", "ctag-h"):
+            code, stdout, _ = run(
+                capsys, "schedule", "--graph", fig_file, "--arch", "file:ibm20",
+                "--strategy", strategy, "--out", str(tmp_path / strategy),
+            )
+            assert code == 0
+            assert "verified: true" in stdout
+
     @pytest.mark.parametrize("beam", ["0", "-1"])
     def test_beam_below_one_exits_1(self, fig_file, tmp_path, beam):
         src = str(Path(ctagsched.__file__).resolve().parents[1])

@@ -17,8 +17,9 @@ from ctagsched.graphs import (
     make_architecture,
     make_problem_graph,
     random_graph,
+    random_initial_mapping,
 )
-from ctagsched.pattern import SWAP, generate_clique_pattern, to_text
+from ctagsched.pattern import SWAP, _layer_stream, generate_clique_pattern, to_text
 from ctagsched.scheduler import (
     STRATEGIES,
     SchedulerConfig,
@@ -83,6 +84,58 @@ class TestPartialPatternCycles:
 
         with pytest.raises(ValueError):
             partial_pattern_cycles(clique(3), Mapping((0, 1, 5)), 0.5)
+
+
+def ref_partial_pattern_cycles(g, mapping, threshold):
+    """Prefix length as first written: replay the layer stream with an
+    occupancy list and count the input pairs each execution layer fires."""
+    n = g.n
+    bar = threshold * (n // 2)
+    occ = [0] * n
+    for l, p in enumerate(mapping.pi):
+        occ[p] = l
+    k = 0
+    for t, (kind, pairs) in enumerate(_layer_stream(n)):
+        if kind == SWAP:
+            for a, b in pairs:
+                occ[a], occ[b] = occ[b], occ[a]
+            continue
+        fired = sum(1 for a, b in pairs if tuple(sorted((occ[a], occ[b]))) in g.edges)
+        if fired < bar:
+            break
+        k = t + 1
+    return k
+
+
+@st.composite
+def prefix_inputs(draw):
+    n = draw(st.integers(2, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.floats(0.0, 1.0))
+    bits = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    g = make_problem_graph(n, [e for e, b in zip(pairs, bits) if b < keep])
+    mapping = Mapping(tuple(draw(st.permutations(range(n)))))
+    return g, mapping, draw(st.floats(0.0, 1.0))
+
+
+class TestPartialPatternCyclesMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(prefix_inputs())
+    def test_meet_table_count_equals_the_replay(self, drawn):
+        g, mapping, threshold = drawn
+        assert partial_pattern_cycles(g, mapping, threshold) == ref_partial_pattern_cycles(
+            g, mapping, threshold
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 24, 40])
+    def test_cliques_and_random_graphs(self, n):
+        for g in (clique(n), random_graph(n, 0.6, n)):
+            for seed in (1, 2):
+                mapping = random_initial_mapping(n, seed)
+                for threshold in (0.0, 0.3, 0.5, 1.0):
+                    assert partial_pattern_cycles(
+                        g, mapping, threshold
+                    ) == ref_partial_pattern_cycles(g, mapping, threshold)
 
 
 class TestMaximalMatching:
@@ -497,3 +550,49 @@ def test_ctag_h_prunes_once_per_initial_mapping(monkeypatch):
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=2))
     assert verify(c, g, arch).ok
     assert len(inits) == len(set(inits)) == 2
+
+
+def test_text_form_is_rendered_only_for_ties(monkeypatch):
+    # depth and gate count decide this instance outright, so no candidate is
+    # rendered; on the clique the routed full-prefix candidate equals the
+    # pattern, so that tie is broken by text
+    real = ctagsched.scheduler.to_text
+    rendered = []
+
+    def counting(c):
+        rendered.append(c)
+        return real(c)
+
+    monkeypatch.setattr(ctagsched.scheduler, "to_text", counting)
+    g = random_graph(12, 0.25, 17)
+    arch = make_architecture("grid:3x4")
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=2))
+    assert verify(c, g, arch).ok
+    assert rendered == []
+
+    c = schedule(clique(6), linear(6), SchedulerConfig(strategy="ctag-h"))
+    assert len(rendered) >= 2
+    key = (c.depth, c.cphase_count + c.swap_count)
+    assert all((r.depth, r.cphase_count + r.swap_count) == key for r in rendered)
+    assert real(c) == min(map(real, rendered))
+
+
+@pytest.mark.parametrize(
+    "name, device",
+    [
+        ("ibm20", "linear:20"),
+        ("ibm27", "linear:20"),
+        ("grid:4x5", "linear:20"),
+        ("grid:2x10", "linear:20"),
+        ("linear:20", "grid:4x5"),
+        ("ibm20", "grid:4x5"),
+    ],
+)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_chains_come_from_couplings_not_names(name, device, strategy):
+    # a coupling file may carry a built-in device's name; the built-in chain
+    # is not coupled on this device, so the chain search must supply one
+    arch = Architecture(20, make_architecture(device).couplings, name)
+    g = random_graph(20, 0.3, 1)
+    c = schedule(g, arch, SchedulerConfig(strategy=strategy))
+    assert verify(c, g, arch).ok

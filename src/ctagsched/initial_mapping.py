@@ -7,6 +7,8 @@ the neighbours placed before it, and build their result with _as_mapping.
 """
 from __future__ import annotations
 
+from heapq import heappush, heapreplace
+
 from ctagsched.graphs import Mapping, ProblemGraph, random_initial_mapping
 from ctagsched.pattern import _meet_table
 
@@ -55,6 +57,16 @@ def astar_initial_mapping(
     `salt`, a seeded permutation when tie_seed is nonzero.  A child is its
     parent plus one position, so that is the parent's rank by salted
     positions, then the new position's salt; only beam survivors get a tuple.
+
+    The kept children sit in a bounded max-heap on that key, so its top is
+    the worst kept child W.  A new child is kept only if its key is below
+    W's: its cost may not exceed W's, nor equal it unless it shares W's
+    parent (a later parent loses the tie on rank).  That limit is the bar.
+    A child's cost only rises while its neighbour rows are read and its tie
+    key is fixed, so a scan stops as soon as the running cost passes the
+    bar, and a parent already past it is skipped; W only improves, so no
+    child cut this way could have been kept.  The cut is exact.  beam=None
+    leaves the heap unbounded, so the bar never applies.
     """
     n = g.n
     if n < 2:
@@ -64,12 +76,26 @@ def astar_initial_mapping(
     table = _meet_table(n)
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
+    cap = float("inf") if beam is None else beam
+
+    # this level's kept children, negated: (-cost, -parent rank, -salt[p], -p)
+    heap: list[tuple[int, int, int, int]] = []
+
+    def bar(rank: int) -> int:
+        # highest cost a child of parent `rank` may have and be kept
+        w_cost, w_rank = -heap[0][0], -heap[0][1]
+        return w_cost if w_rank == rank else w_cost - 1
 
     # (positions of the order prefix, max meet so far or -1), by salted prefix
     parents: list[tuple[tuple[int, ...], int]] = [((), -1)]
     for k in range(n):
-        children = []
+        heap = []
+        lim = 2 * n  # above every meet cycle until the heap is full
         for rank, (prefix, cost) in enumerate(parents):
+            if len(heap) == cap:
+                lim = bar(rank)
+                if cost > lim:
+                    continue
             used = set(prefix)
             rows = [table[prefix[j]] for j in nbrs[k]]
             for p in range(n):
@@ -79,12 +105,21 @@ def astar_initial_mapping(
                 for row in rows:
                     if row[p] > c:
                         c = row[p]
-                children.append((c, rank, salt[p], p))
-        children.sort()
-        if beam is not None:
-            del children[beam:]
-        children.sort(key=lambda ch: (ch[1], ch[2]))
-        parents = [(parents[r][0] + (p,), c) for c, r, _, p in children]
+                        if c > lim:
+                            break
+                else:
+                    key = (-c, -rank, -salt[p], -p)
+                    if len(heap) < cap:
+                        heappush(heap, key)
+                        if len(heap) == cap:
+                            lim = bar(rank)
+                    elif key > heap[0]:
+                        heapreplace(heap, key)
+                        lim = bar(rank)
+        # back to salted order: by parent rank, then by the new position's
+        # salt (the entries are negated, hence the reverse sort)
+        heap.sort(key=lambda ch: (ch[1], ch[2]), reverse=True)
+        parents = [(parents[-r][0] + (-p,), -c) for c, r, _, p in heap]
 
     # parents are in salted order, so the first of lowest cost wins ties
     prefix, cost = min(parents, key=lambda node: node[1])

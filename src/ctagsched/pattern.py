@@ -112,8 +112,9 @@ def _trim(cycles) -> tuple[tuple[Gate, ...], ...]:
 def prune_pattern(g: ProblemGraph, init: Mapping, n: int) -> ScheduledCircuit:
     """Clique pattern on linear(n) restricted to g's edges under init.
 
-    One walk of the layer stream: SWAP layers are kept whole, and a CPHASE is
-    kept only when the logical pair on its two positions is an edge of g.
+    One walk of the layer stream: SWAP layers are kept whole (the two
+    distinct ones are built once and shared), and a CPHASE is kept only when
+    the logical pair on its two positions is an edge of g.
     Execution cycles emptied by pruning stay as empty cycles (the SWAP
     cadence around them is unchanged), but everything after the last
     surviving CPHASE is removed.
@@ -127,9 +128,15 @@ def prune_pattern(g: ProblemGraph, init: Mapping, n: int) -> ScheduledCircuit:
         occ[p] = l
     edges = g.edges
     cycles = []
+    # the stream repeats two SWAP layers (the same pairs objects), so each
+    # is built once and its tuple shared by every cycle that repeats it
+    swap_layers: dict[int, tuple[Gate, ...]] = {}
     for kind, pairs in _layer_stream(n):
         if kind == SWAP:
-            cycles.append(tuple(Gate(SWAP, a, b) for a, b in pairs))
+            layer = swap_layers.get(id(pairs))
+            if layer is None:
+                layer = swap_layers[id(pairs)] = tuple(Gate(SWAP, a, b) for a, b in pairs)
+            cycles.append(layer)
             for a, b in pairs:
                 occ[a], occ[b] = occ[b], occ[a]
             continue

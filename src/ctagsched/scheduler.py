@@ -12,8 +12,10 @@ Strategy names accepted by schedule():
 The line strategies need a chain of g.n coupled sites in the architecture.
 ctag-h prunes the pattern once per initial mapping and lays it on several
 chains: each pruned pattern is a fallback candidate, and its first cycles are
-the prefix that _route continues with matching/swap-routing rounds.  With no
-chain at all, _route starts from a breadth-first placement and no prefix.
+the prefix that _route continues with matching/swap-routing rounds.  A prefix
+that covers the whole pruned pattern has run every edge, so the fallback
+itself is that candidate and is not replayed.  With no chain at all, _route
+starts from a breadth-first placement and no prefix.
 """
 from __future__ import annotations
 
@@ -383,7 +385,7 @@ def _grid_shape(arch: Architecture) -> tuple[int, int] | None:
 
 def _line_orders(arch: Architecture, n: int, cfg: SchedulerConfig) -> list[tuple[int, ...]]:
     """Chains of n coupled sites to lay the pattern along, best first."""
-    want = max(1, cfg.num_embeddings)
+    want = cfg.num_embeddings
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
 
@@ -418,16 +420,24 @@ def _line_orders(arch: Architecture, n: int, cfg: SchedulerConfig) -> list[tuple
 
 
 def _relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCircuit:
-    """Send a virtual-line circuit onto the chain `order` inside `arch`."""
+    """Send a virtual-line circuit onto the chain `order` inside `arch`.
+
+    A cycle object the circuit repeats (prune_pattern shares its SWAP
+    layers) is mapped once and shared in the result too.
+    """
+    done: dict[int, tuple[Gate, ...]] = {}
     cycles = []
     for cyc in circ.cycles:
-        gates = []
-        for g in cyc:
-            a, b = order[g.a], order[g.b]
-            if a > b:
-                a, b = b, a
-            gates.append(Gate(g.kind, a, b, g.logical))
-        cycles.append(tuple(gates))
+        out = done.get(id(cyc))
+        if out is None:
+            gates = []
+            for g in cyc:
+                a, b = order[g.a], order[g.b]
+                if a > b:
+                    a, b = b, a
+                gates.append(Gate(g.kind, a, b, g.logical))
+            out = done[id(cyc)] = tuple(gates)
+        cycles.append(out)
     init = Mapping(tuple(order[p] for p in circ.init.pi))
     return ScheduledCircuit(tuple(cycles), init, arch)
 
@@ -472,6 +482,13 @@ def schedule(
         cfg = SchedulerConfig()
     if cfg.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {cfg.strategy!r}")
+    # every knob is checked here, whether or not this strategy reads it
+    if not 0.0 <= cfg.threshold <= 1.0:  # NaN fails too
+        raise ValueError(f"threshold {cfg.threshold} not in [0, 1]")
+    if cfg.beam is not None and cfg.beam < 1:
+        raise ValueError(f"beam must be at least 1, got {cfg.beam}")
+    if cfg.num_embeddings < 1:
+        raise ValueError(f"num_embeddings must be at least 1, got {cfg.num_embeddings}")
     if arch.q < g.n:
         raise ValueError(f"{arch.name} has {arch.q} qubits, input needs {g.n}")
     n = g.n
@@ -510,6 +527,10 @@ def schedule(
     for order in orders:
         for base, k in pruned:
             full = _relabel(base, order, arch)
+            if k >= full.depth:
+                # the prefix runs every edge, so routing would copy the pattern
+                candidates.append(full)
+                continue
             candidates.append(_route(g, arch, full.init, full.cycles[:k]))
             if cfg.fallback_guard:
                 candidates.append(full)

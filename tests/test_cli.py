@@ -12,7 +12,7 @@ import pytest
 
 import ctagsched
 from ctagsched.cli import CSV_COLUMNS, main
-from ctagsched.graphs import clique, make_problem_graph, save_problem_graph
+from ctagsched.graphs import clique, make_problem_graph, random_graph, save_problem_graph
 
 FIG_EDGES = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (1, 3), (2, 4)]
 
@@ -162,6 +162,30 @@ class TestSchedule:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: beam must be at least 1")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "arch, strategy, flag, value",
+        [
+            ("ibm27", "ctag-h", "--threshold", "2"),  # no 25-site chain
+            ("linear:25", "pattern-only", "--threshold", "nan"),
+            ("linear:25", "ctag-r", "--beam", "0"),
+        ],
+    )
+    def test_bad_config_exits_1(self, tmp_path, arch, strategy, flag, value):
+        graph = tmp_path / "g25.graph"
+        save_problem_graph(random_graph(25, 0.3, 1), graph)
+        src = str(Path(ctagsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctagsched.cli", "schedule", "--graph", str(graph),
+             "--arch", arch, "--strategy", strategy, flag, value,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert flag[2:] in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_too_small_arch_exits_1(self, k6_file, capsys):

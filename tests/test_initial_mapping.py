@@ -274,6 +274,19 @@ class TestAstarMatchesReference:
                     g, 8, tie_seed
                 )
 
+    # large enough that the beam fills early and the bar cuts most scans
+    @pytest.mark.parametrize(
+        "g",
+        [random_graph(120, 0.3, 3), random_graph(90, 0.9, 2), clique(60)],
+        ids=["n120-d0.3", "n90-d0.9", "clique60"],
+    )
+    @pytest.mark.parametrize("beam", [1, 8])
+    @pytest.mark.parametrize("tie_seed", [0, 5])
+    def test_large_graphs_where_the_bar_cuts(self, g, beam, tie_seed):
+        assert astar_initial_mapping(g, beam, tie_seed) == ref_astar_initial_mapping(
+            g, beam, tie_seed
+        )
+
 
 # iso_initial_mapping's (mapping, depth) on four random graphs, frozen so a
 # change to the search order or mapping build it shares with astar shows;

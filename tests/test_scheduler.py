@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctagsched.scheduler
@@ -554,8 +554,8 @@ def test_ctag_h_prunes_once_per_initial_mapping(monkeypatch):
 
 def test_text_form_is_rendered_only_for_ties(monkeypatch):
     # depth and gate count decide this instance outright, so no candidate is
-    # rendered; on the clique the routed full-prefix candidate equals the
-    # pattern, so that tie is broken by text
+    # rendered; on the clique the prefix covers the pattern, so each mapping
+    # gives only its pattern, and the two patterns' tie is broken by text
     real = ctagsched.scheduler.to_text
     rendered = []
 
@@ -596,3 +596,86 @@ def test_chains_come_from_couplings_not_names(name, device, strategy):
     g = random_graph(20, 0.3, 1)
     c = schedule(g, arch, SchedulerConfig(strategy=strategy))
     assert verify(c, g, arch).ok
+
+
+@pytest.mark.parametrize(
+    "g, arch_spec, routed",
+    [
+        (clique(12), "linear:12", 0),
+        (clique(12), "grid:2x6", 0),
+        (random_graph(12, 0.25, 17), "grid:3x4", 4),
+    ],
+    ids=["K12-linear", "K12-grid2x6", "sparse-grid3x4"],
+)
+def test_covering_prefix_is_not_routed(monkeypatch, g, arch_spec, routed):
+    # on a clique every execution layer is full, so the prefix covers the
+    # pattern and the pattern itself is the candidate; the sparse instance
+    # routes once per (chain, mapping) pair
+    real = ctagsched.scheduler._route
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ctagsched.scheduler, "_route", counting)
+    arch = make_architecture(arch_spec)
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=2))
+    assert verify(c, g, arch).ok
+    assert len(calls) == routed
+
+
+BAD_CONFIGS = [
+    ({"threshold": 2.0}, "threshold"),
+    ({"threshold": -0.1}, "threshold"),
+    ({"threshold": float("nan")}, "threshold"),
+    ({"beam": 0}, "beam must be at least 1"),
+    ({"num_embeddings": 0}, "num_embeddings must be at least 1"),
+    ({"num_embeddings": -3}, "num_embeddings must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_CONFIGS, ids=lambda v: str(v))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("arch_spec, n", [("linear:10", 10), ("ibm27", 25)])
+def test_bad_config_is_rejected_by_every_strategy(bad, message, strategy, arch_spec, n):
+    # ibm27 has no 25-site chain, so ctag-h never reads threshold there and
+    # the line strategies would stop at the chain search
+    g = random_graph(n, 0.3, 1)
+    with pytest.raises(ValueError, match=message):
+        schedule(g, make_architecture(arch_spec), SchedulerConfig(strategy=strategy, **bad))
+
+
+@st.composite
+def connected_devices(draw):
+    # a random spanning tree plus random extra couplings; n <= q vertices,
+    # any edge set, the empty one included
+    q = draw(st.integers(2, 14))
+    couplings = set()
+    for v in range(1, q):
+        u = draw(st.integers(0, v - 1))
+        couplings.add((u, v))
+    extra = [(a, b) for a in range(q) for b in range(a + 1, q) if (a, b) not in couplings]
+    if extra:
+        couplings |= set(draw(st.lists(st.sampled_from(extra), unique=True, max_size=q)))
+    n = draw(st.integers(1, q))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return make_problem_graph(n, edges), Architecture(q, frozenset(couplings))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_devices())
+@example((make_problem_graph(1, []), linear(3)))
+@example((make_problem_graph(5, []), grid(2, 3)))
+def test_schedule_verifies_or_finds_no_chain(drawn):
+    g, arch = drawn
+    for strategy in STRATEGIES:
+        try:
+            c = schedule(g, arch, SchedulerConfig(strategy=strategy))
+        except ValueError as exc:
+            # only a line strategy may stop, and only for want of a chain
+            assert strategy != "ctag-h"
+            assert str(exc).startswith(f"no chain of {g.n} coupled sites")
+            continue
+        assert verify(c, g, arch).ok

@@ -320,6 +320,17 @@ def ibm27() -> Architecture:
     return _load_coupling_file(_packaged("ibm27.txt"), "ibm27")
 
 
+def _spec_ints(spec: str, count: int, form: str) -> list[int]:
+    # the `count` integers after the colon, separated by "x"
+    fields = spec.split(":", 1)[1].lower().split("x")
+    if len(fields) == count:
+        try:
+            return [int(f) for f in fields]
+        except ValueError:
+            pass
+    raise ValueError(f"bad architecture spec {spec!r}, expected {form}")
+
+
 def make_architecture(spec: str) -> Architecture:
     """Build an architecture from a spec string.
 
@@ -331,12 +342,9 @@ def make_architecture(spec: str) -> Architecture:
     if spec == "ibm27":
         return ibm27()
     if spec.startswith("linear:"):
-        return linear(int(spec.split(":", 1)[1]))
+        return linear(*_spec_ints(spec, 1, "linear:N"))
     if spec.startswith("grid:"):
-        dims = spec.split(":", 1)[1].lower().split("x")
-        if len(dims) != 2:
-            raise ValueError(f"bad grid spec {spec!r}, expected grid:RxC")
-        return grid(int(dims[0]), int(dims[1]))
+        return grid(*_spec_ints(spec, 2, "grid:RxC"))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         with open(path) as fh:

@@ -219,24 +219,32 @@ def enumerate_swap_strategies(
     So only four sites can block a strategy: the first endpoint's site pu and
     path[1] when it moves (d1 > 0), the second's pv and path[-2] when it moves
     (d2 > 0).  The two first hops never share a site: at distance 2 only one
-    endpoint moves.  Each call tests those sites per path and builds only the
-    feasible strategies, in path order and then by d1; the shortest paths are
-    memoised in `state`, so a call costs O(max_paths * dist) once they are
-    known, and returns [] in O(1) when both endpoints are blocked.
+    endpoint moves.  path[1] and path[-2] step one hop closer to the other
+    endpoint, so before reading any path a call returns [] unless a free
+    endpoint has such a neighbour unblocked.  Then it builds only the
+    feasible strategies, in path order and then by d1, from shortest paths
+    memoised in `state`.  A call costs O(1) when both endpoints are blocked,
+    O(deg) when every first hop is, and O(max_paths * dist) otherwise.
     """
     u, v = edge
     pu, pv = state.mapping.pi[u], state.mapping.pi[v]
-    dist = state.arch.dist[pu][pv]
+    arch = state.arch
+    dist = arch.dist[pu][pv]
     if dist < 2:
         raise ValueError("edge is already executable")
     blocked = state.blocked
     pu_free, pv_free = not blocked(pu), not blocked(pv)
-    if not (pu_free or pv_free):
+    closer = dist - 1
+    to_v, to_u = arch.dist[pv], arch.dist[pu]
+    if not (
+        (pu_free and any(to_v[q] == closer and not blocked(q) for q in arch.adj[pu]))
+        or (pv_free and any(to_u[q] == closer and not blocked(q) for q in arch.adj[pv]))
+    ):
         return []
     key = (pu, pv, max_paths)
     paths = state.paths.get(key)
     if paths is None:
-        paths = state.paths[key] = _shortest_paths(state.arch, pu, pv, max_paths)
+        paths = state.paths[key] = _shortest_paths(arch, pu, pv, max_paths)
     out = []
     for path in paths:
         u_moves = pu_free and not blocked(path[1])  # d1 > 0 allowed
@@ -324,8 +332,14 @@ def _apply_swaps(state: SchedulerState, hops) -> None:
 
 def _run_rounds(state: SchedulerState) -> None:
     """One cycle per round: a maximal matching of the executable edges plus
-    the first SWAPs of the best-scored strategy for each distant edge."""
+    the first SWAPs of the best-scored strategy for each distant edge.
+
+    Only open choices are paid for: an edge whose endpoint sites are both
+    blocked is not enumerated, a lone strategy is not scored, and a lone
+    lowest score skips the bystander-delta tie-break.
+    """
     dist = state.arch.dist
+    blocked = state.blocked
     while state.remaining:
         mp = state.mapping
         pi = mp.pi
@@ -346,23 +360,30 @@ def _run_rounds(state: SchedulerState) -> None:
             state.remaining.discard((u, v))
         for e in far:
             pi = state.mapping.pi
-            if dist[pi[e[0]]][pi[e[1]]] < 2:
+            pu, pv = pi[e[0]], pi[e[1]]
+            if dist[pu][pv] < 2:
                 continue  # earlier swaps this round already parked it adjacent
+            if blocked(pu) and blocked(pv):
+                continue  # dead until the constraints reset next cycle
             strategies = enumerate_swap_strategies(e, state, MAX_PATHS)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
-            scores = [score_strategy(ss, state) for ss in strategies]
-            low = min(scores)
-            # the bystander delta only breaks score ties, so only ties pay for it
-            best = min(
-                (ss for ss, sc in zip(strategies, scores) if sc == low),
-                key=lambda ss: (
-                    _bystander_delta(ss, state),
-                    _first_hops(ss),
-                    ss.split,
-                    ss.paths,
-                ),
-            )
+            if len(strategies) == 1:
+                best = strategies[0]
+            else:
+                scores = [score_strategy(ss, state) for ss in strategies]
+                low = min(scores)
+                tied = [ss for ss, sc in zip(strategies, scores) if sc == low]
+                # the bystander delta only breaks score ties, so only ties pay for it
+                best = tied[0] if len(tied) == 1 else min(
+                    tied,
+                    key=lambda ss: (
+                        _bystander_delta(ss, state),
+                        _first_hops(ss),
+                        ss.split,
+                        ss.paths,
+                    ),
+                )
             hops = _first_hops(best)
             for a, b in hops:
                 cycle.append(Gate(SWAP, a, b))

@@ -188,6 +188,17 @@ class TestSchedule:
         assert flag[2:] in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_malformed_arch_spec_exits_1(self, fig_file, tmp_path):
+        src = str(Path(ctagsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctagsched.cli", "schedule", "--graph", fig_file,
+             "--arch", "grid:2x", "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: bad architecture spec 'grid:2x', expected grid:RxC\n"
+
     def test_too_small_arch_exits_1(self, k6_file, capsys):
         code, _, err = run(
             capsys, "schedule", "--graph", k6_file, "--arch", "linear:4",

@@ -157,6 +157,22 @@ class TestMakeArchitecture:
         with pytest.raises(ValueError):
             make_architecture("linear:0")
 
+    @pytest.mark.parametrize(
+        "spec, form",
+        [
+            ("grid:2x", "grid:RxC"),
+            ("grid:x3", "grid:RxC"),
+            ("grid:axb", "grid:RxC"),
+            ("grid:2x3x4", "grid:RxC"),
+            ("linear:", "linear:N"),
+            ("linear:abc", "linear:N"),
+        ],
+    )
+    def test_malformed_spec_names_the_expected_form(self, spec, form):
+        with pytest.raises(ValueError) as ei:
+            make_architecture(spec)
+        assert str(ei.value) == f"bad architecture spec {spec!r}, expected {form}"
+
     def test_bad_file_line_is_reported(self, tmp_path):
         p = tmp_path / "dev.arch"
         p.write_text("3 2\n0 1\nbogus line extra\n")

@@ -1,6 +1,7 @@
 """Heuristic scheduler: pattern prefix, matching, routing, and end-to-end runs."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,15 +20,29 @@ from ctagsched.graphs import (
     random_graph,
     random_initial_mapping,
 )
-from ctagsched.pattern import SWAP, _layer_stream, generate_clique_pattern, to_text
+from ctagsched.pattern import (
+    CPHASE,
+    SWAP,
+    Gate,
+    ScheduledCircuit,
+    _layer_stream,
+    generate_clique_pattern,
+    prune_pattern,
+    to_text,
+)
 from ctagsched.scheduler import (
+    MAX_PATHS,
     STRATEGIES,
     SchedulerConfig,
     SchedulerState,
     SwapStrategy,
     _apply_swaps,
+    _bfs_placement,
     _bystander_delta,
     _first_hops,
+    _line_orders,
+    _relabel,
+    _route,
     enumerate_swap_strategies,
     maximal_matching,
     partial_pattern_cycles,
@@ -205,6 +220,21 @@ class TestSwapStrategies:
         for ss in out:  # no first hop may touch a protected site
             for hop in _first_hops(ss):
                 assert 2 not in hop and 3 not in hop
+
+    def test_blocked_first_hops_skip_the_path_walk(self):
+        # corners 0 and 8 of a 3x3 grid are free, but each one's two
+        # neighbours toward the other are blocked: no strategy can start,
+        # and the shortest paths are never walked
+        arch = grid(3, 3)
+        g = make_problem_graph(9, [(0, 8)])
+        st = SchedulerState(g, arch, identity_mapping(9), set(g.edges), [])
+        st.busy.update({1, 5})
+        st.protected.update({3, 7})
+        assert enumerate_swap_strategies((0, 8), st) == []
+        assert st.paths == {}
+        st.protected.discard(7)
+        assert enumerate_swap_strategies((0, 8), st) != []
+        assert st.paths != {}
 
 
 class TestScoreStrategy:
@@ -395,6 +425,116 @@ class TestRoundEngineMatchesReference:
             assert state.inv == expect.inverse()
 
 
+def ref_run_rounds(state):
+    """The round engine before dead edges, lone strategies and lone best
+    scores were skipped, on the reference strategy, score and delta."""
+    dist = state.arch.dist
+    while state.remaining:
+        mp = state.mapping
+        pi = mp.pi
+        # each distance is read once per round: adjacent edges are
+        # executable, the others are routed nearest first, ties by edge id
+        ranked = sorted((dist[pi[u]][pi[v]], (u, v)) for u, v in state.remaining)
+        re = [e for d, e in ranked if d == 1]
+        far = [e for d, e in ranked if d > 1]
+        matching = maximal_matching(re, mp)
+        cycle = []
+        state.busy = set()
+        state.protected = set()
+        state.re_sites = {pi[x] for e in re for x in e}
+        for u, v in matching:
+            a, b = pi[u], pi[v]
+            cycle.append(Gate(CPHASE, min(a, b), max(a, b), (u, v)))
+            state.busy |= {a, b}
+            state.remaining.discard((u, v))
+        for e in far:
+            pi = state.mapping.pi
+            if dist[pi[e[0]]][pi[e[1]]] < 2:
+                continue  # earlier swaps this round already parked it adjacent
+            strategies = ref_enumerate(e, state, MAX_PATHS)
+            if not strategies:
+                continue  # deferred; constraints reset next cycle
+            scores = [ref_score(ss, state) for ss in strategies]
+            low = min(scores)
+            # the bystander delta only breaks score ties, so only ties pay for it
+            best = min(
+                (ss for ss, sc in zip(strategies, scores) if sc == low),
+                key=lambda ss: (
+                    ref_bystander_delta(ss, state),
+                    _first_hops(ss),
+                    ss.split,
+                    ss.paths,
+                ),
+            )
+            hops = _first_hops(best)
+            for a, b in hops:
+                cycle.append(Gate(SWAP, a, b))
+                state.busy |= {a, b}
+            state.mapping = ref_apply_swaps(state.mapping, hops)
+            state.protected |= {state.mapping[e[0]], state.mapping[e[1]]}
+        assert cycle, "scheduler round made no progress"
+        state.circuit.append(cycle)
+
+
+def ref_route(g, arch, init, prefix):
+    state = SchedulerState(g, arch, init, set(g.edges), [list(cyc) for cyc in prefix])
+    for cyc in prefix:
+        state.remaining.difference_update(x.logical for x in cyc if x.kind == CPHASE)
+        state.mapping = ref_apply_swaps(
+            state.mapping, [(x.a, x.b) for x in cyc if x.kind == SWAP]
+        )
+    ref_run_rounds(state)
+    return ScheduledCircuit(tuple(tuple(cyc) for cyc in state.circuit), init, arch)
+
+
+@st.composite
+def route_inputs(draw):
+    # a device, a random graph on n <= q vertices and, where the device has a
+    # chain of n sites, a prefix of random length of the pruned pattern under
+    # a random mapping; without a chain, the breadth-first placement
+    kind = draw(st.sampled_from(["linear", "grid", "grid2", "ibm20", "ibm27", "random"]))
+    if kind == "linear":
+        arch = linear(draw(st.integers(2, 16)))
+    elif kind == "grid":
+        arch = grid(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
+    elif kind == "grid2":
+        arch = grid(2, draw(st.integers(2, 12)))
+    elif kind == "random":
+        _, arch = draw(connected_devices())
+    else:
+        arch = make_architecture(kind)
+    n = draw(st.integers(2, arch.q))
+    keep, rng = draw(st.floats(0.0, 1.0)), draw(st.randoms(use_true_random=False))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = make_problem_graph(n, [e for e in pairs if rng.random() < keep])
+    orders = _line_orders(arch, n, SchedulerConfig())
+    if not orders:
+        return g, arch, _bfs_placement(arch, n), ()
+    m0 = Mapping(tuple(draw(st.permutations(range(n)))))
+    full = _relabel(prune_pattern(g, m0, n), draw(st.sampled_from(orders)), arch)
+    return g, arch, full.init, full.cycles[: draw(st.integers(0, full.depth))]
+
+
+IBM27_NO_CHAIN = (
+    random_graph(24, 0.4, 3),
+    make_architecture("ibm27"),
+    _bfs_placement(make_architecture("ibm27"), 24),
+    (),
+)
+
+
+class TestRouteMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(route_inputs())
+    @example(IBM27_NO_CHAIN)
+    def test_route_equals_the_engine_without_shortcuts(self, drawn):
+        g, arch, init, prefix = drawn
+        got = _route(g, arch, init, prefix)
+        ref = ref_route(g, arch, init, prefix)
+        assert got.init == ref.init
+        assert to_text(got) == to_text(ref)
+
+
 class TestScheduleEndToEnd:
     def test_strategy_roster(self):
         assert STRATEGIES == (
@@ -532,6 +672,76 @@ def test_round_engine_output_is_pinned(arch_spec, n, dens, seed, digest):
     arch = make_architecture(arch_spec)
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", fallback_guard=False))
     assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
+
+
+# the same for denser inputs, where score ties send strategies to the
+# bystander-delta tie-break; captured before the round engine skipped the
+# choices already made
+DENSE_ROUND_ENGINE_DIGESTS = [
+    ("grid:6x6", 36, 0.5, 1, "6b1cfe990f3ed4c553c5301b103b32a969526d025e4250b3e9b00d7605ef6be5"),
+    ("linear:40", 40, 0.4, 1, "e65eb739ec126eb7c7da394dea6a118882111c5e517cb2feb01be4b1b5f49324"),
+    ("grid:2x15", 30, 0.5, 1, "b5959ae0c5ddf65c6e8e0b3fcdc6ff1f8d2521f87e8efc76a421db99e382a1bd"),
+]
+
+
+@pytest.mark.parametrize(
+    "arch_spec,n,dens,seed,digest",
+    DENSE_ROUND_ENGINE_DIGESTS,
+    ids=[case[0] for case in DENSE_ROUND_ENGINE_DIGESTS],
+)
+def test_dense_round_engine_output_is_pinned(arch_spec, n, dens, seed, digest):
+    g = random_graph(n, dens, seed)
+    arch = make_architecture(arch_spec)
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", fallback_guard=False))
+    assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
+
+
+def test_round_engine_pays_only_for_open_choices(monkeypatch):
+    # counts every call the round engine makes on one instance and checks
+    # each against the choice it serves: no enumeration for an edge whose
+    # endpoint sites are both blocked, no score for a lone strategy, no
+    # bystander delta unless two or more strategies tie on the lowest score
+    S = ctagsched.scheduler
+    real_enumerate, real_score = S.enumerate_swap_strategies, S.score_strategy
+    real_delta, real_paths = S._bystander_delta, S._shortest_paths
+    found = {}  # edge -> the strategies its latest enumeration returned
+    calls = Counter()
+
+    def enumerate_(edge, state, max_paths=MAX_PATHS):
+        calls["enumerate"] += 1
+        pi = state.mapping.pi
+        assert not (state.blocked(pi[edge[0]]) and state.blocked(pi[edge[1]]))
+        found[edge] = real_enumerate(edge, state, max_paths)
+        return found[edge]
+
+    def score(ss, state):
+        calls["score"] += 1
+        assert len(found[ss.edge]) >= 2
+        return real_score(ss, state)
+
+    def delta(ss, state):
+        calls["delta"] += 1
+        scores = [real_score(x, state) for x in found[ss.edge]]
+        assert scores.count(min(scores)) >= 2
+        assert real_score(ss, state) == min(scores)
+        return real_delta(ss, state)
+
+    def paths(*args):
+        calls["paths"] += 1
+        return real_paths(*args)
+
+    monkeypatch.setattr(S, "enumerate_swap_strategies", enumerate_)
+    monkeypatch.setattr(S, "score_strategy", score)
+    monkeypatch.setattr(S, "_bystander_delta", delta)
+    monkeypatch.setattr(S, "_shortest_paths", paths)
+    g = random_graph(20, 0.3, 5)
+    arch = make_architecture("grid:4x5")
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
+    assert verify(c, g, arch).ok
+    assert 0 < calls["enumerate"] < 1769  # the parent made 1769
+    assert 0 < calls["score"] < 606  # the parent made 606
+    assert 0 < calls["delta"] < 456  # the parent made 456
+    assert 0 < calls["paths"] < 482  # the parent made 482
 
 
 def test_ctag_h_prunes_once_per_initial_mapping(monkeypatch):

@@ -207,6 +207,8 @@ def _parse_list(text: str, conv, flag: str) -> list:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     ns = _parse_list(args.n, int, "--n")
     densities = _parse_list(args.density, float, "--density")
     seeds = _parse_list(args.seed, int, "--seed")

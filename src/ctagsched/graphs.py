@@ -301,6 +301,18 @@ def _parse_edge_list(text: str, what: str) -> tuple[int, list[Edge]]:
     return count, edges
 
 
+def _read_edge_list_file(path: str) -> str:
+    """Text of a graph or coupling file; a byte that is not UTF-8 raises
+    GraphFormatError at its line, as _parse_edge_list numbers lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise GraphFormatError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
+
+
 def _load_coupling_file(text: str, name: str) -> Architecture:
     q, edges = _parse_edge_list(text, "architecture")
     return Architecture(q, frozenset(edges), name)
@@ -347,15 +359,13 @@ def make_architecture(spec: str) -> Architecture:
         return grid(*_spec_ints(spec, 2, "grid:RxC"))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        with open(path) as fh:
-            return _load_coupling_file(fh.read(), path)
+        return _load_coupling_file(_read_edge_list_file(path), path)
     raise ValueError(f"unknown architecture spec {spec!r}")
 
 
 def load_problem_graph(path: str) -> ProblemGraph:
     """Read the 'n m' + edge-list format; raises GraphFormatError with a line number."""
-    with open(path) as fh:
-        n, edges = _parse_edge_list(fh.read(), "graph")
+    n, edges = _parse_edge_list(_read_edge_list_file(path), "graph")
     return ProblemGraph(n, frozenset(edges))
 
 

@@ -266,11 +266,12 @@ def generate_2xn_pattern(n: int) -> ScheduledCircuit:
 
     The chain is laid in boustrophedon order, so every even-odd SWAP layer of
     the line pattern only flips columns; flipping a bookkeeping bit realizes
-    it for free, which removes one cycle per loop.  Odd n keeps one grid site
-    empty (the last chain slot) and pays one real SWAP per flip to carry the
-    lone last-column qubit across; that SWAP shares a cycle with the next
-    CPHASE layer, which never touches the last column, so the depth is
-    3(n-1)/2+1.
+    it for free, which removes one cycle per loop.  One walk of the line
+    pattern's layer stream turns each of those S0 layers into a flip.  Odd n
+    keeps one grid site empty (the last chain slot) and pays one real SWAP
+    per flip to carry the lone last-column qubit across; that SWAP shares a
+    cycle with the next CPHASE layer, which never touches the last column, so
+    the depth is 3(n-1)/2+1.
     """
     if n < 4:
         raise ValueError(f"2xN pattern needs n >= 4, got {n}")
@@ -288,50 +289,27 @@ def generate_2xn_pattern(n: int) -> ScheduledCircuit:
     o = 0
     pending = None  # corrective SWAP riding in the next cycle (odd n)
     cycles = []
-
-    def emit(kind: str, slots) -> None:
-        nonlocal pending
-        gates = []
-        if pending is not None:
-            gates.append(pending)
-            pending = None
-        for j in slots:
-            a, b = site(j, o), site(j + 1, o)
+    for kind, pairs in _layer_stream(n):
+        if kind == SWAP and pairs[0] == (0, 1):
+            # an S0 layer only flips columns: flip the orientation instead
+            for j, k in pairs:
+                occ[j], occ[k] = occ[k], occ[j]
+            if odd:
+                # last slot keeps its virtual place but its address flips rows
+                pending = Gate(SWAP, site(n - 1, o), site(n - 1, o ^ 1))
+            o ^= 1
+            continue
+        gates = [] if pending is None else [pending]
+        pending = None
+        for j, k in pairs:
+            a, b = site(j, o), site(k, o)
             if kind == CPHASE:
-                la, lb = occ[j], occ[j + 1]
+                la, lb = occ[j], occ[k]
                 gates.append(Gate(CPHASE, a, b, (la, lb) if la < lb else (lb, la)))
             else:
                 gates.append(Gate(SWAP, a, b))
-                occ[j], occ[j + 1] = occ[j + 1], occ[j]
+                occ[j], occ[k] = occ[k], occ[j]
         cycles.append(tuple(gates))
-
-    def flip() -> None:
-        nonlocal o, pending
-        for j in range(0, n - 1, 2):
-            occ[j], occ[j + 1] = occ[j + 1], occ[j]
-        if odd:
-            # last slot keeps its virtual place but its address flips rows
-            pending = Gate(SWAP, site(n - 1, o), site(n - 1, o ^ 1))
-        o ^= 1
-
-    e0 = range(0, n - 1, 2)
-    e1 = range(1, n - 1, 2)
-    if not odd:
-        for _ in range(n // 2):
-            emit(CPHASE, e0)
-            emit(CPHASE, e1)
-            emit(SWAP, e1)
-            flip()
-    else:
-        for _ in range((n - 1) // 2 - 1):
-            emit(CPHASE, e0)
-            emit(CPHASE, e1)
-            emit(SWAP, e1)
-            flip()
-        emit(CPHASE, e0)
-        emit(CPHASE, e1)
-        emit(SWAP, e1)
-        emit(CPHASE, e0)
 
     init = Mapping(tuple(site(slot, 0) for slot in range(n)))
     return ScheduledCircuit(_trim(cycles), init, arch)

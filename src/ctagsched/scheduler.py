@@ -20,7 +20,7 @@ starts from a breadth-first placement and no prefix.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from ctagsched.embedding import (
     device_embedding,
@@ -32,6 +32,7 @@ from ctagsched.graphs import (
     Edge,
     Mapping,
     ProblemGraph,
+    _spec_ints,
     identity_mapping,
     random_initial_mapping,
 )
@@ -84,29 +85,28 @@ class SchedulerConfig:
 class SchedulerState:
     """Mutable context threaded through the heuristic rounds.
 
-    inv is the site -> logical inverse of mapping; _apply_swaps moves both
-    together.  paths memoises _shortest_paths for the life of one run.
+    Built from the starting Mapping `init`.  pi[logical] is the site each
+    qubit is on now and inv its site -> logical inverse; _apply_swaps moves
+    both in place.  blocked holds the sites the current cycle's SWAPs may not
+    touch: those of the executable edges, of the SWAPs already chosen and of
+    the endpoints parked this round; _run_rounds refills it every round.
+    paths memoises _shortest_paths for the life of one run.
     """
 
     g: ProblemGraph
     arch: Architecture
-    mapping: Mapping
+    init: InitVar[Mapping]
     remaining: set[Edge]
-    circuit: list[list[Gate]]  # cycles built so far
-    # per-cycle constraint sets, rebuilt each round
-    busy: set[int] = field(default_factory=set)
-    re_sites: set[int] = field(default_factory=set)
-    protected: set[int] = field(default_factory=set)
+    blocked: set[int] = field(default_factory=set)
+    pi: list[int] = field(init=False)
     inv: dict[int, int] = field(init=False)
     paths: dict[tuple[int, int, int], list[tuple[int, ...]]] = field(
         init=False, default_factory=dict
     )
 
-    def __post_init__(self):
-        self.inv = self.mapping.inverse()
-
-    def blocked(self, site: int) -> bool:
-        return site in self.busy or site in self.re_sites or site in self.protected
+    def __post_init__(self, init: Mapping):
+        self.pi = list(init.pi)
+        self.inv = init.inverse()
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,9 @@ def partial_pattern_cycles(g: ProblemGraph, mapping: Mapping, threshold: float) 
     return k
 
 
-def maximal_matching(edges, mapping: Mapping) -> list[Edge]:
-    """Greedy site-disjoint subset of executable edges.
+def maximal_matching(edges, mapping: Mapping | list[int]) -> list[Edge]:
+    """Greedy site-disjoint subset of executable edges; mapping[u] is the
+    site of logical u.
 
     Picks by descending max endpoint degree within `edges`, ties by lowest
     edge id, so a path a-b-c-d keeps its two outer edges.
@@ -227,18 +228,18 @@ def enumerate_swap_strategies(
     O(deg) when every first hop is, and O(max_paths * dist) otherwise.
     """
     u, v = edge
-    pu, pv = state.mapping.pi[u], state.mapping.pi[v]
+    pu, pv = state.pi[u], state.pi[v]
     arch = state.arch
     dist = arch.dist[pu][pv]
     if dist < 2:
         raise ValueError("edge is already executable")
     blocked = state.blocked
-    pu_free, pv_free = not blocked(pu), not blocked(pv)
+    pu_free, pv_free = pu not in blocked, pv not in blocked
     closer = dist - 1
     to_v, to_u = arch.dist[pv], arch.dist[pu]
     if not (
-        (pu_free and any(to_v[q] == closer and not blocked(q) for q in arch.adj[pu]))
-        or (pv_free and any(to_u[q] == closer and not blocked(q) for q in arch.adj[pv]))
+        (pu_free and any(to_v[q] == closer and q not in blocked for q in arch.adj[pu]))
+        or (pv_free and any(to_u[q] == closer and q not in blocked for q in arch.adj[pv]))
     ):
         return []
     key = (pu, pv, max_paths)
@@ -247,8 +248,8 @@ def enumerate_swap_strategies(
         paths = state.paths[key] = _shortest_paths(arch, pu, pv, max_paths)
     out = []
     for path in paths:
-        u_moves = pu_free and not blocked(path[1])  # d1 > 0 allowed
-        v_moves = pv_free and not blocked(path[-2])  # d2 > 0 allowed
+        u_moves = pu_free and path[1] not in blocked  # d1 > 0 allowed
+        v_moves = pv_free and path[-2] not in blocked  # d2 > 0 allowed
         for d1 in range(dist):
             if (d1 > 0 and not u_moves) or (d1 < dist - 1 and not v_moves):
                 continue
@@ -271,7 +272,7 @@ def score_strategy(ss: SwapStrategy, state: SchedulerState) -> int:
     O(deg(u) + deg(v)).
     """
     dist = state.arch.dist
-    pi, remaining = state.mapping.pi, state.remaining
+    pi, remaining = state.pi, state.remaining
     score = 0
     for end, newpos in zip(ss.edge, ss.new_positions):
         row = dist[newpos]
@@ -302,7 +303,7 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
     if not moved:
         return 0
     dist = state.arch.dist
-    pi, remaining = state.mapping.pi, state.remaining
+    pi, remaining = state.pi, state.remaining
     delta = 0
     for x, px in moved.items():
         px0 = pi[x]
@@ -317,53 +318,51 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
 
 def _apply_swaps(state: SchedulerState, hops) -> None:
     # move the qubits on each hop's sites, keeping state.inv in step
-    pos = list(state.mapping.pi)
-    inv = state.inv
+    pi, inv = state.pi, state.inv
     for a, b in hops:
         la, lb = inv.pop(a, None), inv.pop(b, None)
         if la is not None:
-            pos[la] = b
+            pi[la] = b
             inv[b] = la
         if lb is not None:
-            pos[lb] = a
+            pi[lb] = a
             inv[a] = lb
-    state.mapping = Mapping(tuple(pos))
 
 
-def _run_rounds(state: SchedulerState) -> None:
-    """One cycle per round: a maximal matching of the executable edges plus
-    the first SWAPs of the best-scored strategy for each distant edge.
+def _run_rounds(state: SchedulerState) -> list[tuple[Gate, ...]]:
+    """Schedule state.remaining in cycles and return them.
+
+    One cycle per round: a maximal matching of the executable edges plus
+    the first SWAPs of the best-scored strategy for each distant edge.  A
+    round starts state.blocked from the executable edges' sites and adds
+    each chosen strategy's SWAP sites and its parked endpoints' sites.
 
     Only open choices are paid for: an edge whose endpoint sites are both
     blocked is not enumerated, a lone strategy is not scored, and a lone
     lowest score skips the bystander-delta tie-break.
     """
     dist = state.arch.dist
-    blocked = state.blocked
+    pi, blocked = state.pi, state.blocked
+    cycles = []
     while state.remaining:
-        mp = state.mapping
-        pi = mp.pi
         # each distance is read once per round: adjacent edges are
         # executable, the others are routed nearest first, ties by edge id
         ranked = sorted((dist[pi[u]][pi[v]], (u, v)) for u, v in state.remaining)
         re = [e for d, e in ranked if d == 1]
         far = [e for d, e in ranked if d > 1]
-        matching = maximal_matching(re, mp)
+        matching = maximal_matching(re, pi)
         cycle: list[Gate] = []
-        state.busy = set()
-        state.protected = set()
-        state.re_sites = {pi[x] for e in re for x in e}
+        blocked.clear()
+        blocked.update(pi[x] for e in re for x in e)
         for u, v in matching:
             a, b = pi[u], pi[v]
             cycle.append(Gate(CPHASE, min(a, b), max(a, b), (u, v)))
-            state.busy |= {a, b}
             state.remaining.discard((u, v))
         for e in far:
-            pi = state.mapping.pi
             pu, pv = pi[e[0]], pi[e[1]]
             if dist[pu][pv] < 2:
                 continue  # earlier swaps this round already parked it adjacent
-            if blocked(pu) and blocked(pv):
+            if pu in blocked and pv in blocked:
                 continue  # dead until the constraints reset next cycle
             strategies = enumerate_swap_strategies(e, state, MAX_PATHS)
             if not strategies:
@@ -387,21 +386,12 @@ def _run_rounds(state: SchedulerState) -> None:
             hops = _first_hops(best)
             for a, b in hops:
                 cycle.append(Gate(SWAP, a, b))
-                state.busy |= {a, b}
+                blocked.update((a, b))
             _apply_swaps(state, hops)
-            state.protected |= {state.mapping[e[0]], state.mapping[e[1]]}
+            blocked.update((pi[e[0]], pi[e[1]]))
         assert cycle, "scheduler round made no progress"
-        state.circuit.append(cycle)
-
-
-def _grid_shape(arch: Architecture) -> tuple[int, int] | None:
-    if arch.name.startswith("grid:"):
-        rows, _, cols = arch.name[5:].partition("x")
-        try:
-            return int(rows), int(cols)
-        except ValueError:
-            return None
-    return None
+        cycles.append(tuple(cycle))
+    return cycles
 
 
 def _line_orders(arch: Architecture, n: int, cfg: SchedulerConfig) -> list[tuple[int, ...]]:
@@ -425,13 +415,14 @@ def _line_orders(arch: Architecture, n: int, cfg: SchedulerConfig) -> list[tuple
 
     if arch.name.startswith("linear:"):
         add(tuple(range(arch.q)))
-    shape = _grid_shape(arch)
-    if shape is not None:
-        if min(shape) >= 2:
-            add(hilbert_embedding(*shape).order)
+    if arch.name.startswith("grid:"):
+        try:
+            shape = _spec_ints(arch.name, 2, "grid:RxC")
+        except ValueError:
+            pass  # a name no grid spec parses to has no built-in chain
         else:
             # a 1xN grid is already a line
-            add(tuple(range(arch.q)))
+            add(hilbert_embedding(*shape).order if min(shape) >= 2 else tuple(range(arch.q)))
     if arch.name in ("ibm20", "ibm27"):
         add(device_embedding(arch.name).order)
     if len(out) < want:
@@ -466,12 +457,11 @@ def _relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCirc
 def _route(g: ProblemGraph, arch: Architecture, init: Mapping, prefix) -> ScheduledCircuit:
     """Run `prefix` (cycles on arch's sites) from `init`, then schedule the
     edges it leaves with the heuristic rounds."""
-    state = SchedulerState(g, arch, init, set(g.edges), [list(cyc) for cyc in prefix])
+    state = SchedulerState(g, arch, init, set(g.edges))
     for cyc in prefix:
         state.remaining.difference_update(x.logical for x in cyc if x.kind == CPHASE)
         _apply_swaps(state, [(x.a, x.b) for x in cyc if x.kind == SWAP])
-    _run_rounds(state)
-    return ScheduledCircuit(tuple(tuple(cyc) for cyc in state.circuit), init, arch)
+    return ScheduledCircuit(tuple(prefix) + tuple(_run_rounds(state)), init, arch)
 
 
 def _bfs_placement(arch: Architecture, n: int) -> Mapping:

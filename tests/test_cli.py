@@ -199,6 +199,22 @@ class TestSchedule:
         assert proc.returncode == 1
         assert proc.stderr == "error: bad architecture spec 'grid:2x', expected grid:RxC\n"
 
+    @pytest.mark.parametrize("where", ["graph", "arch"])
+    def test_non_utf8_file_exits_2(self, fig_file, tmp_path, where):
+        bad = tmp_path / "latin1.graph"
+        bad.write_bytes(b"\xff 3 2\n0 1\n")
+        graph, arch = (str(bad), "linear:6") if where == "graph" else (fig_file, f"file:{bad}")
+        src = str(Path(ctagsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctagsched.cli", "schedule", "--graph", graph,
+             "--arch", arch, "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 1: ")
+        assert "Traceback" not in proc.stderr
+
     def test_too_small_arch_exits_1(self, k6_file, capsys):
         code, _, err = run(
             capsys, "schedule", "--graph", k6_file, "--arch", "linear:4",
@@ -237,10 +253,10 @@ class TestVerify:
 
     def test_tampered_schedule_fails(self, k6_file, tmp_path, capsys):
         sched = self.schedule_k6(k6_file, tmp_path, capsys)
-        doc = json.loads(open(sched).read())
+        doc = json.loads(Path(sched).read_text())
         # drop the very first CPHASE: one edge goes missing
         doc["cycles"][0] = doc["cycles"][0][1:]
-        open(sched, "w").write(json.dumps(doc))
+        Path(sched).write_text(json.dumps(doc))
         code, stdout, _ = run(
             capsys, "verify", "--schedule", sched, "--graph", k6_file,
             "--arch", "linear:6",
@@ -251,9 +267,9 @@ class TestVerify:
 
     def test_conflicting_cycle_is_illegal(self, k6_file, tmp_path, capsys):
         sched = self.schedule_k6(k6_file, tmp_path, capsys)
-        doc = json.loads(open(sched).read())
+        doc = json.loads(Path(sched).read_text())
         doc["cycles"][0].append(dict(doc["cycles"][0][0]))
-        open(sched, "w").write(json.dumps(doc))
+        Path(sched).write_text(json.dumps(doc))
         code, stdout, _ = run(
             capsys, "verify", "--schedule", sched, "--graph", k6_file,
             "--arch", "linear:6",
@@ -263,10 +279,10 @@ class TestVerify:
 
     def test_short_init_exits_1(self, k6_file, tmp_path, capsys):
         sched = self.schedule_k6(k6_file, tmp_path, capsys)
-        doc = json.loads(open(sched).read())
+        doc = json.loads(Path(sched).read_text())
         doc["init"] = doc["init"][:3]
         doc["cycles"] = []
-        open(sched, "w").write(json.dumps(doc))
+        Path(sched).write_text(json.dumps(doc))
         code, stdout, _ = run(
             capsys, "verify", "--schedule", sched, "--graph", k6_file,
             "--arch", "linear:6",
@@ -277,9 +293,9 @@ class TestVerify:
 
     def test_unknown_gate_kind_exits_2(self, k6_file, tmp_path, capsys):
         sched = self.schedule_k6(k6_file, tmp_path, capsys)
-        doc = json.loads(open(sched).read())
+        doc = json.loads(Path(sched).read_text())
         doc["cycles"][0][0]["kind"] = "iswap"
-        open(sched, "w").write(json.dumps(doc))
+        Path(sched).write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "verify", "--schedule", sched, "--graph", k6_file,
             "--arch", "linear:6",
@@ -389,6 +405,19 @@ class TestBench:
         )
         assert code == 0
         assert stdout.splitlines()[0].startswith("n ")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1(self, tmp_path, jobs):
+        src = str(Path(ctagsched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctagsched.cli", "bench", "--n", "6", "--density", "0.5",
+             "--arch", "linear", "--jobs", jobs, "--out", str(tmp_path / "b.csv")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: --jobs must be at least 1\n"
+        assert not (tmp_path / "b.csv").exists()
 
     def test_unknown_strategy_errors(self, capsys):
         code, _, err = run(

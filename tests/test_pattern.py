@@ -1,5 +1,8 @@
 """Line-pattern generation, pruning, and the position/meet algebra."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -327,7 +330,49 @@ class TestInteractionRanks:
             interaction_ranks(6, 6, 0)
 
 
+# sha256 of to_text, the init placement and the CPHASE logical labels of the
+# 2xN pattern for n = 4..32, captured before it was rebuilt on _layer_stream
+TWO_X_N_DIGESTS = {
+    4: "11b82bce45694c273116cebf506869dd3417c9a86a8b9656faea1a8558e287ba",
+    5: "63a81438f27c6c58ae32261300b52708cb1dcbd610c44a45d32d8e1a40a096e3",
+    6: "9e22ce0a944e0eea1474f81e0961d38c4feb8f86475de75ec1896ba29e3e62f8",
+    7: "c261d04796d71b149567640c1ebba3d4b636a05b35365ee9da75b7f1cf934fad",
+    8: "225ea9ed88bfaba36104ef4566ba13c292b99488ec77ac02922d474247d06947",
+    9: "607a886e6bf72e0ddec19e9c2b8e6c6b1b0daa2f13a169727af9a24e94d477ef",
+    10: "91f864b062c65fe8ecf3ae13108dc26fcfb7e74cf7221c1b3209350b544af8dd",
+    11: "28c3a0391642a07ac4a31a5186ca0befbbc48c9431bf840f273c3390dea7236a",
+    12: "0a70bbfd62c91514ed71ce6dbe9278acc100be031a7bd24e4d3268eda253a83a",
+    13: "a2254807decd50d9cd8dc7eacba7eefbb0618b1224961ffda7ddb19931997e65",
+    14: "6e97445170b8f2b88d7c9edf9cc52042715aa1bdb48908a78f60f845a7192bae",
+    15: "30ac41977b999437e0f2a2f6ce739d6902ef4f0a0c14539c05932f2c9b82151b",
+    16: "9dfc945fd3bc052a43dc89e574b7d14e66d84f42132303886cdcd2b3b25d8547",
+    17: "b9684bc7a69d049e4579f3afab9e5137e769b837c83d25d00f9e1506d1c6cda2",
+    18: "89009daaeda067f987999a436a6358ddaff6c1df1654806397b4b41381a6f975",
+    19: "c3c7f18ce30c2554f3f41fb2f828a77fdacd931645fec66819e9abf0d40724f2",
+    20: "32a63783fae92e72e0f5f6177c30be95e104f8f1e74c09461a896be556e179c3",
+    21: "7ed2e1ddf69191b84b9a0bc8f22273c155573d480862ad550ae061b046c244d8",
+    22: "182328eae616ea7bdf216b2b058e687b6b3225d983875a068f67ad47531c50ff",
+    23: "e93894255db48a170b9e78177f0a4beb46a5a3691a2d7f73a2ae998d3c5bc5a6",
+    24: "4935f4bc7ccaa92d99f3b0cd5bd4ee6e33ccea3a2c1c8160ab593224c8e0e2fb",
+    25: "7cddfd93c87234666e61d108fb6eab16d85da6cf3e6943af036ef8fa44a5bd71",
+    26: "5e4311bd8c9802dd777dff32ebe2955691974fd70f41aa97eb7d2ede2cb58a7d",
+    27: "9c28f6b6d6ecff5113f38070753836312625ae546150576c7adcfe71b9d58f3c",
+    28: "dfd29db7d00e77b4e27cfcb1fd616f3643fe3b1f07637dbcefa599d9e5413c7d",
+    29: "efc1a5f746624decd056b241931da8ce16a1efa4dfcac6320161e99971871e6a",
+    30: "896dcd1460a1580e205f0ca69173c396470e73d42c1fcee36331b2cc0c922a20",
+    31: "4b09853fc0936f5daba44cd562d766a231ffbfb9dab5ed1d26bb2752b7656319",
+    32: "2aeb3ca5bbff30714f59e5468dfb3495a36091661adc17e858d8ed2a39a87593",
+}
+
+
 class Test2xN:
+    @pytest.mark.parametrize("n", sorted(TWO_X_N_DIGESTS))
+    def test_output_is_pinned(self, n):
+        c = generate_2xn_pattern(n)
+        logical = [g.logical for cyc in c.cycles for g in cyc if g.kind == CPHASE]
+        blob = f"{to_text(c)}{c.init.pi}\n{logical}\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == TWO_X_N_DIGESTS[n]
+
     def test_depth_examples(self):
         assert generate_2xn_pattern(4).depth == 5  # 3*4/2 - 1
         assert generate_2xn_pattern(6).depth == 8  # 3*6/2 - 1
@@ -352,6 +397,29 @@ class Test2xN:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             generate_2xn_pattern(3)
+
+
+@st.composite
+def any_circuits(draw):
+    # any gate list on a line of q sites, labelled or not, and any placement
+    q = draw(st.integers(1, 12))
+    site = st.integers(0, q - 1)
+    gate = st.builds(
+        Gate, st.sampled_from([CPHASE, SWAP]), site, site, st.none() | st.tuples(site, site)
+    )
+    cycles = draw(st.lists(st.lists(gate, max_size=4).map(tuple), max_size=8))
+    placed = draw(st.permutations(range(q)))[: draw(st.integers(1, q))]
+    return ScheduledCircuit(tuple(cycles), Mapping(tuple(placed)), linear(q))
+
+
+class TestJsonRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(any_circuits())
+    def test_round_trip_preserves_cycles_and_init(self, c):
+        doc = json.loads(json.dumps(to_json_dict(c)))
+        back = from_json_dict(doc, c.arch)
+        assert back.cycles == c.cycles
+        assert back.init == c.init
 
 
 class TestSerialization:

@@ -61,7 +61,7 @@ def fig_variant(*chords):
 def state_on_line(n, edges, q=None):
     arch = linear(q or n)
     g = make_problem_graph(n, edges)
-    return SchedulerState(g, arch, identity_mapping(n), set(g.edges), [])
+    return SchedulerState(g, arch, identity_mapping(n), set(g.edges))
 
 
 class TestPartialPatternCycles:
@@ -199,7 +199,7 @@ class TestSwapStrategies:
     def test_grid_corner_pairs_use_multiple_paths(self):
         arch = grid(2, 3)
         g = make_problem_graph(6, [(0, 5)])
-        st = SchedulerState(g, arch, identity_mapping(6), set(g.edges), [])
+        st = SchedulerState(g, arch, identity_mapping(6), set(g.edges))
         out = enumerate_swap_strategies((0, 5), st)
         paths = {ss.paths for ss in out}
         assert len(out) == 9  # 3 shortest paths x 3 splits
@@ -207,7 +207,7 @@ class TestSwapStrategies:
 
     def test_busy_sites_filter_strategies(self):
         st = state_on_line(5, [(0, 3)])
-        st.busy.add(1)  # first hop 0->1 now collides for d1 >= 1
+        st.blocked.add(1)  # first hop 0->1 now collides for d1 >= 1
         out = enumerate_swap_strategies((0, 3), st)
         assert all(ss.split[0] == 0 for ss in out)
 
@@ -215,7 +215,7 @@ class TestSwapStrategies:
         from ctagsched.scheduler import _first_hops
 
         st = state_on_line(5, [(0, 3)])
-        st.protected.update({2, 3})
+        st.blocked.update({2, 3})
         out = enumerate_swap_strategies((0, 3), st)
         for ss in out:  # no first hop may touch a protected site
             for hop in _first_hops(ss):
@@ -227,12 +227,12 @@ class TestSwapStrategies:
         # and the shortest paths are never walked
         arch = grid(3, 3)
         g = make_problem_graph(9, [(0, 8)])
-        st = SchedulerState(g, arch, identity_mapping(9), set(g.edges), [])
-        st.busy.update({1, 5})
-        st.protected.update({3, 7})
+        st = SchedulerState(g, arch, identity_mapping(9), set(g.edges))
+        st.blocked.update({1, 5})
+        st.blocked.update({3, 7})
         assert enumerate_swap_strategies((0, 8), st) == []
         assert st.paths == {}
-        st.protected.discard(7)
+        st.blocked.discard(7)
         assert enumerate_swap_strategies((0, 8), st) != []
         assert st.paths != {}
 
@@ -264,7 +264,7 @@ class TestScoreStrategy:
                     if (x, y) == ss.edge or end not in (x, y):
                         continue
                     nb = y if x == end else x
-                    expect += dist[pos][st.mapping[nb]]
+                    expect += dist[pos][st.pi[nb]]
             assert score_strategy(ss, st) == expect
 
 
@@ -295,9 +295,9 @@ def ref_shortest_paths(arch, s, t, limit):
 
 def ref_enumerate(edge, state, max_paths):
     u, v = edge
-    pu, pv = state.mapping[u], state.mapping[v]
+    pu, pv = state.pi[u], state.pi[v]
     dist = state.arch.dist[pu][pv]
-    blocked = state.busy | state.re_sites | state.protected
+    blocked = state.blocked
     out = []
     for path in ref_shortest_paths(state.arch, pu, pv, max_paths):
         for d1 in range(dist):
@@ -330,13 +330,13 @@ def ref_score(ss, state):
                 nb = x
             else:
                 continue
-            score += dist[newpos][state.mapping[nb]]
+            score += dist[newpos][state.pi[nb]]
     return score
 
 
 def ref_bystander_delta(ss, state):
     u, v = ss.edge
-    inv = state.mapping.inverse()
+    inv = Mapping(tuple(state.pi)).inverse()
     moved = {}
     for path in ss.paths:
         for k in range(1, len(path)):
@@ -354,7 +354,7 @@ def ref_bystander_delta(ss, state):
             continue
         if x not in moved and y not in moved:
             continue
-        px0, py0 = state.mapping[x], state.mapping[y]
+        px0, py0 = state.pi[x], state.pi[y]
         delta += dist[moved.get(x, px0)][moved.get(y, py0)] - dist[px0][py0]
     return delta
 
@@ -384,11 +384,9 @@ def routing_states(draw):
     remaining = draw(st.sets(st.sampled_from(sorted(edges)), min_size=1))
     site_sets = st.sets(st.integers(0, arch.q - 1), max_size=arch.q // 2)
     state = SchedulerState(
-        make_problem_graph(n, edges), arch, Mapping(tuple(sites[:n])), remaining, []
+        make_problem_graph(n, edges), arch, Mapping(tuple(sites[:n])), remaining
     )
-    state.busy, state.re_sites, state.protected = (
-        draw(site_sets), draw(site_sets), draw(site_sets)
-    )
+    state.blocked = draw(site_sets) | draw(site_sets) | draw(site_sets)
     return state, draw(st.integers(1, 4))
 
 
@@ -399,7 +397,7 @@ class TestRoundEngineMatchesReference:
         state, max_paths = drawn
         dist = state.arch.dist
         for e in sorted(state.remaining):
-            if dist[state.mapping[e[0]]][state.mapping[e[1]]] < 2:
+            if dist[state.pi[e[0]]][state.pi[e[1]]] < 2:
                 continue
             ref = ref_enumerate(e, state, max_paths)
             assert enumerate_swap_strategies(e, state, max_paths) == ref
@@ -413,44 +411,46 @@ class TestRoundEngineMatchesReference:
     @given(routing_states())
     def test_apply_swaps_keeps_the_inverse(self, drawn):
         state, max_paths = drawn
-        state.busy, state.re_sites, state.protected = set(), set(), set()
+        state.blocked = set()
         dist = state.arch.dist
         for e in sorted(state.remaining):
-            if dist[state.mapping[e[0]]][state.mapping[e[1]]] < 2:
+            if dist[state.pi[e[0]]][state.pi[e[1]]] < 2:
                 continue
             hops = _first_hops(enumerate_swap_strategies(e, state, max_paths)[-1])
-            expect = ref_apply_swaps(state.mapping, hops)
+            expect = ref_apply_swaps(Mapping(tuple(state.pi)), hops)
             _apply_swaps(state, hops)
-            assert state.mapping == expect
+            assert Mapping(tuple(state.pi)) == expect
             assert state.inv == expect.inverse()
 
 
 def ref_run_rounds(state):
     """The round engine before dead edges, lone strategies and lone best
-    scores were skipped, on the reference strategy, score and delta."""
+    scores were skipped, on the reference strategy, score and delta, with
+    its three constraint sets; returns the cycles it builds."""
     dist = state.arch.dist
+    circuit = []
     while state.remaining:
-        mp = state.mapping
-        pi = mp.pi
+        pi = state.pi
         # each distance is read once per round: adjacent edges are
         # executable, the others are routed nearest first, ties by edge id
         ranked = sorted((dist[pi[u]][pi[v]], (u, v)) for u, v in state.remaining)
         re = [e for d, e in ranked if d == 1]
         far = [e for d, e in ranked if d > 1]
-        matching = maximal_matching(re, mp)
+        matching = maximal_matching(re, Mapping(tuple(pi)))
         cycle = []
-        state.busy = set()
-        state.protected = set()
-        state.re_sites = {pi[x] for e in re for x in e}
+        busy = set()
+        protected = set()
+        re_sites = {pi[x] for e in re for x in e}
         for u, v in matching:
             a, b = pi[u], pi[v]
             cycle.append(Gate(CPHASE, min(a, b), max(a, b), (u, v)))
-            state.busy |= {a, b}
+            busy |= {a, b}
             state.remaining.discard((u, v))
         for e in far:
-            pi = state.mapping.pi
+            pi = state.pi
             if dist[pi[e[0]]][pi[e[1]]] < 2:
                 continue  # earlier swaps this round already parked it adjacent
+            state.blocked = busy | re_sites | protected
             strategies = ref_enumerate(e, state, MAX_PATHS)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
@@ -469,22 +469,23 @@ def ref_run_rounds(state):
             hops = _first_hops(best)
             for a, b in hops:
                 cycle.append(Gate(SWAP, a, b))
-                state.busy |= {a, b}
-            state.mapping = ref_apply_swaps(state.mapping, hops)
-            state.protected |= {state.mapping[e[0]], state.mapping[e[1]]}
+                busy |= {a, b}
+            state.pi = list(ref_apply_swaps(Mapping(tuple(state.pi)), hops).pi)
+            protected |= {state.pi[e[0]], state.pi[e[1]]}
         assert cycle, "scheduler round made no progress"
-        state.circuit.append(cycle)
+        circuit.append(cycle)
+    return circuit
 
 
 def ref_route(g, arch, init, prefix):
-    state = SchedulerState(g, arch, init, set(g.edges), [list(cyc) for cyc in prefix])
+    state = SchedulerState(g, arch, init, set(g.edges))
+    circuit = [list(cyc) for cyc in prefix]
     for cyc in prefix:
         state.remaining.difference_update(x.logical for x in cyc if x.kind == CPHASE)
-        state.mapping = ref_apply_swaps(
-            state.mapping, [(x.a, x.b) for x in cyc if x.kind == SWAP]
-        )
-    ref_run_rounds(state)
-    return ScheduledCircuit(tuple(tuple(cyc) for cyc in state.circuit), init, arch)
+        hops = [(x.a, x.b) for x in cyc if x.kind == SWAP]
+        state.pi = list(ref_apply_swaps(Mapping(tuple(state.pi)), hops).pi)
+    circuit += ref_run_rounds(state)
+    return ScheduledCircuit(tuple(tuple(cyc) for cyc in circuit), init, arch)
 
 
 @st.composite
@@ -709,8 +710,8 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
 
     def enumerate_(edge, state, max_paths=MAX_PATHS):
         calls["enumerate"] += 1
-        pi = state.mapping.pi
-        assert not (state.blocked(pi[edge[0]]) and state.blocked(pi[edge[1]]))
+        pi = state.pi
+        assert not (pi[edge[0]] in state.blocked and pi[edge[1]] in state.blocked)
         found[edge] = real_enumerate(edge, state, max_paths)
         return found[edge]
 

@@ -1,6 +1,10 @@
 """The verification oracle, metrics, and the tiny brute-force baseline."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctagsched.graphs import (
     Mapping,
@@ -8,6 +12,7 @@ from ctagsched.graphs import (
     grid,
     identity_mapping,
     linear,
+    make_architecture,
     make_problem_graph,
 )
 from ctagsched.pattern import (
@@ -18,6 +23,7 @@ from ctagsched.pattern import (
     generate_clique_pattern,
     prune_pattern,
 )
+from ctagsched.scheduler import STRATEGIES, SchedulerConfig, schedule
 from ctagsched.verify import (
     QAIM_IC_REFERENCE,
     brute_force_optimal,
@@ -154,6 +160,72 @@ class TestVerify:
         assert doc["ok"] is True
         assert doc["executed_pairs"] == [[0, 1]]
         assert doc["final_mapping"] == [0, 1, 2]
+
+
+@st.composite
+def verified_schedules(draw):
+    # a schedule() output that verifies, for a graph with at least one edge
+    # on a device that leaves some pair of sites uncoupled
+    arch = make_architecture(draw(st.sampled_from(["linear:8", "grid:2x4", "grid:3x3", "ibm20"])))
+    n = draw(st.integers(2, min(arch.q, 10)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = make_problem_graph(n, draw(st.sets(st.sampled_from(pairs), min_size=1)))
+    cfg = SchedulerConfig(strategy=draw(st.sampled_from(STRATEGIES)), seed=draw(st.integers(0, 3)))
+    c = schedule(g, arch, cfg)
+    assert verify(c, g, arch).ok
+    return g, arch, c
+
+
+def _with_cycles(c, cycles):
+    return replace(c, cycles=tuple(tuple(cyc) for cyc in cycles))
+
+
+class TestVerifyRejectsOneMutation:
+    # each property breaks a verified circuit in one place; the oracle must
+    # say no, and say why
+
+    @settings(max_examples=60, deadline=None)
+    @given(verified_schedules(), st.data())
+    def test_dropped_cphase(self, drawn, data):
+        g, arch, c = drawn
+        slots = [(t, i) for t, cyc in enumerate(c.cycles) for i, x in enumerate(cyc)
+                 if x.kind == CPHASE]
+        t, i = data.draw(st.sampled_from(slots))
+        cycles = list(c.cycles)
+        cycles[t] = cycles[t][:i] + cycles[t][i + 1:]
+        r = verify(_with_cycles(c, cycles), g, arch)
+        assert not r.ok
+        assert len(r.missing) == 1 and not r.duplicated and not r.illegal_gates
+
+    @settings(max_examples=60, deadline=None)
+    @given(verified_schedules(), st.data())
+    def test_duplicated_cphase(self, drawn, data):
+        # the copy runs in a cycle of its own right after the original; no
+        # SWAP of the original cycle touches its sites, so it meets the same pair
+        g, arch, c = drawn
+        slots = [(t, x) for t, cyc in enumerate(c.cycles) for x in cyc if x.kind == CPHASE]
+        t, gate = data.draw(st.sampled_from(slots))
+        cycles = list(c.cycles)
+        cycles.insert(t + 1, (gate,))
+        r = verify(_with_cycles(c, cycles), g, arch)
+        assert not r.ok
+        assert len(r.duplicated) == 1 and not r.missing and not r.illegal_gates
+
+    @settings(max_examples=60, deadline=None)
+    @given(verified_schedules(), st.data())
+    def test_gate_on_uncoupled_pair(self, drawn, data):
+        g, arch, c = drawn
+        slots = [(t, i) for t, cyc in enumerate(c.cycles) for i in range(len(cyc))]
+        t, i = data.draw(st.sampled_from(slots))
+        a, b = data.draw(st.sampled_from([
+            (a, b) for a in range(arch.q) for b in range(a + 1, arch.q) if not arch.coupled(a, b)
+        ]))
+        gate = c.cycles[t][i]
+        cycles = list(c.cycles)
+        cycles[t] = cycles[t][:i] + (gate._replace(a=a, b=b),) + cycles[t][i + 1:]
+        r = verify(_with_cycles(c, cycles), g, arch)
+        assert not r.ok
+        assert (t, gate.kind, a, b, "qubits not coupled") in r.illegal_gates
 
 
 class TestMetrics:

@@ -18,6 +18,7 @@ from time import perf_counter
 
 from ctagsched.graphs import (
     GraphFormatError,
+    _read_utf8,
     load_problem_graph,
     make_architecture,
     random_graph,
@@ -147,11 +148,12 @@ def cmd_verify(schedule_file: str, graph_file: str, arch_spec: str, fmt: str) ->
     g = load_problem_graph(graph_file)
     arch = make_architecture(arch_spec)
     try:
-        with open(schedule_file) as fh:
-            doc = json.load(fh)
-        circ = from_json_dict(doc, arch)
+        circ = from_json_dict(json.loads(_read_utf8(schedule_file)), arch)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"not valid JSON: {exc.msg}", exc.lineno) from None
+    except RecursionError:
+        print("error: not valid JSON: nested too deeply", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # malformed document is a format error, not a semantic failure
         print(f"error: {exc}", file=sys.stderr)

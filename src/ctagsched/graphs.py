@@ -24,6 +24,15 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _adjacency(count: int, pairs) -> dict[int, tuple[int, ...]]:
+    # sorted neighbour tuple of every vertex 0..count-1
+    nbrs: dict[int, list[int]] = {v: [] for v in range(count)}
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+
+
 @dataclass(frozen=True)
 class ProblemGraph:
     """Undirected simple graph whose edges are the CPHASE gates to execute."""
@@ -48,11 +57,7 @@ class ProblemGraph:
 
     @cached_property
     def adj(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+        return _adjacency(self.n, self.edges)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -181,15 +186,11 @@ class Architecture:
             raise ValueError(f"architecture {self.name!r} is not connected")
 
     def _connected(self) -> bool:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.q)}
-        for a, b in self.couplings:
-            adj[a].append(b)
-            adj[b].append(a)
         seen = {0}
         stack = [0]
         while stack:
             x = stack.pop()
-            for y in adj[x]:
+            for y in self.adj[x]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -197,11 +198,7 @@ class Architecture:
 
     @cached_property
     def adj(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {v: [] for v in range(self.q)}
-        for a, b in self.couplings:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+        return _adjacency(self.q, self.couplings)
 
     @cached_property
     def dist(self) -> tuple[tuple[int, ...], ...]:
@@ -301,9 +298,9 @@ def _parse_edge_list(text: str, what: str) -> tuple[int, list[Edge]]:
     return count, edges
 
 
-def _read_edge_list_file(path: str) -> str:
-    """Text of a graph or coupling file; a byte that is not UTF-8 raises
-    GraphFormatError at its line, as _parse_edge_list numbers lines."""
+def _read_utf8(path: str) -> str:
+    """Text of an input file (graph, coupling or schedule); a byte that is
+    not UTF-8 raises GraphFormatError at its 1-based line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -359,13 +356,13 @@ def make_architecture(spec: str) -> Architecture:
         return grid(*_spec_ints(spec, 2, "grid:RxC"))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        return _load_coupling_file(_read_edge_list_file(path), path)
+        return _load_coupling_file(_read_utf8(path), path)
     raise ValueError(f"unknown architecture spec {spec!r}")
 
 
 def load_problem_graph(path: str) -> ProblemGraph:
     """Read the 'n m' + edge-list format; raises GraphFormatError with a line number."""
-    n, edges = _parse_edge_list(_read_edge_list_file(path), "graph")
+    n, edges = _parse_edge_list(_read_utf8(path), "graph")
     return ProblemGraph(n, frozenset(edges))
 
 

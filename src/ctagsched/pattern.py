@@ -5,8 +5,9 @@ every qubit pair becomes adjacent, and executes, exactly once within 2n-2
 cycles.  _layer_stream yields those layers; prune_pattern walks the stream
 once and keeps only the CPHASEs of an input graph under an initial mapping,
 and the full pattern is the pruning of the clique under the natural mapping.
-The module also holds the closed-form position model used to reason about the
-pattern, and the 2xN grid variant that drops every second SWAP layer.
+The module also holds the meet table (the cycle at which any two start
+positions execute) and the 2xN grid variant that drops every second SWAP
+layer.
 """
 from __future__ import annotations
 
@@ -150,84 +151,6 @@ def prune_pattern(g: ProblemGraph, init: Mapping, n: int) -> ScheduledCircuit:
     return ScheduledCircuit(_trim(cycles), init, linear(n))
 
 
-def _loop_step(n: int, p: int) -> int:
-    # one outer loop (S1 then S0): odd positions drift up 2, even drift down
-    # 2, with direction flips at the chain ends
-    if p == 0:
-        return 1
-    if n % 2 == 0 and p == n - 1:
-        return n - 2
-    if n % 2 == 1 and p == n - 2:
-        return n - 1
-    return p - 2 if p % 2 == 0 else p + 2
-
-
-def position_at(n: int, start_pos: int, t: int) -> int:
-    """Position of the qubit starting at start_pos after t outer loops."""
-    if not 0 <= start_pos < n:
-        raise ValueError(f"position {start_pos} out of range for n={n}")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    p = start_pos
-    for _ in range(t % n):  # the loop permutation is a single n-cycle
-        p = _loop_step(n, p)
-    return p
-
-
-def cyclic_rank_shift(n: int) -> tuple[int, ...]:
-    """Position permutation of one outer loop; asserted to be one n-cycle."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    perm = tuple(_loop_step(n, p) for p in range(n))
-    seen = set()
-    p = 0
-    for _ in range(n):
-        if p in seen:
-            raise AssertionError(f"loop permutation for n={n} is not a single cycle")
-        seen.add(p)
-        p = perm[p]
-    return perm
-
-
-@lru_cache(maxsize=None)
-def _rank_start_positions(n: int) -> tuple[int, ...]:
-    # start position of the rank-k qubit: C_0 starts at P1 and consecutive
-    # ranks follow the loop permutation, so pos0(C_k) = step^k(1)
-    perm = cyclic_rank_shift(n)
-    out = []
-    p = 1 % n
-    for _ in range(n):
-        out.append(p)
-        p = perm[p]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _rank_of_start(n: int) -> tuple[int, ...]:
-    inv = [0] * n
-    for k, p in enumerate(_rank_start_positions(n)):
-        inv[p] = k
-    return tuple(inv)
-
-
-def interaction_ranks(n: int, i: int, t: int) -> frozenset[int]:
-    """Cyclic ranks the rank-i qubit executes with during full loop t.
-
-    Closed form over the two streams: a qubit whose rank-start position j is
-    even meets ranks i+j-2t and i+j-2t+1 (mod n); odd j mirrors through the
-    chain end and meets i+n-j-2t and i+n-j-2t-1.  A value equal to i itself
-    marks the boundary cycle where that qubit idles for one layer.
-    """
-    if not 0 <= i < n:
-        raise ValueError(f"rank {i} out of range for n={n}")
-    j = _rank_start_positions(n)[i]
-    if j % 2 == 0:
-        cand = ((i + j - 2 * t) % n, (i + j - 2 * t + 1) % n)
-    else:
-        cand = ((i + n - j - 2 * t) % n, (i + n - j - 2 * t - 1) % n)
-    return frozenset(c for c in cand if c != i)
-
-
 @lru_cache(maxsize=None)
 def _meet_table(n: int) -> tuple[tuple[int, ...], ...]:
     # occ[position] = start position of the qubit now there
@@ -340,15 +263,22 @@ def to_json_dict(circ: ScheduledCircuit) -> dict:
     }
 
 
+def _site(x) -> int:
+    # a JSON integer; json reads 1e400 as inf and true as a bool
+    if type(x) is not int:
+        raise ValueError(f"site {x!r} is not an integer")
+    return x
+
+
 def from_json_dict(doc: dict, arch: Architecture) -> ScheduledCircuit:
     try:
-        init = Mapping(tuple(int(p) for p in doc["init"]))
+        init = Mapping(tuple(_site(p) for p in doc["init"]))
         cycles = tuple(
             tuple(
                 Gate(
                     str(g["kind"]),
-                    int(g["a"]),
-                    int(g["b"]),
+                    _site(g["a"]),
+                    _site(g["b"]),
                     tuple(g["logical"]) if g.get("logical") else None,
                 )
                 for g in cyc

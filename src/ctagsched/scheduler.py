@@ -1,21 +1,22 @@
 """Pattern-adapting heuristic scheduler for arbitrary coupling graphs.
 
-Strategy names accepted by schedule():
+Every strategy lays the CTAG line pattern, pruned to the input graph, on a
+chain of g.n coupled sites under its own initial mappings:
 
-  pattern-only   pruned line pattern under the natural mapping
-  ctag-r         pruned line pattern under a seeded random mapping
-  ctag-i-astar   pruned line pattern under the beam-searched mapping
-  ctag-i-iso     like ctag-i-astar, then refined by an exact node-budgeted
-                 search over the meet table
-  ctag-h         partial pattern plus matching/swap-routing rounds
+  pattern-only   the natural mapping
+  ctag-r         a seeded random mapping
+  ctag-i-astar   the beam-searched mapping
+  ctag-i-iso     the beam-searched mapping refined by an exact
+                 node-budgeted search over the meet table
+  ctag-h         the beam-searched mapping, then the natural one if it differs
 
-The line strategies need a chain of g.n coupled sites in the architecture.
-ctag-h prunes the pattern once per initial mapping and lays it on several
-chains: each pruned pattern is a fallback candidate, and its first cycles are
-the prefix that _route continues with matching/swap-routing rounds.  A prefix
-that covers the whole pruned pattern has run every edge, so the fallback
-itself is that candidate and is not replayed.  With no chain at all, _route
-starts from a breadth-first placement and no prefix.
+The line strategies take the first chain, ctag-h up to CHAINS of them, and
+each (chain, mapping) pair gives the relabelled pattern as a candidate.  Only
+ctag-h routes: ahead of each pattern it adds a candidate that runs the
+pattern's first cycles and schedules the rest with matching/swap-routing
+rounds.  A prefix that covers the whole pruned pattern has run every edge, so
+the pattern alone is that candidate.  With no chain, a line strategy raises
+ValueError and ctag-h routes from a breadth-first placement and no prefix.
 """
 from __future__ import annotations
 
@@ -65,20 +66,20 @@ STRATEGIES = ("pattern-only", "ctag-r", "ctag-i-astar", "ctag-i-iso", "ctag-h")
 # shortest paths the round engine tries per distant edge
 MAX_PATHS = 4
 
+# chains the pattern is laid on: ctag-h tries each, a line strategy the first
+CHAINS = 2
+
 
 @dataclass
 class SchedulerConfig:
-    """Knobs for schedule(): threshold sets ctag-h's pattern prefix, beam and
-    seed the mapping search (seed also ctag-r's mapping and the chain search),
-    fallback_guard keeps the pruned pattern as a ctag-h candidate, and
-    num_embeddings caps the chains tried."""
+    """Knobs for schedule(): strategy names the initial mappings and whether
+    to route, threshold sets ctag-h's pattern prefix, beam and seed the
+    mapping search (seed also ctag-r's mapping and the chain search)."""
 
     strategy: str = "ctag-h"
     threshold: float = 0.5
     beam: int | None = 8
     seed: int = 0
-    fallback_guard: bool = True
-    num_embeddings: int = 2
 
 
 @dataclass
@@ -394,9 +395,8 @@ def _run_rounds(state: SchedulerState) -> list[tuple[Gate, ...]]:
     return cycles
 
 
-def _line_orders(arch: Architecture, n: int, cfg: SchedulerConfig) -> list[tuple[int, ...]]:
-    """Chains of n coupled sites to lay the pattern along, best first."""
-    want = cfg.num_embeddings
+def _line_orders(arch: Architecture, n: int, seed: int) -> list[tuple[int, ...]]:
+    """Up to CHAINS chains of n coupled sites to lay the pattern on, best first."""
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
 
@@ -425,10 +425,10 @@ def _line_orders(arch: Architecture, n: int, cfg: SchedulerConfig) -> list[tuple
             add(hilbert_embedding(*shape).order if min(shape) >= 2 else tuple(range(arch.q)))
     if arch.name in ("ibm20", "ibm27"):
         add(device_embedding(arch.name).order)
-    if len(out) < want:
-        for le in multi_embeddings(arch, want, seed=cfg.seed, length=n):
+    if len(out) < CHAINS:
+        for le in multi_embeddings(arch, CHAINS, seed=seed, length=n):
             add(le.order)
-    return out[:want]
+    return out[:CHAINS]
 
 
 def _relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCircuit:
@@ -485,9 +485,11 @@ def schedule(
 ) -> ScheduledCircuit:
     """Schedule g's CPHASE layer onto arch per cfg.strategy.
 
-    The returned circuit always passes verify(c, g, arch).  Among the
-    candidates a strategy produces, the shallowest wins; ties go to fewer
-    gates, then to the lexicographically smallest text form.
+    Every strategy builds one candidate pool: the pattern pruned under each
+    of its initial mappings, relabelled onto each of its chains, and under
+    ctag-h a routed candidate ahead of each pattern.  The returned circuit
+    always passes verify(c, g, arch).  The shallowest candidate wins; ties go
+    to fewer gates, then to the lexicographically smallest text form.
     """
     if cfg is None:
         cfg = SchedulerConfig()
@@ -498,54 +500,49 @@ def schedule(
         raise ValueError(f"threshold {cfg.threshold} not in [0, 1]")
     if cfg.beam is not None and cfg.beam < 1:
         raise ValueError(f"beam must be at least 1, got {cfg.beam}")
-    if cfg.num_embeddings < 1:
-        raise ValueError(f"num_embeddings must be at least 1, got {cfg.num_embeddings}")
     if arch.q < g.n:
         raise ValueError(f"{arch.name} has {arch.q} qubits, input needs {g.n}")
     n = g.n
     if n == 1:
         # nothing to execute, and the line pattern needs two sites
         return ScheduledCircuit((), Mapping((0,)), arch)
-    orders = _line_orders(arch, n, cfg)
-
-    if cfg.strategy != "ctag-h":
-        if not orders:
-            raise ValueError(f"no chain of {n} coupled sites in {arch.name}")
-        order = orders[0]
-        if cfg.strategy == "pattern-only":
-            m0 = identity_mapping(n)
-        elif cfg.strategy == "ctag-r":
-            m0 = random_initial_mapping(n, cfg.seed)
-        elif cfg.strategy == "ctag-i-astar":
-            m0, _ = astar_initial_mapping(g, cfg.beam, cfg.seed)
-        else:  # ctag-i-iso
-            m0, _ = iso_initial_mapping(g)
-        return _relabel(prune_pattern(g, m0, n), order, arch)
-
+    routed = cfg.strategy == "ctag-h"
+    orders = _line_orders(arch, n, cfg.seed)
     if not orders:
+        if not routed:
+            raise ValueError(f"no chain of {n} coupled sites in {arch.name}")
         return _route(g, arch, _bfs_placement(arch, n), ())
-    inits = [astar_initial_mapping(g, cfg.beam, cfg.seed)[0]]
-    ident = identity_mapping(n)
-    if ident.pi != inits[0].pi:
-        inits.append(ident)
-    # the pruned pattern depends only on the mapping; its first k cycles
-    # are the heuristic's prefix on every chain
-    pruned = [
-        (prune_pattern(g, m0, n), partial_pattern_cycles(g, m0, cfg.threshold))
-        for m0 in inits
-    ]
+
+    if cfg.strategy == "pattern-only":
+        inits = [identity_mapping(n)]
+    elif cfg.strategy == "ctag-r":
+        inits = [random_initial_mapping(n, cfg.seed)]
+    elif cfg.strategy == "ctag-i-iso":
+        inits = [iso_initial_mapping(g)[0]]
+    else:  # ctag-i-astar and ctag-h
+        inits = [astar_initial_mapping(g, cfg.beam, cfg.seed)[0]]
+        if routed and inits[0].pi != tuple(range(n)):
+            inits.append(identity_mapping(n))
+    # the pruned pattern depends only on the mapping; its first k cycles are
+    # the prefix a routed candidate continues on every chain, and a line
+    # strategy's prefix is the whole pattern
+    pruned = []
+    for m0 in inits:
+        base = prune_pattern(g, m0, n)
+        k = partial_pattern_cycles(g, m0, cfg.threshold) if routed else base.depth
+        pruned.append((base, k))
     candidates = []
-    for order in orders:
+    for order in orders if routed else orders[:1]:
         for base, k in pruned:
             full = _relabel(base, order, arch)
-            if k >= full.depth:
-                # the prefix runs every edge, so routing would copy the pattern
-                candidates.append(full)
-                continue
-            candidates.append(_route(g, arch, full.init, full.cycles[:k]))
-            if cfg.fallback_guard:
-                candidates.append(full)
-    # the text form only breaks ties, so only tied candidates are rendered
+            if k < full.depth:
+                # a prefix that ran every edge would only copy the pattern
+                candidates.append(_route(g, arch, full.init, full.cycles[:k]))
+            candidates.append(full)
+    # a lone candidate is not measured, and the text form only breaks ties,
+    # so only tied candidates are rendered
+    if len(candidates) == 1:
+        return candidates[0]
     keys = [(c.depth, c.cphase_count + c.swap_count) for c in candidates]
     low = min(keys)
     tied = [c for c, key in zip(candidates, keys) if key == low]

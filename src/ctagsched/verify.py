@@ -1,5 +1,4 @@
-"""Schedule verification oracle, depth/gate metrics, and a brute-force
-optimal-depth search for tiny instances.
+"""Schedule verification oracle and depth/gate metrics.
 
 The verifier replays a circuit from its initial mapping and derives every
 CPHASE's logical pair itself, so it never trusts the provenance annotations
@@ -7,7 +6,6 @@ the generators attach.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -151,83 +149,3 @@ def metrics(c: ScheduledCircuit, n: int) -> Metrics:
         swap_count=sw,
         decomposed_gate_count=3 * cp + 3 * sw + 2 * n,
     )
-
-
-def brute_force_optimal(
-    g: ProblemGraph, arch: Architecture, depth_cap: int = 12
-) -> int | None:
-    """Minimum abstract depth over all initial mappings, or None at the cap.
-
-    Breadth-first over (occupancy, remaining-edges) states, expanding every
-    non-empty qubit-disjoint set of currently legal gates per cycle; level
-    order makes the first hit the optimum.  Exponential, hence the hard size
-    limits.
-    """
-    if arch.q > 5:
-        raise ValueError("brute force limited to architectures with <= 5 qubits")
-    if depth_cap > 12:
-        raise ValueError("depth_cap limited to 12")
-    if g.n > arch.q:
-        raise ValueError("graph larger than architecture")
-    if not g.edges:
-        return 0
-
-    sites = range(arch.q)
-    edges = frozenset(g.edges)
-    couplings = sorted(arch.couplings)
-    start: set[tuple[tuple[int, ...], frozenset]] = set()
-    for placement in itertools.permutations(sites, g.n):
-        occ = [-1] * arch.q  # -1 marks an empty site
-        for logical, site in enumerate(placement):
-            occ[site] = logical
-        start.add((tuple(occ), edges))
-
-    def moves(state):
-        occ, remaining = state
-        cands = []
-        for a, b in couplings:
-            la, lb = occ[a], occ[b]
-            if la >= 0 and lb >= 0:
-                pair = (la, lb) if la < lb else (lb, la)
-                if pair in remaining:
-                    cands.append((CPHASE, a, b, pair))
-            cands.append((SWAP, a, b, None))
-        # all non-empty qubit-disjoint subsets of candidate gates
-        subsets = []
-
-        def grow(idx, used, chosen):
-            for i in range(idx, len(cands)):
-                kind, a, b, pair = cands[i]
-                if a in used or b in used:
-                    continue
-                chosen.append(cands[i])
-                subsets.append(tuple(chosen))
-                grow(i + 1, used | {a, b}, chosen)
-                chosen.pop()
-
-        grow(0, set(), [])
-        for subset in subsets:
-            occ2 = list(occ)
-            rem2 = remaining
-            for kind, a, b, pair in subset:
-                if kind == SWAP:
-                    occ2[a], occ2[b] = occ2[b], occ2[a]
-                else:
-                    rem2 = rem2 - {pair}
-            yield tuple(occ2), rem2
-
-    frontier = start
-    visited = set(start)
-    for depth in range(1, depth_cap + 1):
-        nxt = set()
-        for state in frontier:
-            for succ in moves(state):
-                if not succ[1]:
-                    return depth
-                if succ not in visited:
-                    visited.add(succ)
-                    nxt.add(succ)
-        frontier = nxt
-        if not frontier:
-            break
-    return None

@@ -1,0 +1,173 @@
+"""Reference models the tests check the package against.
+
+The closed-form position model of the clique pattern (where a qubit is after
+t outer loops, and which cyclic ranks it meets in loop t) and a brute-force
+optimal-depth search for tiny instances.  Nothing in the package calls them;
+the tests compare them with the layer stream, the meet table and the
+scheduler's circuits.
+"""
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+
+from ctagsched.graphs import Architecture, ProblemGraph
+from ctagsched.pattern import CPHASE, SWAP
+
+
+def _loop_step(n: int, p: int) -> int:
+    # one outer loop (S1 then S0): odd positions drift up 2, even drift down
+    # 2, with direction flips at the chain ends
+    if p == 0:
+        return 1
+    if n % 2 == 0 and p == n - 1:
+        return n - 2
+    if n % 2 == 1 and p == n - 2:
+        return n - 1
+    return p - 2 if p % 2 == 0 else p + 2
+
+
+def position_at(n: int, start_pos: int, t: int) -> int:
+    """Position of the qubit starting at start_pos after t outer loops."""
+    if not 0 <= start_pos < n:
+        raise ValueError(f"position {start_pos} out of range for n={n}")
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    p = start_pos
+    for _ in range(t % n):  # the loop permutation is a single n-cycle
+        p = _loop_step(n, p)
+    return p
+
+
+def cyclic_rank_shift(n: int) -> tuple[int, ...]:
+    """Position permutation of one outer loop; asserted to be one n-cycle."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    perm = tuple(_loop_step(n, p) for p in range(n))
+    seen = set()
+    p = 0
+    for _ in range(n):
+        if p in seen:
+            raise AssertionError(f"loop permutation for n={n} is not a single cycle")
+        seen.add(p)
+        p = perm[p]
+    return perm
+
+
+@lru_cache(maxsize=None)
+def _rank_start_positions(n: int) -> tuple[int, ...]:
+    # start position of the rank-k qubit: C_0 starts at P1 and consecutive
+    # ranks follow the loop permutation, so pos0(C_k) = step^k(1)
+    perm = cyclic_rank_shift(n)
+    out = []
+    p = 1 % n
+    for _ in range(n):
+        out.append(p)
+        p = perm[p]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _rank_of_start(n: int) -> tuple[int, ...]:
+    inv = [0] * n
+    for k, p in enumerate(_rank_start_positions(n)):
+        inv[p] = k
+    return tuple(inv)
+
+
+def interaction_ranks(n: int, i: int, t: int) -> frozenset[int]:
+    """Cyclic ranks the rank-i qubit executes with during full loop t.
+
+    Closed form over the two streams: a qubit whose rank-start position j is
+    even meets ranks i+j-2t and i+j-2t+1 (mod n); odd j mirrors through the
+    chain end and meets i+n-j-2t and i+n-j-2t-1.  A value equal to i itself
+    marks the boundary cycle where that qubit idles for one layer.
+    """
+    if not 0 <= i < n:
+        raise ValueError(f"rank {i} out of range for n={n}")
+    j = _rank_start_positions(n)[i]
+    if j % 2 == 0:
+        cand = ((i + j - 2 * t) % n, (i + j - 2 * t + 1) % n)
+    else:
+        cand = ((i + n - j - 2 * t) % n, (i + n - j - 2 * t - 1) % n)
+    return frozenset(c for c in cand if c != i)
+
+
+def brute_force_optimal(
+    g: ProblemGraph, arch: Architecture, depth_cap: int = 12
+) -> int | None:
+    """Minimum abstract depth over all initial mappings, or None at the cap.
+
+    Breadth-first over (occupancy, remaining-edges) states, expanding every
+    non-empty qubit-disjoint set of currently legal gates per cycle; level
+    order makes the first hit the optimum.  Exponential, hence the hard size
+    limits.
+    """
+    if arch.q > 5:
+        raise ValueError("brute force limited to architectures with <= 5 qubits")
+    if depth_cap > 12:
+        raise ValueError("depth_cap limited to 12")
+    if g.n > arch.q:
+        raise ValueError("graph larger than architecture")
+    if not g.edges:
+        return 0
+
+    sites = range(arch.q)
+    edges = frozenset(g.edges)
+    couplings = sorted(arch.couplings)
+    start: set[tuple[tuple[int, ...], frozenset]] = set()
+    for placement in itertools.permutations(sites, g.n):
+        occ = [-1] * arch.q  # -1 marks an empty site
+        for logical, site in enumerate(placement):
+            occ[site] = logical
+        start.add((tuple(occ), edges))
+
+    def moves(state):
+        occ, remaining = state
+        cands = []
+        for a, b in couplings:
+            la, lb = occ[a], occ[b]
+            if la >= 0 and lb >= 0:
+                pair = (la, lb) if la < lb else (lb, la)
+                if pair in remaining:
+                    cands.append((CPHASE, a, b, pair))
+            cands.append((SWAP, a, b, None))
+        # all non-empty qubit-disjoint subsets of candidate gates
+        subsets = []
+
+        def grow(idx, used, chosen):
+            for i in range(idx, len(cands)):
+                kind, a, b, pair = cands[i]
+                if a in used or b in used:
+                    continue
+                chosen.append(cands[i])
+                subsets.append(tuple(chosen))
+                grow(i + 1, used | {a, b}, chosen)
+                chosen.pop()
+
+        grow(0, set(), [])
+        for subset in subsets:
+            occ2 = list(occ)
+            rem2 = remaining
+            for kind, a, b, pair in subset:
+                if kind == SWAP:
+                    occ2[a], occ2[b] = occ2[b], occ2[a]
+                else:
+                    rem2 = rem2 - {pair}
+            yield tuple(occ2), rem2
+
+    frontier = start
+    visited = set(start)
+    for depth in range(1, depth_cap + 1):
+        nxt = set()
+        for state in frontier:
+            for succ in moves(state):
+                if not succ[1]:
+                    return depth
+                if succ not in visited:
+                    visited.add(succ)
+                    nxt.add(succ)
+        frontier = nxt
+        if not frontier:
+            break
+    return None

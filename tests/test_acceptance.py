@@ -23,16 +23,19 @@ from ctagsched.pattern import (
     CPHASE,
     _layer_stream,
     _pairs,
-    _rank_of_start,
     generate_2xn_pattern,
     generate_clique_pattern,
-    interaction_ranks,
     meet_cycle,
-    position_at,
     prune_pattern,
 )
 from ctagsched.scheduler import SchedulerConfig, schedule
-from ctagsched.verify import brute_force_optimal, metrics, verify
+from ctagsched.verify import metrics, verify
+from reference_models import (
+    _rank_of_start,
+    brute_force_optimal,
+    interaction_ranks,
+    position_at,
+)
 
 # brute-force optima for cliques on matching-size chains, computed once by
 # brute_force_optimal and frozen

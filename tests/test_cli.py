@@ -313,6 +313,33 @@ class TestVerify:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'{"init": [0, 1, 2],\n "cycles": [\xff]}\n', "line 2: byte 0xff is not UTF-8 text"),
+            (b"[" * 200000, "not valid JSON: nested too deeply"),
+            (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "cphase", "a": 0, "b": 1e400}]]}',
+             "site inf is not an integer"),
+            (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "cphase", "a": 0.9, "b": 1}]]}',
+             "site 0.9 is not an integer"),
+            (b'{"init": ["3", 1, 2, 0, 4, 5], "cycles": []}', "site '3' is not an integer"),
+            (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "swap", "a": true, "b": 2}]]}',
+             "site True is not an integer"),
+        ],
+        ids=["not-utf8", "deep-nesting", "overflowing-site", "fractional-site", "string-site",
+             "boolean-site"],
+    )
+    def test_malformed_schedule_file_exits_2(self, k6_file, tmp_path, capsys, body, message):
+        # only JSON integers are sites, and no schedule file ends in a traceback
+        p = tmp_path / "bad.sched.json"
+        p.write_bytes(body)
+        code, _, err = run(
+            capsys, "verify", "--schedule", str(p), "--graph", k6_file,
+            "--arch", "linear:6",
+        )
+        assert code == 2
+        assert message in err
+
 
 class TestBench:
     def test_clique_reference_row(self, capsys):

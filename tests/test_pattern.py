@@ -23,18 +23,16 @@ from ctagsched.pattern import (
     ScheduledCircuit,
     _layer_stream,
     _trim,
-    cyclic_rank_shift,
     from_json_dict,
     generate_2xn_pattern,
     generate_clique_pattern,
-    interaction_ranks,
     meet_cycle,
-    position_at,
     prune_pattern,
     to_json_dict,
     to_text,
 )
 from ctagsched.verify import verify
+from reference_models import cyclic_rank_shift, interaction_ranks, position_at
 
 # meet cycles for n=6, keyed by start-position pairs, frozen from a
 # cycle-by-cycle scan of the generated pattern
@@ -302,7 +300,7 @@ class TestInteractionRanks:
         Harvests, per full outer loop, which rank pairs interact, replaying
         the untrimmed stream through the trimmed circuit's CPHASE records.
         """
-        from ctagsched.pattern import _rank_of_start
+        from reference_models import _rank_of_start
 
         rank_of = _rank_of_start(n)
         by_loop: dict[int, dict[int, set[int]]] = {}

@@ -20,6 +20,7 @@ from ctagsched.graphs import (
     random_graph,
     random_initial_mapping,
 )
+from ctagsched.initial_mapping import astar_initial_mapping
 from ctagsched.pattern import (
     CPHASE,
     SWAP,
@@ -508,7 +509,7 @@ def route_inputs(draw):
     keep, rng = draw(st.floats(0.0, 1.0)), draw(st.randoms(use_true_random=False))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = make_problem_graph(n, [e for e in pairs if rng.random() < keep])
-    orders = _line_orders(arch, n, SchedulerConfig())
+    orders = _line_orders(arch, n, 0)
     if not orders:
         return g, arch, _bfs_placement(arch, n), ()
     m0 = Mapping(tuple(draw(st.permutations(range(n)))))
@@ -565,15 +566,16 @@ class TestScheduleEndToEnd:
         assert c.depth <= 4
         assert verify(c, g, arch).ok
 
-    def test_sparse_grid_instance(self):
+    def test_sparse_grid_instance(self, monkeypatch):
         # 12 vertices, density .25 on a 3x4 grid: the mapped pattern needs 21
         # cycles, the heuristic with two chain candidates lands under 8
         g = random_graph(12, 0.25, 17)
         arch = make_architecture("grid:3x4")
         ci = schedule(g, arch, SchedulerConfig(strategy="ctag-i-astar"))
         assert ci.depth == 21
-        h2 = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=2))
-        h1 = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=1))
+        h2 = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
+        monkeypatch.setattr(ctagsched.scheduler, "CHAINS", 1)
+        h1 = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
         assert h2.depth <= 8
         assert h2.depth <= h1.depth
         for c in (ci, h2, h1):
@@ -649,8 +651,27 @@ class TestScheduleEndToEnd:
         assert verify(c, g, arch).ok
 
 
-# sha256 of to_text for heuristic-only ctag-h runs (fallback_guard off, so
-# the round engine's output is what gets pinned), captured before the round
+def heuristic_only(g, arch):
+    # ctag-h's pool without the pattern candidates beside the routed ones, so
+    # the round engine's output is what wins: a covering prefix still gives
+    # its pattern, and with no chain the breadth-first placement is routed
+    n = g.n
+    orders = _line_orders(arch, n, 0)
+    if not orders:
+        return _route(g, arch, _bfs_placement(arch, n), ())
+    inits = [astar_initial_mapping(g, 8, 0)[0]]
+    if inits[0].pi != tuple(range(n)):
+        inits.append(identity_mapping(n))
+    pool = []
+    for order in orders:
+        for m0 in inits:
+            full = _relabel(prune_pattern(g, m0, n), order, arch)
+            k = partial_pattern_cycles(g, m0, 0.5)
+            pool.append(full if k >= full.depth else _route(g, arch, full.init, full.cycles[:k]))
+    return min(pool, key=lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c)))
+
+
+# sha256 of to_text for heuristic-only ctag-h runs, captured before the round
 # engine was rewritten for speed; ibm27 at n=25 has no 25-site chain and takes
 # the breadth-first placement path
 ROUND_ENGINE_DIGESTS = [
@@ -671,7 +692,7 @@ ROUND_ENGINE_DIGESTS = [
 def test_round_engine_output_is_pinned(arch_spec, n, dens, seed, digest):
     g = random_graph(n, dens, seed)
     arch = make_architecture(arch_spec)
-    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", fallback_guard=False))
+    c = heuristic_only(g, arch)
     assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
 
 
@@ -693,7 +714,7 @@ DENSE_ROUND_ENGINE_DIGESTS = [
 def test_dense_round_engine_output_is_pinned(arch_spec, n, dens, seed, digest):
     g = random_graph(n, dens, seed)
     arch = make_architecture(arch_spec)
-    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", fallback_guard=False))
+    c = heuristic_only(g, arch)
     assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
 
 
@@ -758,7 +779,7 @@ def test_ctag_h_prunes_once_per_initial_mapping(monkeypatch):
         return real(g, init, n)
 
     monkeypatch.setattr(ctagsched.scheduler, "prune_pattern", counting)
-    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=2))
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
     assert verify(c, g, arch).ok
     assert len(inits) == len(set(inits)) == 2
 
@@ -777,7 +798,7 @@ def test_text_form_is_rendered_only_for_ties(monkeypatch):
     monkeypatch.setattr(ctagsched.scheduler, "to_text", counting)
     g = random_graph(12, 0.25, 17)
     arch = make_architecture("grid:3x4")
-    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=2))
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
     assert verify(c, g, arch).ok
     assert rendered == []
 
@@ -831,9 +852,75 @@ def test_covering_prefix_is_not_routed(monkeypatch, g, arch_spec, routed):
 
     monkeypatch.setattr(ctagsched.scheduler, "_route", counting)
     arch = make_architecture(arch_spec)
-    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h", num_embeddings=2))
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
     assert verify(c, g, arch).ok
     assert len(calls) == routed
+
+
+# sha256 of to_text plus init under every strategy, in STRATEGIES order,
+# captured before the line strategies and ctag-h shared one candidate pool;
+# None marks a line strategy that finds no chain.  On K6 the four ctag-h
+# candidates tie on depth and gates, so their text decides the winner
+POOL_DIGESTS = {
+    "K6-grid2x3": (clique(6), "grid:2x3", (
+        "95534ee810d18315fbdbd99ba6f501629667d98bb83cc433afe6ffd9eade68b9",
+        "2468261765093697c7183dc2a477cdc392ecef28cf8384eef48007422fb6c864",
+        "f3dc8ee96b5623981af43c1fc9cd6d4aba2bd5f04ab6e332655df0abb1c44d93",
+        "f3dc8ee96b5623981af43c1fc9cd6d4aba2bd5f04ab6e332655df0abb1c44d93",
+        "f3dc8ee96b5623981af43c1fc9cd6d4aba2bd5f04ab6e332655df0abb1c44d93",
+    )),
+    "sparse-grid3x4": (random_graph(12, 0.25, 17), "grid:3x4", (
+        "732d9d4db5ca2cd5481c5786da1c1661197d07d88270ffafd848018e590ab7a9",
+        "cf46a87310ac76264cce18246aee47a1dfa47fad64eafcf4a773fa6e3e3bb358",
+        "bcc87a6ca11ce50bd3a88a5b0c635afb9311c46238a43233524d7ce8c7daf597",
+        "ed83f30c0dbe779c7d0afb9501f17e6a3ea4bffc183e0825e73f88b7601f070d",
+        "3d78541e55d0718557f09fabcb9348ee392c18e6d4157b811721812e7de34d56",
+    )),
+    "linear10": (random_graph(10, 0.4, 1), "linear:10", (
+        "262806dfe2a340ad9925ae346869988ef31b92e2cc2c3226e9216757a73db79b",
+        "6ee767dc0f6e68c718484e91ca1b2d0f56bb211a883147f28d55cca31305e371",
+        "2e0e679768f8b03700c0052f724ba7375e372eb7f42cde7535f25e803a2a6b3d",
+        "059598b6ae18fbd59cc9ea2947799228192768f1950ee3bdc9ac400e1977c624",
+        "2e0e679768f8b03700c0052f724ba7375e372eb7f42cde7535f25e803a2a6b3d",
+    )),
+    "ibm20-n16": (random_graph(16, 0.3, 2), "ibm20", (
+        "c1964507967bf3229b600481da3c0b04f93381c70958f35f6aaa389c1d9f1ffb",
+        "f5b8658166c7f2d474a2f321eb85b7e175a9b4b0eeaa0ae9d53cfad7a258477b",
+        "371888128ec9a41bf855f08bde656aaf32a28220b4501ed6fae4f48e87f3afd1",
+        "68ceef5229168961456892d8d85f9da4f5f85427d06c58a6a341bf2bb4c21ee7",
+        "6224a6f2ad536700467810d47b909a0d95591783bb28d1056155d10425ebdb61",
+    )),
+    "ibm27-n20": (random_graph(20, 0.3, 1), "ibm27", (
+        "2cf154e3a2b83d8027b64333748654cb60561fd876f8c34859d761ebcfc73538",
+        "078e72d8854b44a13fa959e2f4f4df3c84e755a5eb0c820cf0e3fe8cb397ec3a",
+        "0b1a2c3f055f9220b47fd7f213a20e98acbdea1a35ed15afbeafbf0479c41f7a",
+        "0b1a2c3f055f9220b47fd7f213a20e98acbdea1a35ed15afbeafbf0479c41f7a",
+        "0b1a2c3f055f9220b47fd7f213a20e98acbdea1a35ed15afbeafbf0479c41f7a",
+    )),
+    "ibm27-n24": (random_graph(24, 0.3, 1), "ibm27", (
+        None,
+        None,
+        None,
+        None,
+        "b7aa771f64e2733984434bc6071b9b02f9136062883c7db49cd1d96d04b69fe1",
+    )),
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", list(POOL_DIGESTS))
+def test_every_strategy_output_is_pinned(name, strategy):
+    g, spec, digests = POOL_DIGESTS[name]
+    digest = digests[STRATEGIES.index(strategy)]
+    arch = make_architecture(spec)
+    cfg = SchedulerConfig(strategy=strategy)
+    if digest is None:
+        with pytest.raises(ValueError, match=f"no chain of {g.n} coupled sites"):
+            schedule(g, arch, cfg)
+        return
+    c = schedule(g, arch, cfg)
+    blob = to_text(c) + " ".join(map(str, c.init.pi))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 BAD_CONFIGS = [
@@ -841,8 +928,6 @@ BAD_CONFIGS = [
     ({"threshold": -0.1}, "threshold"),
     ({"threshold": float("nan")}, "threshold"),
     ({"beam": 0}, "beam must be at least 1"),
-    ({"num_embeddings": 0}, "num_embeddings must be at least 1"),
-    ({"num_embeddings": -3}, "num_embeddings must be at least 1"),
 ]
 
 
@@ -858,10 +943,10 @@ def test_bad_config_is_rejected_by_every_strategy(bad, message, strategy, arch_s
 
 
 @st.composite
-def connected_devices(draw):
+def connected_devices(draw, max_q=14):
     # a random spanning tree plus random extra couplings; n <= q vertices,
     # any edge set, the empty one included
-    q = draw(st.integers(2, 14))
+    q = draw(st.integers(2, max_q))
     couplings = set()
     for v in range(1, q):
         u = draw(st.integers(0, v - 1))
@@ -881,6 +966,10 @@ def connected_devices(draw):
 @example((make_problem_graph(5, []), grid(2, 3)))
 def test_schedule_verifies_or_finds_no_chain(drawn):
     g, arch = drawn
+    assert_verifies_or_finds_no_chain(g, arch)
+
+
+def assert_verifies_or_finds_no_chain(g, arch):
     for strategy in STRATEGIES:
         try:
             c = schedule(g, arch, SchedulerConfig(strategy=strategy))
@@ -890,3 +979,19 @@ def test_schedule_verifies_or_finds_no_chain(drawn):
             assert str(exc).startswith(f"no chain of {g.n} coupled sites")
             continue
         assert verify(c, g, arch).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_devices(max_q=11))
+@example((make_problem_graph(1, []), linear(2)))
+@example((make_problem_graph(4, []), grid(2, 2)))
+def test_file_devices_verify_or_find_no_chain(tmp_path_factory, drawn):
+    # the same contract on a device read back from a coupling file, as
+    # `--arch file:PATH` loads it
+    g, device = drawn
+    path = tmp_path_factory.mktemp("device") / "coupling.txt"
+    pairs = sorted(device.couplings)
+    path.write_text(f"{device.q} {len(pairs)}\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+    arch = make_architecture(f"file:{path}")
+    assert arch.couplings == device.couplings
+    assert_verifies_or_finds_no_chain(g, arch)

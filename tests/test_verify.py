@@ -24,12 +24,8 @@ from ctagsched.pattern import (
     prune_pattern,
 )
 from ctagsched.scheduler import STRATEGIES, SchedulerConfig, schedule
-from ctagsched.verify import (
-    QAIM_IC_REFERENCE,
-    brute_force_optimal,
-    metrics,
-    verify,
-)
+from ctagsched.verify import QAIM_IC_REFERENCE, metrics, verify
+from reference_models import brute_force_optimal
 
 
 def circuit(cycles, init, arch):

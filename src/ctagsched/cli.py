@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
 from time import perf_counter
 
 from ctagsched.graphs import (
@@ -42,58 +41,26 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    n: int
-    density: float
-    seed: int
-    architecture: str
-    strategy: str
-    abstract_depth: int
-    decomposed_depth: int
-    cphase_count: int
-    swap_count: int
-    compile_time_ms: float
-    verified: bool
-    error: str = ""  # why the cell failed; not a CSV column
-
-    def as_record(self) -> dict:
-        return {
-            "n": self.n,
-            "density": format(self.density, "g"),
-            "seed": self.seed,
-            "architecture": self.architecture,
-            "strategy": self.strategy,
-            "abstract_depth": self.abstract_depth,
-            "decomposed_depth": self.decomposed_depth,
-            "cphase_count": self.cphase_count,
-            "swap_count": self.swap_count,
-            "compile_time_ms": f"{self.compile_time_ms:.3f}",
-            "verified": "true" if self.verified else "false",
-        }
-
-
-def _compile(g, arch, strategy: str, cfg: SchedulerConfig):
+def _compile(g, arch, cfg: SchedulerConfig):
     """Run one strategy; returns (circuit, compile seconds), timing covers
     scheduling only."""
     t0 = perf_counter()
-    c = schedule(g, arch, replace(cfg, strategy=strategy))
+    c = schedule(g, arch, cfg)
     return c, perf_counter() - t0
 
 
 def cmd_schedule(
     graph_file: str,
     arch_spec: str,
-    strategy: str,
     cfg: SchedulerConfig,
     out: str | None,
     fmt: str,
 ) -> int:
     g = load_problem_graph(graph_file)
     arch = make_architecture(arch_spec)
-    c, secs = _compile(g, arch, strategy, cfg)
+    c, secs = _compile(g, arch, cfg)
     report = verify(c, g, arch)
-    mx = metrics(c, g.n)
+    mx = metrics(c, g.n).to_json_dict()
 
     prefix = out if out is not None else os.path.splitext(graph_file)[0]
     text_path = prefix + ".sched.txt"
@@ -104,8 +71,8 @@ def cmd_schedule(
     with open(json_path, "w") as fh:
         json.dump(to_json_dict(c), fh, indent=2)
         fh.write("\n")
-    doc = mx.to_json_dict() | {
-        "strategy": strategy,
+    doc = mx | {
+        "strategy": cfg.strategy,
         "compile_time_ms": round(secs * 1000, 3),
         "verified": report.ok,
     }
@@ -116,15 +83,9 @@ def cmd_schedule(
     if fmt == "json":
         print(json.dumps(doc | {"files": [text_path, json_path, metrics_path]}, indent=2))
     else:
-        print(f"strategy: {strategy}")
-        for key in (
-            "abstract_depth",
-            "decomposed_depth",
-            "cphase_count",
-            "swap_count",
-            "decomposed_gate_count",
-        ):
-            print(f"{key}: {doc[key]}")
+        print(f"strategy: {cfg.strategy}")
+        for key, value in mx.items():
+            print(f"{key}: {value}")
         print(f"compile_time_ms: {doc['compile_time_ms']}")
         print(f"verified: {'true' if report.ok else 'false'}")
     if not report.ok:
@@ -171,26 +132,31 @@ def cmd_verify(schedule_file: str, graph_file: str, arch_spec: str, fmt: str) ->
     return 0 if report.ok else 1
 
 
-def _bench_cell(cell) -> BenchRow:
-    n, dens, seed, arch_spec, strategy, cfg_kw = cell
+def _bench_cell(cell) -> tuple[dict, str]:
+    """One bench cell's CSV record, and why the cell failed ("" when it
+    verified).  A failed cell reads -1 for every metric."""
+    n, dens, arch_spec, cfg = cell
+    record = dict.fromkeys(CSV_COLUMNS, -1) | {
+        "n": n,
+        "density": format(dens, "g"),
+        "seed": cfg.seed,
+        "architecture": arch_spec,
+        "strategy": cfg.strategy,
+        "compile_time_ms": "0.000",
+        "verified": "false",
+    }
     try:
-        g = random_graph(n, dens, seed)
+        g = random_graph(n, dens, cfg.seed)
         arch = make_architecture(arch_spec)
-        cfg = SchedulerConfig(seed=seed, **cfg_kw)
-        c, secs = _compile(g, arch, strategy, cfg)
+        c, secs = _compile(g, arch, cfg)
         ok = verify(c, g, arch).ok
-        mx = metrics(c, g.n)
-        return BenchRow(
-            n, dens, seed, arch_spec, strategy,
-            mx.abstract_depth, mx.decomposed_depth,
-            mx.cphase_count, mx.swap_count, secs * 1000, ok,
-            "" if ok else "verification failed",
-        )
+        mx = metrics(c, g.n).to_json_dict()
     except Exception as exc:
-        return BenchRow(
-            n, dens, seed, arch_spec, strategy, -1, -1, -1, -1, 0.0, False,
-            f"{type(exc).__name__}: {exc}",
-        )
+        return record, f"{type(exc).__name__}: {exc}"
+    record |= {k: v for k, v in mx.items() if k in record}
+    record["compile_time_ms"] = f"{secs * 1000:.3f}"
+    record["verified"] = "true" if ok else "false"
+    return record, "" if ok else "verification failed"
 
 
 def _parse_list(text: str, conv, flag: str) -> list:
@@ -219,7 +185,6 @@ def cmd_bench(args) -> int:
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
-    cfg_kw = {"threshold": args.threshold, "beam": args.beam}
 
     cells = []
     for n in ns:
@@ -229,16 +194,18 @@ def cmd_bench(args) -> int:
                     # bare "linear" sizes the chain to the instance
                     resolved = f"linear:{n}" if spec == "linear" else spec
                     for strat in strategies:
-                        cells.append((n, dens, seed, resolved, strat, cfg_kw))
+                        cfg = SchedulerConfig(strat, args.threshold, args.beam, seed)
+                        cells.append((n, dens, resolved, cfg))
+    # rows come back in cell order, from the pool as from the loop
+    cells.sort(key=lambda c: (c[0], c[1], c[3].seed, c[3].strategy))
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_cell, cells))
     else:
         rows = [_bench_cell(c) for c in cells]
-    rows.sort(key=lambda r: (r.n, r.density, r.seed, r.strategy))
 
-    records = [r.as_record() for r in rows]
+    records = [record for record, _ in rows]
     if args.format == "json":
         body = json.dumps(records, indent=2) + "\n"
     elif args.format == "text":
@@ -259,12 +226,12 @@ def cmd_bench(args) -> int:
             fh.write(body)
     else:
         sys.stdout.write(body)
-    for r in rows:
-        if not r.verified:
-            cell = (f"n={r.n} density={r.density:g} seed={r.seed} "
-                    f"arch={r.architecture} strategy={r.strategy}")
-            print(f"error: {cell}: {r.error}", file=sys.stderr)
-    return 0 if all(r.verified for r in rows) else 1
+    failed = [(r, error) for r, error in rows if error]
+    for r, error in failed:
+        cell = (f"n={r['n']} density={r['density']} seed={r['seed']} "
+                f"arch={r['architecture']} strategy={r['strategy']}")
+        print(f"error: {cell}: {error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -310,12 +277,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "schedule":
-            cfg = SchedulerConfig(
-                threshold=args.threshold, beam=args.beam, seed=args.seed
-            )
-            return cmd_schedule(
-                args.graph, args.arch, args.strategy, cfg, args.out, args.format
-            )
+            cfg = SchedulerConfig(args.strategy, args.threshold, args.beam, args.seed)
+            return cmd_schedule(args.graph, args.arch, cfg, args.out, args.format)
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_verify(args.schedule, args.graph, args.arch, args.format)

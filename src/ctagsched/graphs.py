@@ -8,6 +8,11 @@ from importlib import resources
 
 Edge = tuple[int, int]
 
+# The most sites a device may have.  Architecture.dist is all-pairs, so a
+# device past this costs memory no compile here can use; the largest device
+# any workload runs has 200 sites.
+MAX_SITES = 4096
+
 
 class GraphFormatError(ValueError):
     """Raised when a graph or architecture file is malformed.
@@ -159,8 +164,8 @@ def random_graph(n: int, dens, seed: int) -> ProblemGraph:
     for u in range(n - 1):
         starts.append(acc)
         acc += n - 1 - u
+    u = 0  # ranks ascend, so each one's row is at or after the last one's
     for r in sorted(chosen):
-        u = 0
         while u + 1 < n - 1 and starts[u + 1] <= r:
             u += 1
         v = u + 1 + (r - starts[u])
@@ -177,6 +182,7 @@ class Architecture:
     name: str = "custom"
 
     def __post_init__(self):
+        _check_sites(self.q, self.name)
         for a, b in self.couplings:
             if a == b or not (0 <= a < self.q and 0 <= b < self.q):
                 raise ValueError(f"bad coupling ({a}, {b}) for q={self.q}")
@@ -228,10 +234,16 @@ def shortest_dist(arch: Architecture, a: int, b: int) -> int:
     return arch.dist[a][b]
 
 
+def _check_sites(q: int, name: str) -> None:
+    if q > MAX_SITES:
+        raise ValueError(f"{name} has {q} sites, more than the {MAX_SITES} a device may have")
+
+
 def linear(n: int) -> Architecture:
     """Linear nearest-neighbor chain of n qubits."""
     if n < 1:
         raise ValueError("linear architecture needs n >= 1")
+    _check_sites(n, f"linear:{n}")
     return Architecture(n, frozenset((i, i + 1) for i in range(n - 1)), f"linear:{n}")
 
 
@@ -239,6 +251,7 @@ def grid(rows: int, cols: int) -> Architecture:
     """rows x cols lattice, row-major qubit ids."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
+    _check_sites(rows * cols, f"grid:{rows}x{cols}")
     edges = set()
     for r in range(rows):
         for c in range(cols):

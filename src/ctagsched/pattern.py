@@ -66,28 +66,15 @@ def _pairs(start: int, n: int) -> tuple[tuple[int, int], ...]:
 def _layer_stream(n: int):
     """Untrimmed (kind, pairs) stream of the clique pattern.
 
-    Even n: ceil(n/2) repetitions of [E0 E1 S1 S0].  Odd n drops the final S0
-    of the second-to-last repetition and ends on a lone E0 layer: a trailing
-    S0 would only permute within the pairs that E0 executes, so the same pairs
-    meet without it and the 2n-2 bound still holds.
+    2n-2 layers that cycle E0 E1 S1 S0.  For odd n the last layer, an S0,
+    is E0 instead: a trailing S0 would only permute within the pairs that E0
+    executes, so the same pairs meet without it and the 2n-2 bound still
+    holds.
     """
     e0, e1 = _pairs(0, n), _pairs(1, n)
-    if n % 2 == 0:
-        for _ in range(n // 2):
-            yield CPHASE, e0
-            yield CPHASE, e1
-            yield SWAP, e1
-            yield SWAP, e0
-    else:
-        for _ in range((n - 1) // 2 - 1):
-            yield CPHASE, e0
-            yield CPHASE, e1
-            yield SWAP, e1
-            yield SWAP, e0
-        yield CPHASE, e0
-        yield CPHASE, e1
-        yield SWAP, e1
-        yield CPHASE, e0
+    loop = ((CPHASE, e0), (CPHASE, e1), (SWAP, e1), (SWAP, e0))
+    for t in range(2 * n - 2):
+        yield (CPHASE, e0) if n % 2 and t == 2 * n - 3 else loop[t % 4]
 
 
 def generate_clique_pattern(n: int) -> ScheduledCircuit:
@@ -173,15 +160,6 @@ def meet_cycle(n: int, pos_a: int, pos_b: int) -> int:
     if not (0 <= pos_a < n and 0 <= pos_b < n):
         raise ValueError(f"positions out of range for n={n}")
     return _meet_table(n)[pos_a][pos_b]
-
-
-def _boustrophedon(cols: int) -> list[int]:
-    # column-major snake over grid(2, cols): top-bottom, bottom-top, ...
-    chain = []
-    for c in range(cols):
-        top, bottom = c, cols + c
-        chain.extend((top, bottom) if c % 2 == 0 else (bottom, top))
-    return chain
 
 
 def generate_2xn_pattern(n: int) -> ScheduledCircuit:

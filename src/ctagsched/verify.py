@@ -7,7 +7,7 @@ the generators attach.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ctagsched.graphs import Architecture, Mapping, ProblemGraph
 from ctagsched.pattern import CPHASE, SWAP, ScheduledCircuit
@@ -124,13 +124,7 @@ class Metrics:
     decomposed_gate_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "abstract_depth": self.abstract_depth,
-            "decomposed_depth": self.decomposed_depth,
-            "cphase_count": self.cphase_count,
-            "swap_count": self.swap_count,
-            "decomposed_gate_count": self.decomposed_gate_count,
-        }
+        return asdict(self)
 
 
 def metrics(c: ScheduledCircuit, n: int) -> Metrics:

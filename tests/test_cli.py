@@ -1,7 +1,10 @@
 """Command-line interface: schedule, verify, bench, and their exit codes."""
 
+import contextlib
 import csv
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,10 +12,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import ctagsched
+from ctagsched import cli
 from ctagsched.cli import CSV_COLUMNS, main
-from ctagsched.graphs import clique, make_problem_graph, random_graph, save_problem_graph
+from ctagsched.graphs import clique, linear, make_problem_graph, random_graph, save_problem_graph
+from ctagsched.pattern import to_json_dict
+from ctagsched.scheduler import STRATEGIES, schedule
 
 FIG_EDGES = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (1, 3), (2, 4)]
 
@@ -214,6 +222,32 @@ class TestSchedule:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: line 1: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "arch, message",
+        [
+            ("linear:99999999999999999999",
+             "linear:99999999999999999999 has 99999999999999999999 sites"),
+            ("grid:99999999999x99999999999",
+             "grid:99999999999x99999999999 has 9999999999800000000001 sites"),
+            ("file", "huge.arch has 50000000 sites"),
+        ],
+        ids=["linear", "grid", "coupling-file"],
+    )
+    def test_oversized_device_exits_1(self, fig_file, tmp_path, capsys, arch, message):
+        # refused before anything is built per site, not after memory runs out
+        if arch == "file":
+            dev = tmp_path / "huge.arch"
+            dev.write_text("50000000 0\n")
+            arch = f"file:{dev}"
+        code, _, err = run(
+            capsys, "schedule", "--graph", fig_file, "--arch", arch,
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert err.endswith("more than the 4096 a device may have\n")
+        assert not (tmp_path / "o.sched.json").exists()
 
     def test_too_small_arch_exits_1(self, k6_file, capsys):
         code, _, err = run(
@@ -453,3 +487,244 @@ class TestBench:
         )
         assert code == 1
         assert "error:" in err
+
+
+class TestOutputIsPinned:
+    """Every byte the CLI writes, captured before the bench rows became
+    their CSV records; a fake clock makes compile_time_ms read 62.5 ms."""
+
+    @pytest.fixture(autouse=True)
+    def fake_clock(self, monkeypatch):
+        monkeypatch.setattr(cli, "perf_counter", itertools.count(0, 0.0625).__next__)
+
+    BENCH_ARGS = ("bench", "--n", "6", "--density", "0.5", "--seed", "2,1",
+                  "--arch", "linear,grid:2x3", "--strategy", "pattern-only,ctag-h")
+    BENCH_CSV = [
+        "n,density,seed,architecture,strategy,abstract_depth,decomposed_depth,"
+        "cphase_count,swap_count,compile_time_ms,verified",
+        "6,0.5,1,linear:6,ctag-h,6,20,8,5,62.500,true",
+        "6,0.5,1,grid:2x3,ctag-h,6,20,8,3,62.500,true",
+        "6,0.5,1,linear:6,pattern-only,10,32,8,10,62.500,true",
+        "6,0.5,1,grid:2x3,pattern-only,10,32,8,10,62.500,true",
+        "6,0.5,2,linear:6,ctag-h,9,29,8,6,62.500,true",
+        "6,0.5,2,grid:2x3,ctag-h,6,20,8,4,62.500,true",
+        "6,0.5,2,linear:6,pattern-only,10,32,8,10,62.500,true",
+        "6,0.5,2,grid:2x3,pattern-only,10,32,8,10,62.500,true",
+    ]
+    BENCH_TEXT = [
+        "n  density  seed  architecture  strategy      abstract_depth  decomposed_depth  "
+        "cphase_count  swap_count  compile_time_ms  verified",
+        "6  0.5      1     linear:6      ctag-h        6               20                "
+        "8             5           62.500           true    ",
+        "6  0.5      1     grid:2x3      ctag-h        6               20                "
+        "8             3           62.500           true    ",
+        "6  0.5      1     linear:6      pattern-only  10              32                "
+        "8             10          62.500           true    ",
+        "6  0.5      1     grid:2x3      pattern-only  10              32                "
+        "8             10          62.500           true    ",
+        "6  0.5      2     linear:6      ctag-h        9               29                "
+        "8             6           62.500           true    ",
+        "6  0.5      2     grid:2x3      ctag-h        6               20                "
+        "8             4           62.500           true    ",
+        "6  0.5      2     linear:6      pattern-only  10              32                "
+        "8             10          62.500           true    ",
+        "6  0.5      2     grid:2x3      pattern-only  10              32                "
+        "8             10          62.500           true    ",
+    ]
+    BENCH_JSON_SHA256 = "19898c5562cd0e67b5abba9bbbc9a2f7316248232a6e5613c89e04f959bba478"
+    SCHEDULE_DOC = [
+        "{",
+        '  "abstract_depth": 9,',
+        '  "decomposed_depth": 29,',
+        '  "cphase_count": 7,',
+        '  "swap_count": 10,',
+        '  "decomposed_gate_count": 63,',
+        '  "strategy": "ctag-r",',
+        '  "compile_time_ms": 62.5,',
+        '  "verified": true',
+    ]
+
+    def test_bench_csv(self, capsys):
+        code, stdout, err = run(capsys, *self.BENCH_ARGS)
+        assert (code, err) == (0, "")
+        assert stdout == "\r\n".join(self.BENCH_CSV) + "\r\n"
+
+    def test_bench_text(self, capsys):
+        code, stdout, err = run(capsys, *self.BENCH_ARGS, "--format", "text")
+        assert (code, err) == (0, "")
+        assert stdout == "\n".join(self.BENCH_TEXT) + "\n"
+
+    def test_bench_json(self, capsys):
+        code, stdout, err = run(capsys, *self.BENCH_ARGS, "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.BENCH_JSON_SHA256
+        ints = {"n", "seed", "abstract_depth", "decomposed_depth", "cphase_count", "swap_count"}
+        expected = [
+            {k: int(v) if k in ints else v for k, v in row.items()}
+            for row in csv.DictReader(io.StringIO("\n".join(self.BENCH_CSV)))
+        ]
+        assert json.loads(stdout) == expected
+
+    def test_bench_failed_cells(self, capsys):
+        code, stdout, err = run(
+            capsys, "bench", "--n", "6", "--density", "0.5", "--seed", "1",
+            "--arch", "grid:2x2", "--strategy", "ctag-h,ctag-r", "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(stdout) == [
+            {"n": 6, "density": "0.5", "seed": 1, "architecture": "grid:2x2",
+             "strategy": strategy, "abstract_depth": -1, "decomposed_depth": -1,
+             "cphase_count": -1, "swap_count": -1, "compile_time_ms": "0.000",
+             "verified": "false"}
+            for strategy in ("ctag-h", "ctag-r")
+        ]
+        assert err == "".join(
+            f"error: n=6 density=0.5 seed=1 arch=grid:2x2 strategy={strategy}: "
+            "ValueError: grid:2x2 has 4 qubits, input needs 6\n"
+            for strategy in ("ctag-h", "ctag-r")
+        )
+
+    def schedule(self, capsys, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        save_problem_graph(make_problem_graph(6, FIG_EDGES), "ladder.graph")
+        code, stdout, err = run(
+            capsys, "schedule", "--graph", "ladder.graph", "--arch", "grid:2x3",
+            "--strategy", "ctag-r", "--seed", "3", "--format", fmt, "--out", "run",
+        )
+        assert (code, err) == (0, "")
+        assert Path("run.metrics.json").read_text() == "\n".join(self.SCHEDULE_DOC) + "\n}\n"
+        return stdout
+
+    def test_schedule_text(self, capsys, tmp_path, monkeypatch):
+        stdout = self.schedule(capsys, tmp_path, monkeypatch, "text")
+        assert stdout == (
+            "strategy: ctag-r\nabstract_depth: 9\ndecomposed_depth: 29\ncphase_count: 7\n"
+            "swap_count: 10\ndecomposed_gate_count: 63\ncompile_time_ms: 62.5\n"
+            "verified: true\n"
+        )
+
+    def test_schedule_json(self, capsys, tmp_path, monkeypatch):
+        stdout = self.schedule(capsys, tmp_path, monkeypatch, "json")
+        files = ['    "run.sched.txt",', '    "run.sched.json",', '    "run.metrics.json"']
+        assert stdout == "\n".join(
+            self.SCHEDULE_DOC[:-1] + ['  "verified": true,', '  "files": ['] + files + ["  ]", "}"]
+        ) + "\n"
+
+
+# The CLI contract: every outcome is exit 0, 1 or 2, and no input ends in a
+# traceback.  Hypothesis draws argument lists from a small grammar of good
+# and bad files, device specs and values, and runs main() in this process.
+# Each good value is drawn four times as often as each bad one, so that
+# whole commands also get through to a schedule and a verify.
+
+GOOD_GRAPHS = {
+    "ladder": "6 7\n" + "".join(f"{a} {b}\n" for a, b in FIG_EDGES),
+    "k8": "8 28\n" + "".join(f"{a} {b}\n" for a in range(8) for b in range(a + 1, 8)),
+    "one-vertex": "1 0\n",
+}
+BAD_GRAPHS = {
+    "bad-line": "4 2\n0 1\n0 one\n",
+    "short-count": "4 3\n0 1\n",
+    "empty": "",
+    "not-utf8": b"\xff 3 2\n0 1\n",
+    "huge": "50000000 0\n",
+}
+COUPLING_FILES = {
+    "line6": "6 5\n" + "".join(f"{i} {i + 1}\n" for i in range(5)),
+    "bad-site": "3 2\n0 1\n1 7\n",
+    "disconnected": "4 1\n0 1\n",
+    "huge": "50000000 0\n",
+    "not-utf8": b"\xff\n",
+}
+
+
+def mostly(good, bad):
+    return st.sampled_from(list(good) * 4 + list(bad))
+
+
+GRAPHS = mostly(
+    [f"{name}.graph" for name in GOOD_GRAPHS],
+    [f"{name}.graph" for name in BAD_GRAPHS] + ["missing.graph"],
+)
+ARCHS = mostly(
+    ["linear:6", "linear:8", "grid:2x3", "grid:3x3", "ibm20", "ibm27", "file:line6.arch"],
+    ["linear", "linear:0", "linear:-3", "grid:2x", "torus:3x3", "file:missing.arch",
+     "linear:99999999999999999999", "grid:99999x99999"]
+    + [f"file:{name}.arch" for name in COUPLING_FILES if name != "line6"],
+)
+STRATEGY_NAMES = mostly(STRATEGIES, ["ctag", ""])
+SEEDS = mostly(["0", "3"], ["-1", "x"])
+THRESHOLDS = mostly(["0.5", "0", "1"], ["2", "-1", "nan", "inf", "x"])
+BEAMS = mostly(["8", "1"], ["0", "-1", "x"])
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    files = {f"{name}.graph": body for name, body in (GOOD_GRAPHS | BAD_GRAPHS).items()}
+    files |= {f"{name}.arch": body for name, body in COUPLING_FILES.items()}
+    valid = to_json_dict(schedule(make_problem_graph(6, FIG_EDGES), linear(6)))
+    tampered = json.loads(json.dumps(valid))
+    tampered["cycles"][0] = tampered["cycles"][0][1:]
+    files |= {
+        "valid.sched.json": json.dumps(valid),
+        "tampered.sched.json": json.dumps(tampered),
+        "not-utf8.sched.json": b'{"init": [\xff]}',
+        "not-json.sched.json": "{\n broken\n",
+        "not-a-schedule.sched.json": "[1, 2]",
+    }
+    for name, body in files.items():
+        (d / name).write_bytes(body if isinstance(body, bytes) else body.encode())
+    (d / "out").mkdir()
+    return d
+
+
+@st.composite
+def cli_argvs(draw, command):
+    if command == "schedule":
+        return ["schedule", "--graph", draw(GRAPHS), "--arch", draw(ARCHS),
+                "--strategy", draw(STRATEGY_NAMES), "--seed", draw(SEEDS),
+                "--threshold", draw(THRESHOLDS), "--beam", draw(BEAMS),
+                "--format", draw(mostly(["text", "json"], ["csv"])),
+                "--out", draw(mostly(["out/run"], ["missing/run"]))]
+    if command == "bench":
+        def listed(items):
+            return ",".join(draw(st.lists(items, min_size=1, max_size=2)))
+
+        # --jobs stays at 1 or below: a pool would start processes per example
+        return ["bench", "--n", listed(mostly(["2", "6", "8"], ["1", "0", "x"])),
+                "--density", listed(mostly(["0.5", "1.0"], ["0.01", "1.5", "0", "nan"])),
+                "--seed", listed(SEEDS), "--arch", listed(ARCHS),
+                "--strategy", listed(STRATEGY_NAMES),
+                "--threshold", draw(THRESHOLDS), "--beam", draw(BEAMS),
+                "--jobs", draw(mostly(["1"], ["0", "-2", "x"])),
+                "--format", draw(mostly(["csv", "json", "text"], ["yaml"]))]
+    schedule_file = draw(mostly(
+        ["valid"], ["tampered", "not-utf8", "not-json", "not-a-schedule", "missing"]
+    ))
+    return ["verify", "--schedule", f"{schedule_file}.sched.json",
+            "--graph", draw(GRAPHS), "--arch", draw(ARCHS),
+            "--format", draw(mostly(["text", "json"], ["csv"]))]
+
+
+@pytest.mark.parametrize("command", ["schedule", "bench", "verify"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_cli_outcome_is_an_exit_code(contract_dir, command, data):
+    argv = data.draw(cli_argvs(command))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(contract_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:  # says why, on stderr or in a failed report
+        assert err.getvalue() or "ok" in out.getvalue()

@@ -1,12 +1,17 @@
 """Problem graphs, architectures, mappings, and their file formats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctagsched.graphs import (
+    MAX_SITES,
     Architecture,
     GraphFormatError,
     Mapping,
     ProblemGraph,
+    SplitMix64,
+    _edge_count,
     clique,
     density,
     grid,
@@ -29,6 +34,35 @@ RG_10_05_1 = [
     (1, 9), (2, 4), (2, 7), (2, 8), (2, 9), (3, 5), (3, 9), (4, 6),
     (5, 6), (5, 7), (5, 9), (6, 8), (7, 8), (7, 9), (8, 9),
 ]
+
+
+
+def ref_random_graph(n, dens, seed):
+    # random_graph as it was when it decoded every rank from row 0
+    if n < 2:
+        raise ValueError(f"random_graph needs n >= 2, got {n}")
+    total = n * (n - 1) // 2
+    m = _edge_count(n, dens)
+    if m == 0:
+        raise ValueError(f"density {dens} rounds to zero edges for n={n}")
+    rng = SplitMix64(seed)
+    chosen: set[int] = set()
+    for j in range(total - m, total):
+        t = rng.below(j + 1)
+        chosen.add(t if t not in chosen else j)
+    edges = []
+    starts = []
+    acc = 0
+    for u in range(n - 1):
+        starts.append(acc)
+        acc += n - 1 - u
+    for r in sorted(chosen):
+        u = 0
+        while u + 1 < n - 1 and starts[u + 1] <= r:
+            u += 1
+        v = u + 1 + (r - starts[u])
+        edges.append((u, v))
+    return ProblemGraph(n, frozenset(edges))
 
 
 class TestProblemGraph:
@@ -87,6 +121,21 @@ class TestRandomGraph:
 
     def test_density_one_is_clique(self):
         assert random_graph(7, 1.0, 3).edges == clique(7).edges
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 60),
+        st.floats(0, 1, exclude_min=True) | st.sampled_from([1.0, 0.5, 0.1, 0.3]),
+        st.integers(0, 2**64),
+    )
+    def test_matches_the_per_rank_decode(self, n, dens, seed):
+        try:
+            expected = ref_random_graph(n, dens, seed)
+        except ValueError:  # rounds to zero edges
+            with pytest.raises(ValueError):
+                random_graph(n, dens, seed)
+            return
+        assert random_graph(n, dens, seed) == expected
 
     def test_rejects_bad_density(self):
         with pytest.raises(ValueError):
@@ -152,6 +201,15 @@ class TestMakeArchitecture:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             make_architecture("torus:3x3")
+
+    def test_site_ceiling(self):
+        assert make_architecture(f"linear:{MAX_SITES}").q == MAX_SITES
+        assert make_architecture("grid:64x64").q == MAX_SITES == 4096
+        for spec in (f"linear:{MAX_SITES + 1}", "grid:64x65", "grid:4097x1"):
+            with pytest.raises(ValueError, match=f"more than the {MAX_SITES} a device may have"):
+                make_architecture(spec)
+        with pytest.raises(ValueError, match="custom has 4097 sites"):
+            Architecture(MAX_SITES + 1, frozenset())
 
     def test_bad_linear_size(self):
         with pytest.raises(ValueError):

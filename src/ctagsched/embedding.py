@@ -1,11 +1,11 @@
-"""Line embeddings: ordered chains of consecutively-coupled physical qubits.
+"""Line embeddings: chains of distinct sites, each coupled to the next.
 
-Grids get a deterministic generalized Hilbert traversal; everything else goes
-through a budgeted backtracking search for Hamiltonian (sub)paths.
+A chain is a plain tuple of site ids.  Grids get a deterministic generalized
+Hilbert traversal; everything else goes through a budgeted backtracking
+search for Hamiltonian (sub)paths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from ctagsched.graphs import Architecture, SplitMix64
@@ -15,21 +15,10 @@ class EmbeddingBudgetExceeded(RuntimeError):
     """Search budget ran out before finding a path or proving none exists."""
 
 
-@dataclass(frozen=True)
-class LineEmbedding:
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.order)) != len(self.order):
-            raise ValueError("embedding repeats a qubit")
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def canonical(self) -> tuple[int, ...]:
-        # forward and reverse traversals are the same embedding
-        rev = tuple(reversed(self.order))
-        return min(self.order, rev)
+def canonical(chain) -> tuple[int, ...]:
+    """The chain or its reverse, whichever is smaller: a chain traversed
+    either way is the same embedding."""
+    return min(chain, chain[::-1])
 
 
 def _sgn(x: int) -> int:
@@ -78,7 +67,7 @@ def _gilbert(x, y, ax, ay, bx, by, out):
         )
 
 
-def hilbert_embedding(rows: int, cols: int) -> LineEmbedding:
+def hilbert_embedding(rows: int, cols: int) -> tuple[int, ...]:
     """Deterministic Hilbert-style Hamiltonian path over grid(rows, cols).
 
     The rectangle-splitting recursion covers any grid with an even side with
@@ -107,7 +96,7 @@ def hilbert_embedding(rows: int, cols: int) -> LineEmbedding:
         cells = prefix + [(cols - 1 - c, r + 1) for c, r in sub]
     else:
         cells = run(cols, rows)
-    return LineEmbedding(tuple(r * cols + c for c, r in cells))
+    return tuple(r * cols + c for c, r in cells)
 
 
 def find_line_embedding(
@@ -115,21 +104,23 @@ def find_line_embedding(
     seed: int = 0,
     length: int | None = None,
     budget: int = 10**6,
-) -> LineEmbedding | None:
+) -> tuple[int, ...] | None:
     """Backtracking search for a chain of `length` distinct coupled qubits.
 
     length defaults to arch.q (a full Hamiltonian path).  Neighbors are tried
     fewest-onward-moves first (Warnsdorff); the seed only perturbs tie order.
     Returns None when the exhausted search proves no such chain exists; raises
     EmbeddingBudgetExceeded after `budget` node expansions, which is an
-    "unknown" outcome rather than a proof.
+    "unknown" outcome rather than a proof.  The depth-first search keeps one
+    neighbour iterator per path site on an explicit stack, so a chain may be
+    longer than the interpreter's recursion limit.
     """
     q = arch.q
     target = q if length is None else length
     if not 1 <= target <= q:
         raise ValueError(f"length {target} out of range for {q} qubits")
     if target == 1:
-        return LineEmbedding((0,))
+        return (0,)
     if target == q and sum(1 for v in range(q) if len(arch.adj[v]) == 1) > 2:
         # more than two pendant vertices cannot all be path endpoints
         return None
@@ -144,7 +135,9 @@ def find_line_embedding(
     on_path = [False] * q
     free_deg = [len(arch.adj[v]) for v in range(q)]
 
-    def dfs(v: int) -> bool:
+    def extend(v: int):
+        # put v on the path; None once the path is long enough, else v's
+        # free neighbours in the order they are tried
         nonlocal expansions
         expansions += 1
         if expansions > budget:
@@ -154,23 +147,28 @@ def find_line_embedding(
         for u in arch.adj[v]:
             free_deg[u] -= 1
         if len(path) == target:
-            return True
-        nbrs = sorted(
+            return None
+        return iter(sorted(
             (u for u in arch.adj[v] if not on_path[u]),
             key=lambda u: (free_deg[u], salt[u]),
-        )
-        for u in nbrs:
-            if dfs(u):
-                return True
-        path.pop()
-        on_path[v] = False
-        for u in arch.adj[v]:
-            free_deg[u] += 1
-        return False
+        ))
 
     for s in starts:
-        if dfs(s):
-            return LineEmbedding(tuple(path))
+        stack = [extend(s)]
+        while stack:
+            u = next(stack[-1], None)
+            if u is None:
+                # every way on from the path's last site failed: retract it
+                stack.pop()
+                v = path.pop()
+                on_path[v] = False
+                for w in arch.adj[v]:
+                    free_deg[w] += 1
+                continue
+            nbrs = extend(u)
+            if nbrs is None:
+                return tuple(path)
+            stack.append(nbrs)
     return None
 
 
@@ -180,30 +178,30 @@ def multi_embeddings(
     seed: int = 0,
     length: int | None = None,
     budget: int = 10**6,
-) -> list[LineEmbedding]:
-    """Up to k distinct embeddings from re-seeded searches (reverses dedup)."""
+) -> list[tuple[int, ...]]:
+    """Up to k distinct chains from re-seeded searches (reverses dedup)."""
     if k < 1:
         raise ValueError("k must be positive")
-    found: list[LineEmbedding] = []
+    found: list[tuple[int, ...]] = []
     seen = set()
     for attempt in range(8 * k + 16):
         try:
-            emb = find_line_embedding(arch, seed + attempt, length, budget)
+            chain = find_line_embedding(arch, seed + attempt, length, budget)
         except EmbeddingBudgetExceeded:
             continue
-        if emb is None:
+        if chain is None:
             break
-        key = emb.canonical()
+        key = canonical(chain)
         if key not in seen:
             seen.add(key)
-            found.append(emb)
+            found.append(chain)
         if len(found) == k:
             break
     return found
 
 
-def device_embedding(name: str) -> LineEmbedding:
+def device_embedding(name: str) -> tuple[int, ...]:
     """Cached chain for a shipped device topology (ibm20 full path, ibm27 the
     longest chain it admits; six pendants rule out a full Hamiltonian path)."""
     text = resources.files("ctagsched.data").joinpath(f"embeddings/{name}.txt").read_text()
-    return LineEmbedding(tuple(int(tok) for tok in text.split()))
+    return tuple(int(tok) for tok in text.split())

@@ -148,6 +148,9 @@ def random_graph(n: int, dens, seed: int) -> ProblemGraph:
     """
     if n < 2:
         raise ValueError(f"random_graph needs n >= 2, got {n}")
+    if n > MAX_SITES:
+        # no device could host it, and the edge sample could exhaust memory
+        raise ValueError(f"random_graph needs n <= MAX_SITES = {MAX_SITES}, got {n}")
     total = n * (n - 1) // 2
     m = _edge_count(n, dens)
     if m == 0:
@@ -227,6 +230,15 @@ class Architecture:
 
     def coupled(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in self.couplings
+
+    def is_chain(self, sites) -> bool:
+        """True when `sites` are distinct sites of this device and each one
+        is coupled to the next."""
+        return (
+            len(set(sites)) == len(sites)
+            and all(0 <= s < self.q for s in sites)
+            and all(self.coupled(a, b) for a, b in zip(sites, sites[1:]))
+        )
 
 
 def shortest_dist(arch: Architecture, a: int, b: int) -> int:

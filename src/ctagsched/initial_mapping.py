@@ -127,13 +127,17 @@ def astar_initial_mapping(
 
 
 def iso_initial_mapping(
-    g: ProblemGraph, budget: int = ISO_NODE_BUDGET
+    g: ProblemGraph,
+    budget: int = ISO_NODE_BUDGET,
+    beam: int | None = 8,
+    tie_seed: int = 0,
 ) -> tuple[Mapping, int]:
     """astar_initial_mapping refined by an exact, node-budgeted search.
 
     Depth-first branch and bound over the meet table in astar's vertex
-    order, starting from the beam-8 astar mapping as the incumbent and
-    looking only for strictly fewer finishing cycles.  A vertex of degree d
+    order, starting from astar's mapping under `beam` and `tie_seed` as
+    the incumbent and looking only for strictly fewer finishing cycles.
+    beam and tie_seed take astar's defaults.  A vertex of degree d
     placed at position p cannot finish before the d-th smallest meet in row
     p of the table (it meets one partner per cycle), which bounds every
     placement from below.  The search ends when it proves the incumbent
@@ -141,7 +145,7 @@ def iso_initial_mapping(
     placements; it returns the best mapping found and its finishing cycle
     count, as astar_initial_mapping does.
     """
-    mapping, depth = astar_initial_mapping(g)
+    mapping, depth = astar_initial_mapping(g, beam, tie_seed)
     n = g.n
     table = _meet_table(n)
     order, placed_nbrs = _search_order(g)

@@ -2,12 +2,13 @@
 
 The clique pattern alternates two CPHASE layers with two SWAP layers so that
 every qubit pair becomes adjacent, and executes, exactly once within 2n-2
-cycles.  _layer_stream yields those layers; prune_pattern walks the stream
-once and keeps only the CPHASEs of an input graph under an initial mapping,
-and the full pattern is the pruning of the clique under the natural mapping.
-The module also holds the meet table (the cycle at which any two start
-positions execute) and the 2xN grid variant that drops every second SWAP
-layer.
+cycles.  _layer_stream yields those layers over chain positions 0..n-1;
+prune_pattern walks the stream once, lays it on a chain of a device's sites
+and keeps only the CPHASEs of an input graph under an initial mapping.  The
+full pattern is the pruning of the clique onto linear(n) under the natural
+mapping.  The module also holds the meet table (the cycle at which any two
+start positions execute) and the 2xN grid variant that drops every second
+SWAP layer.
 """
 from __future__ import annotations
 
@@ -85,7 +86,7 @@ def generate_clique_pattern(n: int) -> ScheduledCircuit:
     """
     if n < 2:
         raise ValueError(f"pattern needs n >= 2, got {n}")
-    return prune_pattern(clique(n), identity_mapping(n), n)
+    return prune_pattern(clique(n), identity_mapping(n), linear(n), range(n))
 
 
 def _trim(cycles) -> tuple[tuple[Gate, ...], ...]:
@@ -97,18 +98,22 @@ def _trim(cycles) -> tuple[tuple[Gate, ...], ...]:
     return tuple(tuple(c) for c in cycles[: last + 1])
 
 
-def prune_pattern(g: ProblemGraph, init: Mapping, n: int) -> ScheduledCircuit:
-    """Clique pattern on linear(n) restricted to g's edges under init.
+def prune_pattern(
+    g: ProblemGraph, init: Mapping, arch: Architecture, chain
+) -> ScheduledCircuit:
+    """Clique pattern laid on `chain` in arch, restricted to g's edges under init.
 
-    One walk of the layer stream: SWAP layers are kept whole (the two
-    distinct ones are built once and shared), and a CPHASE is kept only when
-    the logical pair on its two positions is an edge of g.
+    init places each logical qubit on a chain position 0..n-1, and position
+    p is site chain[p].  One walk of the layer stream: SWAP layers are kept
+    whole (the two distinct ones are built once and shared), and a CPHASE is
+    kept only when the logical pair on its two positions is an edge of g.
     Execution cycles emptied by pruning stay as empty cycles (the SWAP
     cadence around them is unchanged), but everything after the last
     surviving CPHASE is removed.
     """
-    if g.n != n:
-        raise ValueError(f"graph has {g.n} vertices, pattern needs {n}")
+    n = g.n
+    if len(chain) != n or not arch.is_chain(chain):
+        raise ValueError(f"chain must be {n} distinct coupled sites of {arch.name}")
     if init.n != n or any(not 0 <= p < n for p in init.pi):
         raise ValueError("init must map g's vertices onto positions 0..n-1")
     occ = [0] * n  # occ[position] = logical qubit
@@ -116,6 +121,8 @@ def prune_pattern(g: ProblemGraph, init: Mapping, n: int) -> ScheduledCircuit:
         occ[p] = l
     edges = g.edges
     cycles = []
+    # link[p]: the sites of chain positions p and p + 1, smaller first
+    link = [(a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])]
     # the stream repeats two SWAP layers (the same pairs objects), so each
     # is built once and its tuple shared by every cycle that repeats it
     swap_layers: dict[int, tuple[Gate, ...]] = {}
@@ -123,7 +130,7 @@ def prune_pattern(g: ProblemGraph, init: Mapping, n: int) -> ScheduledCircuit:
         if kind == SWAP:
             layer = swap_layers.get(id(pairs))
             if layer is None:
-                layer = swap_layers[id(pairs)] = tuple(Gate(SWAP, a, b) for a, b in pairs)
+                layer = swap_layers[id(pairs)] = tuple(Gate(SWAP, *link[a]) for a, _ in pairs)
             cycles.append(layer)
             for a, b in pairs:
                 occ[a], occ[b] = occ[b], occ[a]
@@ -133,9 +140,9 @@ def prune_pattern(g: ProblemGraph, init: Mapping, n: int) -> ScheduledCircuit:
             la, lb = occ[a], occ[b]
             pair = (la, lb) if la < lb else (lb, la)
             if pair in edges:
-                gates.append(Gate(CPHASE, a, b, pair))
+                gates.append(Gate(CPHASE, *link[a], pair))
         cycles.append(tuple(gates))
-    return ScheduledCircuit(_trim(cycles), init, linear(n))
+    return ScheduledCircuit(_trim(cycles), Mapping(tuple(chain[p] for p in init.pi)), arch)
 
 
 @lru_cache(maxsize=None)

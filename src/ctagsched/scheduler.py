@@ -10,13 +10,14 @@ chain of g.n coupled sites under its own initial mappings:
                  node-budgeted search over the meet table
   ctag-h         the beam-searched mapping, then the natural one if it differs
 
-The line strategies take the first chain, ctag-h up to CHAINS of them, and
-each (chain, mapping) pair gives the relabelled pattern as a candidate.  Only
-ctag-h routes: ahead of each pattern it adds a candidate that runs the
-pattern's first cycles and schedules the rest with matching/swap-routing
-rounds.  A prefix that covers the whole pruned pattern has run every edge, so
-the pattern alone is that candidate.  With no chain, a line strategy raises
-ValueError and ctag-h routes from a breadth-first placement and no prefix.
+A chain is a tuple of sites.  The line strategies take one chain, ctag-h up
+to CHAINS of them, and each (chain, mapping) pair gives the pattern pruned
+onto that chain as a candidate.  Only ctag-h routes: ahead of each pattern
+it adds a candidate that runs the pattern's first cycles and schedules the
+rest with matching/swap-routing rounds.  A prefix that covers the whole
+pruned pattern has run every edge, so the pattern alone is that candidate.
+With no chain, a line strategy raises ValueError and ctag-h routes from a
+breadth-first placement and no prefix.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from collections import Counter, deque
 from dataclasses import InitVar, dataclass, field
 
 from ctagsched.embedding import (
+    canonical,
     device_embedding,
     hilbert_embedding,
     multi_embeddings,
@@ -176,25 +178,25 @@ def maximal_matching(edges, mapping: Mapping | list[int]) -> list[Edge]:
 
 
 def _shortest_paths(arch: Architecture, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
-    # first `limit` shortest s-t site paths in lexicographic order; arch.adj
-    # rows are sorted and dist is symmetric, so row t gives every d(., t)
+    # first `limit` shortest paths from s to a distinct t, in lexicographic
+    # order (arch.adj rows are sorted; row t of dist gives every d(., t)),
+    # by a depth-first walk on an explicit stack that no path length limits
     dt = arch.dist[t]
     adj = arch.adj
     out: list[tuple[int, ...]] = []
-
-    def walk(p: int, prefix: list[int]) -> None:
-        if len(out) >= limit:
-            return
-        if p == t:
-            out.append(tuple(prefix))
-            return
-        for q in adj[p]:
-            if dt[q] == dt[p] - 1:
-                prefix.append(q)
-                walk(q, prefix)
-                prefix.pop()
-
-    walk(s, [s])
+    path = [s]
+    stack = [iter(adj[s])]
+    while stack and len(out) < limit:
+        q = next(stack[-1], None)
+        if q is None:
+            stack.pop()
+            path.pop()
+        elif dt[q] == dt[path[-1]] - 1:
+            if q == t:
+                out.append((*path, t))
+            else:
+                path.append(q)
+                stack.append(iter(adj[q]))
     return out
 
 
@@ -395,63 +397,33 @@ def _run_rounds(state: SchedulerState) -> list[tuple[Gate, ...]]:
     return cycles
 
 
-def _line_orders(arch: Architecture, n: int, seed: int) -> list[tuple[int, ...]]:
-    """Up to CHAINS chains of n coupled sites to lay the pattern on, best first."""
-    out: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def add(order) -> None:
-        # a built-in chain is kept only if arch really couples it: a coupling
-        # file may carry a built-in name such as ibm20 or grid:4x5
-        if order is None or len(order) < n:
-            return
-        sl = tuple(order[:n])
-        if not all(arch.coupled(a, b) for a, b in zip(sl, sl[1:])):
-            return
-        key = min(sl, tuple(reversed(sl)))
-        if key not in seen:
-            seen.add(key)
-            out.append(sl)
-
+def _line_orders(
+    arch: Architecture, n: int, seed: int, count: int = CHAINS
+) -> list[tuple[int, ...]]:
+    """Up to `count` chains of n coupled sites to lay the pattern on, best
+    first: the built-in chain of the device's name where arch couples it (a
+    coupling file may carry a built-in name such as ibm20 or grid:4x5), then
+    a search for CHAINS chains, which runs only if it is still needed."""
+    chain = ()
     if arch.name.startswith("linear:"):
-        add(tuple(range(arch.q)))
-    if arch.name.startswith("grid:"):
+        chain = tuple(range(arch.q))
+    elif arch.name.startswith("grid:"):
         try:
             shape = _spec_ints(arch.name, 2, "grid:RxC")
         except ValueError:
             pass  # a name no grid spec parses to has no built-in chain
         else:
             # a 1xN grid is already a line
-            add(hilbert_embedding(*shape).order if min(shape) >= 2 else tuple(range(arch.q)))
-    if arch.name in ("ibm20", "ibm27"):
-        add(device_embedding(arch.name).order)
-    if len(out) < CHAINS:
-        for le in multi_embeddings(arch, CHAINS, seed=seed, length=n):
-            add(le.order)
-    return out[:CHAINS]
-
-
-def _relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCircuit:
-    """Send a virtual-line circuit onto the chain `order` inside `arch`.
-
-    A cycle object the circuit repeats (prune_pattern shares its SWAP
-    layers) is mapped once and shared in the result too.
-    """
-    done: dict[int, tuple[Gate, ...]] = {}
-    cycles = []
-    for cyc in circ.cycles:
-        out = done.get(id(cyc))
-        if out is None:
-            gates = []
-            for g in cyc:
-                a, b = order[g.a], order[g.b]
-                if a > b:
-                    a, b = b, a
-                gates.append(Gate(g.kind, a, b, g.logical))
-            out = done[id(cyc)] = tuple(gates)
-        cycles.append(out)
-    init = Mapping(tuple(order[p] for p in circ.init.pi))
-    return ScheduledCircuit(tuple(cycles), init, arch)
+            chain = hilbert_embedding(*shape) if min(shape) >= 2 else tuple(range(arch.q))
+    elif arch.name in ("ibm20", "ibm27"):
+        chain = device_embedding(arch.name)
+    out = [chain[:n]] if len(chain) >= n and arch.is_chain(chain[:n]) else []
+    if len(out) < count:
+        # the searched chains are distinct, but one may be the built-in one
+        known = {canonical(c) for c in out}
+        found = multi_embeddings(arch, CHAINS, seed=seed, length=n)
+        out += [c for c in found if canonical(c) not in known]
+    return out[:count]
 
 
 def _route(g: ProblemGraph, arch: Architecture, init: Mapping, prefix) -> ScheduledCircuit:
@@ -485,9 +457,9 @@ def schedule(
 ) -> ScheduledCircuit:
     """Schedule g's CPHASE layer onto arch per cfg.strategy.
 
-    Every strategy builds one candidate pool: the pattern pruned under each
-    of its initial mappings, relabelled onto each of its chains, and under
-    ctag-h a routed candidate ahead of each pattern.  The returned circuit
+    Every strategy builds one candidate pool: the pattern pruned onto each
+    of its chains under each of its initial mappings, and under ctag-h a
+    routed candidate ahead of each pattern.  The returned circuit
     always passes verify(c, g, arch).  The shallowest candidate wins; ties go
     to fewer gates, then to the lexicographically smallest text form.
     """
@@ -507,8 +479,8 @@ def schedule(
         # nothing to execute, and the line pattern needs two sites
         return ScheduledCircuit((), Mapping((0,)), arch)
     routed = cfg.strategy == "ctag-h"
-    orders = _line_orders(arch, n, cfg.seed)
-    if not orders:
+    chains = _line_orders(arch, n, cfg.seed, CHAINS if routed else 1)
+    if not chains:
         if not routed:
             raise ValueError(f"no chain of {n} coupled sites in {arch.name}")
         return _route(g, arch, _bfs_placement(arch, n), ())
@@ -518,24 +490,19 @@ def schedule(
     elif cfg.strategy == "ctag-r":
         inits = [random_initial_mapping(n, cfg.seed)]
     elif cfg.strategy == "ctag-i-iso":
-        inits = [iso_initial_mapping(g)[0]]
+        inits = [iso_initial_mapping(g, beam=cfg.beam, tie_seed=cfg.seed)[0]]
     else:  # ctag-i-astar and ctag-h
         inits = [astar_initial_mapping(g, cfg.beam, cfg.seed)[0]]
         if routed and inits[0].pi != tuple(range(n)):
             inits.append(identity_mapping(n))
-    # the pruned pattern depends only on the mapping; its first k cycles are
-    # the prefix a routed candidate continues on every chain, and a line
-    # strategy's prefix is the whole pattern
-    pruned = []
-    for m0 in inits:
-        base = prune_pattern(g, m0, n)
-        k = partial_pattern_cycles(g, m0, cfg.threshold) if routed else base.depth
-        pruned.append((base, k))
+    # ctag-h's prefix length depends only on the mapping; a line strategy's
+    # prefix is the whole pattern
+    prefixes = [partial_pattern_cycles(g, m0, cfg.threshold) if routed else None for m0 in inits]
     candidates = []
-    for order in orders if routed else orders[:1]:
-        for base, k in pruned:
-            full = _relabel(base, order, arch)
-            if k < full.depth:
+    for chain in chains:
+        for m0, k in zip(inits, prefixes):
+            full = prune_pattern(g, m0, arch, chain)
+            if routed and k < full.depth:
                 # a prefix that ran every edge would only copy the pattern
                 candidates.append(_route(g, arch, full.init, full.cycles[:k]))
             candidates.append(full)

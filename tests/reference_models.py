@@ -1,18 +1,21 @@
 """Reference models the tests check the package against.
 
 The closed-form position model of the clique pattern (where a qubit is after
-t outer loops, and which cyclic ranks it meets in loop t) and a brute-force
-optimal-depth search for tiny instances.  Nothing in the package calls them;
-the tests compare them with the layer stream, the meet table and the
-scheduler's circuits.
+t outer loops, and which cyclic ranks it meets in loop t), a brute-force
+optimal-depth search for tiny instances, and earlier, plainer versions of
+package functions: the pattern built in full and then pruned, its relabelling
+onto a chain, and the recursive chain search and shortest-path walk.  Nothing
+in the package calls them; the tests compare them with the layer stream, the
+meet table and the package's outputs.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
 
-from ctagsched.graphs import Architecture, ProblemGraph
-from ctagsched.pattern import CPHASE, SWAP
+from ctagsched.embedding import EmbeddingBudgetExceeded
+from ctagsched.graphs import Architecture, Mapping, ProblemGraph, SplitMix64, linear
+from ctagsched.pattern import CPHASE, SWAP, Gate, ScheduledCircuit, _layer_stream, _trim
 
 
 def _loop_step(n: int, p: int) -> int:
@@ -170,4 +173,138 @@ def brute_force_optimal(
         frontier = nxt
         if not frontier:
             break
+    return None
+
+
+def ref_prune_pattern(g, init, n):
+    """The clique pattern built in full on linear(n) under the natural
+    mapping, then replayed from init and pruned to g, as prune_pattern did
+    before it walked the layer stream itself."""
+    occ = list(range(n))
+    full = []
+    for kind, pairs in _layer_stream(n):
+        gates = []
+        for a, b in pairs:
+            if kind == CPHASE:
+                la, lb = occ[a], occ[b]
+                gates.append(Gate(CPHASE, a, b, (la, lb) if la < lb else (lb, la)))
+            else:
+                gates.append(Gate(SWAP, a, b))
+        if kind == SWAP:
+            for a, b in pairs:
+                occ[a], occ[b] = occ[b], occ[a]
+        full.append(tuple(gates))
+    site = {p: l for l, p in enumerate(init.pi)}
+    out = []
+    for cyc in _trim(full):
+        kept = []
+        for gate in cyc:
+            if gate.kind == SWAP:
+                kept.append(gate)
+                continue
+            la, lb = site.get(gate.a), site.get(gate.b)
+            if la is None or lb is None:
+                continue
+            pair = (la, lb) if la < lb else (lb, la)
+            if pair in g.edges:
+                kept.append(gate._replace(logical=pair))
+        for gate in cyc:
+            if gate.kind == SWAP:
+                va, vb = site.pop(gate.a, None), site.pop(gate.b, None)
+                if va is not None:
+                    site[gate.b] = va
+                if vb is not None:
+                    site[gate.a] = vb
+        out.append(tuple(kept))
+    return ScheduledCircuit(_trim(out), init, linear(n))
+
+
+def ref_relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCircuit:
+    """Send a circuit on positions 0..n-1 onto the chain `order` inside
+    `arch`, as the scheduler did before prune_pattern laid the pattern on
+    the chain itself."""
+    cycles = []
+    for cyc in circ.cycles:
+        gates = []
+        for g in cyc:
+            a, b = order[g.a], order[g.b]
+            if a > b:
+                a, b = b, a
+            gates.append(Gate(g.kind, a, b, g.logical))
+        cycles.append(tuple(gates))
+    init = Mapping(tuple(order[p] for p in circ.init.pi))
+    return ScheduledCircuit(tuple(cycles), init, arch)
+
+
+def ref_shortest_paths(arch, s, t, limit):
+    """First `limit` shortest s-t paths in lexicographic order, by a
+    recursive walk (one frame per hop)."""
+    d = arch.dist
+    out = []
+
+    def walk(p, prefix):
+        if len(out) >= limit:
+            return
+        if p == t:
+            out.append(tuple(prefix))
+            return
+        for q in sorted(arch.adj[p]):
+            if d[q][t] == d[p][t] - 1:
+                prefix.append(q)
+                walk(q, prefix)
+                prefix.pop()
+
+    walk(s, [s])
+    return out
+
+
+def ref_find_line_embedding(arch, seed=0, length=None, budget=10**6):
+    """find_line_embedding as a recursive search (one frame per chain site),
+    with the same visit order and budget count."""
+    q = arch.q
+    target = q if length is None else length
+    if not 1 <= target <= q:
+        raise ValueError(f"length {target} out of range for {q} qubits")
+    if target == 1:
+        return (0,)
+    if target == q and sum(1 for v in range(q) if len(arch.adj[v]) == 1) > 2:
+        return None
+
+    rng = SplitMix64(seed)
+    salt = list(range(q))
+    rng.shuffle(salt)
+    starts = sorted(range(q), key=lambda v: (len(arch.adj[v]), salt[v]))
+
+    expansions = 0
+    path: list[int] = []
+    on_path = [False] * q
+    free_deg = [len(arch.adj[v]) for v in range(q)]
+
+    def dfs(v: int) -> bool:
+        nonlocal expansions
+        expansions += 1
+        if expansions > budget:
+            raise EmbeddingBudgetExceeded(f"budget {budget} exhausted")
+        path.append(v)
+        on_path[v] = True
+        for u in arch.adj[v]:
+            free_deg[u] -= 1
+        if len(path) == target:
+            return True
+        nbrs = sorted(
+            (u for u in arch.adj[v] if not on_path[u]),
+            key=lambda u: (free_deg[u], salt[u]),
+        )
+        for u in nbrs:
+            if dfs(u):
+                return True
+        path.pop()
+        on_path[v] = False
+        for u in arch.adj[v]:
+            free_deg[u] += 1
+        return False
+
+    for s in starts:
+        if dfs(s):
+            return tuple(path)
     return None

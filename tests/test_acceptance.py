@@ -122,7 +122,7 @@ def test_acceptance_06_density_bound():
             g = random_graph(n, dens, seed)
             p = g.m / (n * (n - 1) // 2)
             bound = (2 / p) * -(-g.m // (n // 2))  # ceil division
-            depth = prune_pattern(g, identity_mapping(n), n).depth
+            depth = prune_pattern(g, identity_mapping(n), linear(n), range(n)).depth
             worst = max(worst, depth / bound)
             if depth > bound:
                 ok = False
@@ -156,7 +156,7 @@ def test_acceptance_08_heuristic_beats_pattern_on_divergent_class():
     arch = linear(6)
     for chords in CHORD_SETS:
         g = make_problem_graph(6, LADDER6 + chords)
-        pattern_depth = prune_pattern(g, identity_mapping(6), 6).depth
+        pattern_depth = prune_pattern(g, identity_mapping(6), linear(6), range(6)).depth
         if pattern_depth != 9:  # class membership: pure pattern needs 9 cycles
             ok = False
         c = schedule(g, arch)  # default strategy and threshold

@@ -450,6 +450,17 @@ class TestBench:
                 "ValueError: grid:2x2 has 4 qubits, input needs 6"
             ]
 
+    def test_graph_larger_than_any_device_exits_1(self, capsys):
+        code, stdout, err = run(
+            capsys, "bench", "--n", "100000", "--density", "1.0", "--arch", "linear:6",
+        )
+        assert code == 1
+        assert next(csv.DictReader(io.StringIO(stdout)))["verified"] == "false"
+        assert err.splitlines() == [
+            "error: n=100000 density=1 seed=1 arch=linear:6 strategy=ctag-h: "
+            "ValueError: random_graph needs n <= MAX_SITES = 4096, got 100000"
+        ]
+
     def test_json_format(self, capsys):
         code, stdout, _ = run(
             capsys, "bench", "--n", "6", "--density", "0.5", "--seed", "1",

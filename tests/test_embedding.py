@@ -1,10 +1,12 @@
 """Hardware chain embeddings: space-filling, backtracking, and device caches."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctagsched.embedding import (
     EmbeddingBudgetExceeded,
-    LineEmbedding,
+    canonical,
     device_embedding,
     find_line_embedding,
     hilbert_embedding,
@@ -18,6 +20,7 @@ from ctagsched.graphs import (
     linear,
     make_architecture,
 )
+from reference_models import ref_find_line_embedding
 
 
 def is_chain(order, arch) -> bool:
@@ -29,16 +32,9 @@ def star4() -> Architecture:
     return Architecture(4, frozenset({(0, 1), (0, 2), (0, 3)}), "star4")
 
 
-class TestLineEmbedding:
-    def test_rejects_repeats(self):
-        with pytest.raises(ValueError):
-            LineEmbedding((0, 1, 0))
-
+class TestCanonical:
     def test_canonical_is_direction_free(self):
-        assert LineEmbedding((3, 1, 2)).canonical() == LineEmbedding((2, 1, 3)).canonical()
-
-    def test_len(self):
-        assert len(LineEmbedding((4, 2, 0))) == 3
+        assert canonical((3, 1, 2)) == canonical((2, 1, 3)) == (2, 1, 3)
 
 
 class TestHilbert:
@@ -48,16 +44,16 @@ class TestHilbert:
     def test_full_coverage_unit_steps(self, rows, cols):
         emb = hilbert_embedding(rows, cols)
         arch = grid(rows, cols)
-        assert sorted(emb.order) == list(range(rows * cols))
-        assert is_chain(emb.order, arch)
+        assert sorted(emb) == list(range(rows * cols))
+        assert is_chain(emb, arch)
 
     def test_2x2(self):
-        assert hilbert_embedding(2, 2).order == (0, 2, 3, 1)
+        assert hilbert_embedding(2, 2) == (0, 2, 3, 1)
 
     def test_locality_beats_row_major(self):
         # consecutive window of the curve stays in a compact patch; spot-check
         # that the first 4 cells of a 6x6 curve fit inside a 2x2 box
-        order = hilbert_embedding(6, 6).order
+        order = hilbert_embedding(6, 6)
         rs = [i // 6 for i in order[:4]]
         cs = [i % 6 for i in order[:4]]
         assert max(rs) - min(rs) <= 1 and max(cs) - min(cs) <= 1
@@ -72,14 +68,14 @@ class TestHilbert:
 class TestFindLineEmbedding:
     def test_linear_is_the_identity_chain(self):
         emb = find_line_embedding(linear(6))
-        assert emb.canonical() == (0, 1, 2, 3, 4, 5)
+        assert canonical(emb) == (0, 1, 2, 3, 4, 5)
 
     def test_ibm20_full_path(self):
         arch = ibm20()
         emb = find_line_embedding(arch)
         assert len(emb) == 20
-        assert sorted(emb.order) == list(range(20))
-        assert is_chain(emb.order, arch)
+        assert sorted(emb) == list(range(20))
+        assert is_chain(emb, arch)
 
     def test_star_has_no_path(self):
         assert find_line_embedding(star4()) is None
@@ -92,7 +88,7 @@ class TestFindLineEmbedding:
         arch = ibm27()
         emb = find_line_embedding(arch, length=21)
         assert emb is not None and len(emb) == 21
-        assert is_chain(emb.order, arch)
+        assert is_chain(emb, arch)
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
@@ -108,7 +104,33 @@ class TestFindLineEmbedding:
         arch = grid(3, 4)
         emb = find_line_embedding(arch)
         assert emb is not None and len(emb) == 12
-        assert is_chain(emb.order, arch)
+        assert is_chain(emb, arch)
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        # one stack frame per chain site would overflow at about 1,000
+        arch = grid(33, 33)
+        emb = find_line_embedding(arch, length=1050)
+        assert len(emb) == 1050 and arch.is_chain(emb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_recursive_search(self, data):
+        # same chain, same None, and the same budget count on small devices
+        q = data.draw(st.integers(2, 12))
+        couplings = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, q)}
+        extra = [(a, b) for a in range(q) for b in range(a + 1, q)]
+        couplings |= set(data.draw(st.lists(st.sampled_from(extra), max_size=q)))
+        arch = Architecture(q, frozenset(couplings))
+        seed = data.draw(st.integers(0, 50))
+        length = data.draw(st.none() | st.integers(1, q))
+        budget = data.draw(st.sampled_from([3, 10, 40, 10**6]))
+        results = []
+        for search in (find_line_embedding, ref_find_line_embedding):
+            try:
+                results.append(search(arch, seed, length, budget))
+            except EmbeddingBudgetExceeded:
+                results.append("budget")
+        assert results[0] == results[1]
 
 
 class TestMultiEmbeddings:
@@ -120,10 +142,10 @@ class TestMultiEmbeddings:
     def test_all_valid_and_distinct(self):
         arch = grid(3, 3)
         embs = multi_embeddings(arch, 3)
-        keys = {e.canonical() for e in embs}
+        keys = {canonical(e) for e in embs}
         assert len(keys) == len(embs)
         for e in embs:
-            assert is_chain(e.order, arch)
+            assert is_chain(e, arch)
 
     def test_partial_lengths(self):
         embs = multi_embeddings(grid(3, 3), 2, length=5)
@@ -135,15 +157,20 @@ class TestMultiEmbeddings:
 
 
 class TestDeviceEmbeddings:
+    @pytest.mark.parametrize("name", ["ibm20", "ibm27"])
+    def test_cached_chain_has_distinct_sites(self, name):
+        emb = device_embedding(name)
+        assert type(emb) is tuple and len(set(emb)) == len(emb)
+
     def test_ibm20_cache_is_valid(self):
         emb = device_embedding("ibm20")
         assert len(emb) == 20
-        assert is_chain(emb.order, ibm20())
+        assert is_chain(emb, ibm20())
 
     def test_ibm27_cache_is_valid(self):
         emb = device_embedding("ibm27")
         assert len(emb) == 21
-        assert is_chain(emb.order, ibm27())
+        assert is_chain(emb, ibm27())
 
     def test_ibm27_cache_is_longest(self):
         # 22 is provably unreachable: a fresh search at length 22 exhausts

@@ -122,6 +122,13 @@ class TestRandomGraph:
     def test_density_one_is_clique(self):
         assert random_graph(7, 1.0, 3).edges == clique(7).edges
 
+    def test_more_vertices_than_a_device_may_have_is_rejected_first(self):
+        # the check comes before the n(n-1)/2 edge ranks are sampled, which
+        # at this size would exhaust memory
+        with pytest.raises(ValueError, match=f"n <= MAX_SITES = {MAX_SITES}, got 100000"):
+            random_graph(100_000, 1.0, 1)
+        assert random_graph(MAX_SITES, 0.0001, 1).n == MAX_SITES
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 60),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ctagsched.graphs import (
     Mapping,
     clique,
+    linear,
     make_problem_graph,
     random_graph,
     random_initial_mapping,
@@ -105,7 +106,7 @@ class TestAstar:
     def test_pruned_circuit_honors_predicted_depth(self):
         g = make_problem_graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 5)])
         mapping, depth = astar_initial_mapping(g)
-        assert prune_pattern(g, mapping, 6).depth <= depth
+        assert prune_pattern(g, mapping, linear(6), range(6)).depth <= depth
 
     @pytest.mark.parametrize(
         "edges",
@@ -185,6 +186,16 @@ class TestIso:
         g = random_graph(9, 0.4, 3)
         assert iso_initial_mapping(g, budget=0) == astar_initial_mapping(g)
         assert iso_initial_mapping(g)[1] == 10
+
+    @pytest.mark.parametrize("beam, seed", [(1, 0), (8, 3), (None, 5)])
+    def test_incumbent_is_astar_under_beam_and_seed(self, beam, seed):
+        # beam and tie_seed reach the astar incumbent, and on this graph
+        # every pair of them gives another one than the default
+        g = random_graph(9, 0.4, 2)
+        incumbent = astar_initial_mapping(g, beam, seed)
+        assert incumbent != astar_initial_mapping(g)
+        assert iso_initial_mapping(g, budget=0, beam=beam, tie_seed=seed) == incumbent
+        assert iso_initial_mapping(g, beam=beam, tie_seed=seed)[1] <= incumbent[1]
 
     def test_deterministic(self):
         g = random_graph(10, 0.5, 7)

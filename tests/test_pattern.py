@@ -21,8 +21,6 @@ from ctagsched.pattern import (
     SWAP,
     Gate,
     ScheduledCircuit,
-    _layer_stream,
-    _trim,
     from_json_dict,
     generate_2xn_pattern,
     generate_clique_pattern,
@@ -32,7 +30,12 @@ from ctagsched.pattern import (
     to_text,
 )
 from ctagsched.verify import verify
-from reference_models import cyclic_rank_shift, interaction_ranks, position_at
+from reference_models import (
+    cyclic_rank_shift,
+    interaction_ranks,
+    position_at,
+    ref_prune_pattern,
+)
 
 # meet cycles for n=6, keyed by start-position pairs, frozen from a
 # cycle-by-cycle scan of the generated pattern
@@ -108,22 +111,22 @@ class TestCliquePattern:
 class TestPrunePattern:
     def test_clique_is_untouched(self):
         full = generate_clique_pattern(6)
-        pruned = prune_pattern(clique(6), identity_mapping(6), 6)
+        pruned = prune_pattern(clique(6), identity_mapping(6), linear(6), range(6))
         assert pruned.cycles == full.cycles
 
     def test_empty_graph_is_zero_cycles(self):
         g = make_problem_graph(6, [])
-        assert prune_pattern(g, identity_mapping(6), 6).depth == 0
+        assert prune_pattern(g, identity_mapping(6), linear(6), range(6)).depth == 0
 
     def test_single_edge(self):
         g = make_problem_graph(6, [(0, 1)])
-        c = prune_pattern(g, identity_mapping(6), 6)
+        c = prune_pattern(g, identity_mapping(6), linear(6), range(6))
         assert c.depth == 1
         assert c.cphase_count == 1 and c.swap_count == 0
 
     def test_prunes_only_cphases_not_needed(self):
         g = make_problem_graph(6, [(0, 5)])
-        c = prune_pattern(g, identity_mapping(6), 6)
+        c = prune_pattern(g, identity_mapping(6), linear(6), range(6))
         # (0,5) meet at cycle 8, so swaps up to there must survive
         assert c.cphase_count == 1
         assert c.swap_count > 0
@@ -133,63 +136,33 @@ class TestPrunePattern:
     def test_pruned_verifies_under_random_init(self, seed):
         g = make_problem_graph(8, [(0, 1), (2, 5), (3, 7), (4, 6), (1, 6)])
         init = random_initial_mapping(8, seed)
-        c = prune_pattern(g, init, 8)
+        c = prune_pattern(g, init, linear(8), range(8))
         assert verify(c, g, linear(8)).ok
 
     def test_depth_never_exceeds_full_pattern(self):
         g = make_problem_graph(7, [(0, 3), (1, 2), (5, 6)])
-        assert prune_pattern(g, identity_mapping(7), 7).depth <= 12
+        assert prune_pattern(g, identity_mapping(7), linear(7), range(7)).depth <= 12
 
     def test_rejects_non_surjective_init(self):
         with pytest.raises(ValueError):
-            prune_pattern(clique(2), Mapping((0, 2)), 2)
+            prune_pattern(clique(2), Mapping((0, 2)), linear(2), range(2))
 
-    def test_rejects_undersized_n(self):
-        with pytest.raises(ValueError):
-            prune_pattern(clique(4), identity_mapping(4), 3)
+    @pytest.mark.parametrize(
+        "chain",
+        [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 0, 1), (0, 1, 3, 2), (2, 3, 4, 5)],
+        ids=["short", "long", "repeats", "uncoupled", "off-device"],
+    )
+    def test_rejects_a_chain_that_is_not_one(self, chain):
+        with pytest.raises(ValueError, match="chain must be 4 distinct coupled sites"):
+            prune_pattern(clique(4), identity_mapping(4), linear(5), chain)
 
-
-def ref_prune_pattern(g, init, n):
-    # the clique pattern built in full under the natural mapping, then
-    # replayed from init and pruned to g, as prune_pattern did before it
-    # walked the layer stream itself
-    occ = list(range(n))
-    full = []
-    for kind, pairs in _layer_stream(n):
-        gates = []
-        for a, b in pairs:
-            if kind == CPHASE:
-                la, lb = occ[a], occ[b]
-                gates.append(Gate(CPHASE, a, b, (la, lb) if la < lb else (lb, la)))
-            else:
-                gates.append(Gate(SWAP, a, b))
-        if kind == SWAP:
-            for a, b in pairs:
-                occ[a], occ[b] = occ[b], occ[a]
-        full.append(tuple(gates))
-    site = {p: l for l, p in enumerate(init.pi)}
-    out = []
-    for cyc in _trim(full):
-        kept = []
-        for gate in cyc:
-            if gate.kind == SWAP:
-                kept.append(gate)
-                continue
-            la, lb = site.get(gate.a), site.get(gate.b)
-            if la is None or lb is None:
-                continue
-            pair = (la, lb) if la < lb else (lb, la)
-            if pair in g.edges:
-                kept.append(gate._replace(logical=pair))
-        for gate in cyc:
-            if gate.kind == SWAP:
-                va, vb = site.pop(gate.a, None), site.pop(gate.b, None)
-                if va is not None:
-                    site[gate.b] = va
-                if vb is not None:
-                    site[gate.a] = vb
-        out.append(tuple(kept))
-    return ScheduledCircuit(_trim(out), init, linear(n))
+    def test_lays_the_pattern_on_the_chain(self):
+        arch = grid(2, 3)
+        chain = (0, 3, 4, 1, 2, 5)
+        c = prune_pattern(clique(6), identity_mapping(6), arch, chain)
+        assert c.arch is arch and c.init.pi == chain
+        assert all(arch.coupled(x.a, x.b) and x.a < x.b for cyc in c.cycles for x in cyc)
+        assert verify(c, clique(6), arch).ok
 
 
 @st.composite
@@ -206,14 +179,14 @@ class TestPruneMatchesReference:
     @given(pruning_inputs())
     def test_one_walk_equals_generate_then_prune(self, drawn):
         g, init = drawn
-        assert prune_pattern(g, init, g.n) == ref_prune_pattern(g, init, g.n)
+        assert prune_pattern(g, init, linear(g.n), range(g.n)) == ref_prune_pattern(g, init, g.n)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 24])
     def test_dense_graphs(self, n):
         for seed in (1, 2):
             g = clique(n)
             init = random_initial_mapping(n, seed)
-            assert prune_pattern(g, init, n) == ref_prune_pattern(g, init, n)
+            assert prune_pattern(g, init, linear(n), range(n)) == ref_prune_pattern(g, init, n)
 
 
 class TestPositionAlgebra:
@@ -422,7 +395,8 @@ class TestJsonRoundTrip:
 
 class TestSerialization:
     def test_text_format(self):
-        c = prune_pattern(make_problem_graph(6, [(0, 1)]), identity_mapping(6), 6)
+        g = make_problem_graph(6, [(0, 1)])
+        c = prune_pattern(g, identity_mapping(6), linear(6), range(6))
         assert to_text(c).strip() == "0: CPHASE(0,1)"
 
     def test_text_multi_gate_cycle(self):
@@ -439,7 +413,7 @@ class TestSerialization:
 
     def test_json_round_trip_pruned(self):
         g = make_problem_graph(7, [(0, 3), (2, 6)])
-        c = prune_pattern(g, random_initial_mapping(7, 2), 7)
+        c = prune_pattern(g, random_initial_mapping(7, 2), linear(7), range(7))
         assert from_json_dict(to_json_dict(c), linear(7)).cycles == c.cycles
 
     def test_malformed_json_rejected(self):

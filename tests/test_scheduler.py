@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ctagsched.initial_mapping
 import ctagsched.scheduler
 from ctagsched.graphs import (
     Architecture,
@@ -32,6 +33,7 @@ from ctagsched.pattern import (
     to_text,
 )
 from ctagsched.scheduler import (
+    CHAINS,
     MAX_PATHS,
     STRATEGIES,
     SchedulerConfig,
@@ -42,8 +44,8 @@ from ctagsched.scheduler import (
     _bystander_delta,
     _first_hops,
     _line_orders,
-    _relabel,
     _route,
+    _shortest_paths,
     enumerate_swap_strategies,
     maximal_matching,
     partial_pattern_cycles,
@@ -51,6 +53,7 @@ from ctagsched.scheduler import (
     score_strategy,
 )
 from ctagsched.verify import verify
+from reference_models import ref_prune_pattern, ref_relabel, ref_shortest_paths
 
 FIG_EDGES = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4)]
 
@@ -270,28 +273,9 @@ class TestScoreStrategy:
 
 
 # Reference versions of the round engine's hot path as it was before it was
-# made O(degree) per candidate: build every (path, split) strategy and then
-# filter, and scan every remaining edge when scoring.
-
-
-def ref_shortest_paths(arch, s, t, limit):
-    d = arch.dist
-    out = []
-
-    def walk(p, prefix):
-        if len(out) >= limit:
-            return
-        if p == t:
-            out.append(tuple(prefix))
-            return
-        for q in sorted(arch.adj[p]):
-            if d[q][t] == d[p][t] - 1:
-                prefix.append(q)
-                walk(q, prefix)
-                prefix.pop()
-
-    walk(s, [s])
-    return out
+# made O(degree) per candidate: build every (path, split) strategy from the
+# recursive path walk and then filter, and scan every remaining edge when
+# scoring.
 
 
 def ref_enumerate(edge, state, max_paths):
@@ -513,7 +497,7 @@ def route_inputs(draw):
     if not orders:
         return g, arch, _bfs_placement(arch, n), ()
     m0 = Mapping(tuple(draw(st.permutations(range(n)))))
-    full = _relabel(prune_pattern(g, m0, n), draw(st.sampled_from(orders)), arch)
+    full = prune_pattern(g, m0, arch, draw(st.sampled_from(orders)))
     return g, arch, full.init, full.cycles[: draw(st.integers(0, full.depth))]
 
 
@@ -665,7 +649,7 @@ def heuristic_only(g, arch):
     pool = []
     for order in orders:
         for m0 in inits:
-            full = _relabel(prune_pattern(g, m0, n), order, arch)
+            full = prune_pattern(g, m0, arch, order)
             k = partial_pattern_cycles(g, m0, 0.5)
             pool.append(full if k >= full.depth else _route(g, arch, full.init, full.cycles[:k]))
     return min(pool, key=lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c)))
@@ -766,22 +750,66 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
     assert 0 < calls["paths"] < 482  # the parent made 482
 
 
-def test_ctag_h_prunes_once_per_initial_mapping(monkeypatch):
-    # two chains and two initial mappings: the pattern is pruned per mapping,
-    # not per (chain, mapping) candidate
+def test_ctag_h_prunes_once_per_chain_and_mapping(monkeypatch):
+    # two chains and two initial mappings: the pattern is pruned onto each
+    # chain under each mapping, and its prefix is measured once per mapping
     g = random_graph(12, 0.25, 17)
     arch = make_architecture("grid:3x4")
-    real = ctagsched.scheduler.prune_pattern
-    inits = []
+    S = ctagsched.scheduler
+    real_prune, real_prefix = S.prune_pattern, S.partial_pattern_cycles
+    pruned, measured = [], []
 
-    def counting(g, init, n):
-        inits.append(init.pi)
-        return real(g, init, n)
+    def prune(g, init, arch, chain):
+        pruned.append((chain, init.pi))
+        return real_prune(g, init, arch, chain)
 
-    monkeypatch.setattr(ctagsched.scheduler, "prune_pattern", counting)
+    def prefix(g, mapping, threshold):
+        measured.append(mapping.pi)
+        return real_prefix(g, mapping, threshold)
+
+    monkeypatch.setattr(S, "prune_pattern", prune)
+    monkeypatch.setattr(S, "partial_pattern_cycles", prefix)
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
     assert verify(c, g, arch).ok
-    assert len(inits) == len(set(inits)) == 2
+    inits = {pi for _, pi in pruned}
+    assert len({chain for chain, _ in pruned}) == len(inits) == 2
+    assert len(pruned) == len(set(pruned)) == 4
+    assert sorted(measured) == sorted(inits)
+
+
+@pytest.mark.parametrize("spec", ["linear:20", "grid:4x5", "ibm20"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_only_ctag_h_searches_past_a_builtin_chain(monkeypatch, spec, strategy):
+    # a line strategy lays the device's own chain and searches for no other;
+    # ctag-h searches for CHAINS chains to add to it
+    real = ctagsched.scheduler.multi_embeddings
+    calls = []
+
+    def search(arch, k, **kwargs):
+        calls.append(k)
+        return real(arch, k, **kwargs)
+
+    monkeypatch.setattr(ctagsched.scheduler, "multi_embeddings", search)
+    g = random_graph(20, 0.3, 1)
+    arch = make_architecture(spec)
+    c = schedule(g, arch, SchedulerConfig(strategy=strategy))
+    assert verify(c, g, arch).ok
+    assert calls == ([CHAINS] if strategy == "ctag-h" else [])
+
+
+def test_ctag_i_iso_searches_under_the_configured_beam_and_seed(monkeypatch):
+    real = ctagsched.initial_mapping.astar_initial_mapping
+    calls = []
+
+    def astar(g, beam=8, tie_seed=0):
+        calls.append((beam, tie_seed))
+        return real(g, beam, tie_seed)
+
+    monkeypatch.setattr(ctagsched.initial_mapping, "astar_initial_mapping", astar)
+    g = random_graph(9, 0.4, 2)
+    c = schedule(g, linear(9), SchedulerConfig("ctag-i-iso", beam=2, seed=3))
+    assert verify(c, g, linear(9)).ok
+    assert calls == [(2, 3)]
 
 
 def test_text_form_is_rendered_only_for_ties(monkeypatch):
@@ -995,3 +1023,59 @@ def test_file_devices_verify_or_find_no_chain(tmp_path_factory, drawn):
     arch = make_architecture(f"file:{path}")
     assert arch.couplings == device.couplings
     assert_verifies_or_finds_no_chain(g, arch)
+
+
+@st.composite
+def chain_inputs(draw):
+    # a built-in or random connected device, one of the chains _line_orders
+    # gives for n vertices (n shrinks until the device has one), a random
+    # graph on n vertices and a random initial mapping
+    kind = draw(st.sampled_from(["linear", "grid", "ibm20", "ibm27", "random"]))
+    if kind == "linear":
+        arch = linear(draw(st.integers(2, 16)))
+    elif kind == "grid":
+        arch = grid(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    elif kind == "random":
+        _, arch = draw(connected_devices())
+    else:
+        arch = make_architecture(kind)
+    n = draw(st.integers(2, arch.q))
+    while not (chains := _line_orders(arch, n, draw(st.integers(0, 3)))):
+        n -= 1
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = make_problem_graph(n, draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+    init = Mapping(tuple(draw(st.permutations(range(n)))))
+    return g, init, arch, draw(st.sampled_from(chains))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_inputs())
+def test_prune_onto_a_chain_equals_prune_then_relabel(drawn):
+    g, init, arch, chain = drawn
+    expect = ref_relabel(ref_prune_pattern(g, init, g.n), chain, arch)
+    assert prune_pattern(g, init, arch, chain) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_devices(), st.integers(1, 6))
+def test_shortest_paths_match_the_recursive_walk(drawn, limit):
+    _, arch = drawn
+    for s in range(arch.q):
+        for t in range(arch.q):
+            if s != t:
+                assert _shortest_paths(arch, s, t, limit) == ref_shortest_paths(arch, s, t, limit)
+
+
+@pytest.mark.parametrize("spec", ["grid:6x6", "ibm20", "ibm27", "linear:40"])
+def test_shortest_paths_match_the_recursive_walk_on_devices(spec):
+    arch = make_architecture(spec)
+    for s in range(arch.q):
+        for t in range(arch.q):
+            if arch.dist[s][t] >= 2:
+                expect = ref_shortest_paths(arch, s, t, MAX_PATHS)
+                assert _shortest_paths(arch, s, t, MAX_PATHS) == expect
+
+
+def test_shortest_path_longer_than_the_recursion_limit():
+    # one stack frame per hop would overflow at about 1,000
+    assert _shortest_paths(linear(1500), 0, 1499, MAX_PATHS) == [tuple(range(1500))]

@@ -235,7 +235,7 @@ class TestMetrics:
 
     def test_independent_recount(self):
         g = make_problem_graph(7, [(0, 4), (2, 6), (1, 3)])
-        c = prune_pattern(g, identity_mapping(7), 7)
+        c = prune_pattern(g, identity_mapping(7), linear(7), range(7))
         m = metrics(c, 7)
         cp = sum(1 for cyc in c.cycles for x in cyc if x.kind == CPHASE)
         sw = sum(1 for cyc in c.cycles for x in cyc if x.kind == SWAP)

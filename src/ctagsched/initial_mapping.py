@@ -25,6 +25,18 @@ __all__ = [
 ISO_NODE_BUDGET = 100_000
 
 
+def _check_beam(beam) -> None:
+    # a beam is a plain int of at least 1, or None for no beam; a float beam
+    # never fills the heap, so its bar would never apply, and True would
+    # pass for 1
+    if beam is None:
+        return
+    if type(beam) is not int:
+        raise ValueError(f"beam must be an integer or None, got {beam!r}")
+    if beam < 1:
+        raise ValueError(f"beam must be at least 1, got {beam}")
+
+
 def _search_order(g: ProblemGraph) -> tuple[list[int], list[list[int]]]:
     # highest degree first, so the most constrained vertices are placed
     # early; nbrs[k] holds the levels of order[k]'s earlier neighbours
@@ -49,9 +61,9 @@ def astar_initial_mapping(
     `beam` partial assignments per level by max meeting cycle.
 
     beam=1 is the greedy search, beam=None expands every branch and is exact;
-    a beam below 1 is a ValueError.  Returns the mapping and its finishing
-    cycle count, which equals the depth of the pruned pattern under that
-    mapping.
+    a beam that is neither None nor an int of at least 1 is a ValueError.
+    Returns the mapping and its finishing cycle count, which equals the
+    depth of the pruned pattern under that mapping.
 
     Ties on cost go to the lexicographically smallest positions read through
     `salt`, a seeded permutation when tie_seed is nonzero.  A child is its
@@ -71,8 +83,7 @@ def astar_initial_mapping(
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    if beam is not None and beam < 1:
-        raise ValueError(f"beam must be at least 1, got {beam}")
+    _check_beam(beam)
     table = _meet_table(n)
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)

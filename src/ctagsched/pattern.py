@@ -90,12 +90,12 @@ def generate_clique_pattern(n: int) -> ScheduledCircuit:
 
 
 def _trim(cycles) -> tuple[tuple[Gate, ...], ...]:
-    # drop everything after the last cycle that still executes a CPHASE
-    last = -1
-    for i, cyc in enumerate(cycles):
-        if any(g.kind == CPHASE for g in cyc):
-            last = i
-    return tuple(tuple(c) for c in cycles[: last + 1])
+    # drop everything after the last cycle that still executes a CPHASE,
+    # found from the end; the cycles are tuples already
+    last = len(cycles) - 1
+    while last >= 0 and not any(g.kind == CPHASE for g in cycles[last]):
+        last -= 1
+    return tuple(cycles[: last + 1])
 
 
 def prune_pattern(
@@ -121,6 +121,7 @@ def prune_pattern(
         occ[p] = l
     edges = g.edges
     cycles = []
+    last = -1  # the last cycle that keeps a CPHASE
     # link[p]: the sites of chain positions p and p + 1, smaller first
     link = [(a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])]
     # the stream repeats two SWAP layers (the same pairs objects), so each
@@ -141,8 +142,11 @@ def prune_pattern(
             pair = (la, lb) if la < lb else (lb, la)
             if pair in edges:
                 gates.append(Gate(CPHASE, *link[a], pair))
+        if gates:
+            last = len(cycles)
         cycles.append(tuple(gates))
-    return ScheduledCircuit(_trim(cycles), Mapping(tuple(chain[p] for p in init.pi)), arch)
+    init_sites = Mapping(tuple(chain[p] for p in init.pi))
+    return ScheduledCircuit(tuple(cycles[: last + 1]), init_sites, arch)
 
 
 @lru_cache(maxsize=None)
@@ -223,13 +227,15 @@ def generate_2xn_pattern(n: int) -> ScheduledCircuit:
     return ScheduledCircuit(_trim(cycles), init, arch)
 
 
+def cycle_line(t: int, cyc) -> str:
+    """Text line of cycle t: "t: CPHASE(a,b) SWAP(c,d) ..."."""
+    ops = " ".join(f"{g.kind.upper()}({g.a},{g.b})" for g in cyc)
+    return f"{t}: {ops}".rstrip()
+
+
 def to_text(circ: ScheduledCircuit) -> str:
-    """One line per cycle: "t: CPHASE(a,b) SWAP(c,d) ..."."""
-    lines = []
-    for t, cyc in enumerate(circ.cycles):
-        ops = " ".join(f"{g.kind.upper()}({g.a},{g.b})" for g in cyc)
-        lines.append(f"{t}: {ops}".rstrip())
-    return "\n".join(lines) + "\n"
+    """The cycle_line of each cycle, joined by newlines, plus a final one."""
+    return "\n".join(cycle_line(t, cyc) for t, cyc in enumerate(circ.cycles)) + "\n"
 
 
 def to_json_dict(circ: ScheduledCircuit) -> dict:

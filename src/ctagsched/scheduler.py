@@ -14,15 +14,17 @@ A chain is a tuple of sites.  The line strategies take one chain, ctag-h up
 to CHAINS of them, and each (chain, mapping) pair gives the pattern pruned
 onto that chain as a candidate.  Only ctag-h routes: ahead of each pattern
 it adds a candidate that runs the pattern's first cycles and schedules the
-rest with matching/swap-routing rounds.  A prefix that covers the whole
-pruned pattern has run every edge, so the pattern alone is that candidate.
-With no chain, a line strategy raises ValueError and ctag-h routes from a
-breadth-first placement and no prefix.
+rest with matching/swap-routing rounds; the run gives up once it is deeper
+than a pattern or an earlier routed candidate.  A prefix that covers the
+whole pruned pattern has run every edge, so the pattern alone is that
+candidate.  With no chain, a line strategy raises ValueError and ctag-h
+routes from a breadth-first placement and no prefix.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import InitVar, dataclass, field
+from functools import reduce
 
 from ctagsched.embedding import (
     canonical,
@@ -39,7 +41,7 @@ from ctagsched.graphs import (
     identity_mapping,
     random_initial_mapping,
 )
-from ctagsched.initial_mapping import astar_initial_mapping, iso_initial_mapping
+from ctagsched.initial_mapping import _check_beam, astar_initial_mapping, iso_initial_mapping
 from ctagsched.pattern import (
     CPHASE,
     SWAP,
@@ -47,8 +49,9 @@ from ctagsched.pattern import (
     ScheduledCircuit,
     _layer_stream,
     _meet_table,
+    cycle_line,
     prune_pattern,
-    to_text,
+    to_text,  # not called here; the benchmark's tracer rebinds this name
 )
 
 __all__ = [
@@ -332,8 +335,11 @@ def _apply_swaps(state: SchedulerState, hops) -> None:
             inv[a] = lb
 
 
-def _run_rounds(state: SchedulerState) -> list[tuple[Gate, ...]]:
-    """Schedule state.remaining in cycles and return them.
+def _run_rounds(
+    state: SchedulerState, limit: int | None = None
+) -> list[tuple[Gate, ...]] | None:
+    """Schedule state.remaining in cycles and return them, or None as soon
+    as the edges still left need a cycle past `limit` cycles.
 
     One cycle per round: a maximal matching of the executable edges plus
     the first SWAPs of the best-scored strategy for each distant edge.  A
@@ -348,6 +354,8 @@ def _run_rounds(state: SchedulerState) -> list[tuple[Gate, ...]]:
     pi, blocked = state.pi, state.blocked
     cycles = []
     while state.remaining:
+        if limit is not None and len(cycles) >= limit:
+            return None
         # each distance is read once per round: adjacent edges are
         # executable, the others are routed nearest first, ties by edge id
         ranked = sorted((dist[pi[u]][pi[v]], (u, v)) for u, v in state.remaining)
@@ -426,14 +434,50 @@ def _line_orders(
     return out[:count]
 
 
-def _route(g: ProblemGraph, arch: Architecture, init: Mapping, prefix) -> ScheduledCircuit:
+def _route(
+    g: ProblemGraph, arch: Architecture, init: Mapping, prefix, cap: int | None = None
+) -> ScheduledCircuit | None:
     """Run `prefix` (cycles on arch's sites) from `init`, then schedule the
-    edges it leaves with the heuristic rounds."""
+    edges it leaves with the heuristic rounds; None once the rounds would
+    take the circuit past `cap` cycles."""
     state = SchedulerState(g, arch, init, set(g.edges))
     for cyc in prefix:
         state.remaining.difference_update(x.logical for x in cyc if x.kind == CPHASE)
         _apply_swaps(state, [(x.a, x.b) for x in cyc if x.kind == SWAP])
-    return ScheduledCircuit(tuple(prefix) + tuple(_run_rounds(state)), init, arch)
+    rounds = _run_rounds(state, None if cap is None else cap - len(prefix))
+    if rounds is None:
+        return None
+    return ScheduledCircuit(tuple(prefix) + tuple(rounds), init, arch)
+
+
+def _first_by_text(a: ScheduledCircuit, b: ScheduledCircuit) -> ScheduledCircuit:
+    """b if its to_text is smaller than a's, else a; both have one depth.
+
+    The texts agree up to the first cycle whose lines differ, and there the
+    smaller line decides: equal depths give equal line counts, and the
+    newline that ends a line sorts below every character in one.  Cycles
+    with the same sites and kinds give the same line, so only a cycle that
+    differs in them is rendered.
+    """
+    for t, (ca, cb) in enumerate(zip(a.cycles, b.cycles)):
+        if ca is cb or ca == cb or [x[:3] for x in ca] == [x[:3] for x in cb]:
+            continue
+        la, lb = cycle_line(t, ca), cycle_line(t, cb)
+        if la != lb:
+            return b if lb < la else a
+    return a
+
+
+def _pick(candidates: list[ScheduledCircuit]) -> ScheduledCircuit:
+    """The shallowest candidate; ties go to fewer gates, then to the smaller
+    to_text, then to the first in the list."""
+    # a lone candidate is not measured; every gate is a CPHASE or a SWAP,
+    # so the gates are counted per cycle
+    if len(candidates) == 1:
+        return candidates[0]
+    keys = [(c.depth, sum(map(len, c.cycles))) for c in candidates]
+    low = min(keys)
+    return reduce(_first_by_text, [c for c, key in zip(candidates, keys) if key == low])
 
 
 def _bfs_placement(arch: Architecture, n: int) -> Mapping:
@@ -461,7 +505,9 @@ def schedule(
     of its chains under each of its initial mappings, and under ctag-h a
     routed candidate ahead of each pattern.  The returned circuit
     always passes verify(c, g, arch).  The shallowest candidate wins; ties go
-    to fewer gates, then to the lexicographically smallest text form.
+    to fewer gates, then to the lexicographically smallest text form, then
+    to the first in the pool.  A routed run stops once it is deeper than
+    the best candidate so far, and ties are compared cycle by cycle.
     """
     if cfg is None:
         cfg = SchedulerConfig()
@@ -470,8 +516,7 @@ def schedule(
     # every knob is checked here, whether or not this strategy reads it
     if not 0.0 <= cfg.threshold <= 1.0:  # NaN fails too
         raise ValueError(f"threshold {cfg.threshold} not in [0, 1]")
-    if cfg.beam is not None and cfg.beam < 1:
-        raise ValueError(f"beam must be at least 1, got {cfg.beam}")
+    _check_beam(cfg.beam)
     if arch.q < g.n:
         raise ValueError(f"{arch.name} has {arch.q} qubits, input needs {g.n}")
     n = g.n
@@ -498,19 +543,22 @@ def schedule(
     # ctag-h's prefix length depends only on the mapping; a line strategy's
     # prefix is the whole pattern
     prefixes = [partial_pattern_cycles(g, m0, cfg.threshold) if routed else None for m0 in inits]
+    patterns = [
+        (prune_pattern(g, m0, arch, chain), k)
+        for chain in chains
+        for m0, k in zip(inits, prefixes)
+    ]
+    # the patterns cost little, so every routed run is capped at the best
+    # depth so far; a run past it could not win, and selection keeps the
+    # pool order: each routed run ahead of its pattern
+    cap = min(full.depth for full, _ in patterns)
     candidates = []
-    for chain in chains:
-        for m0, k in zip(inits, prefixes):
-            full = prune_pattern(g, m0, arch, chain)
-            if routed and k < full.depth:
-                # a prefix that ran every edge would only copy the pattern
-                candidates.append(_route(g, arch, full.init, full.cycles[:k]))
-            candidates.append(full)
-    # a lone candidate is not measured, and the text form only breaks ties,
-    # so only tied candidates are rendered
-    if len(candidates) == 1:
-        return candidates[0]
-    keys = [(c.depth, c.cphase_count + c.swap_count) for c in candidates]
-    low = min(keys)
-    tied = [c for c, key in zip(candidates, keys) if key == low]
-    return tied[0] if len(tied) == 1 else min(tied, key=to_text)
+    for full, k in patterns:
+        if routed and k < full.depth:
+            # a prefix that ran every edge would only copy the pattern
+            c = _route(g, arch, full.init, full.cycles[:k], cap)
+            if c is not None:
+                cap = c.depth
+                candidates.append(c)
+        candidates.append(full)
+    return _pick(candidates)

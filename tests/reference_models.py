@@ -4,7 +4,8 @@ The closed-form position model of the clique pattern (where a qubit is after
 t outer loops, and which cyclic ranks it meets in loop t), a brute-force
 optimal-depth search for tiny instances, and earlier, plainer versions of
 package functions: the pattern built in full and then pruned, its relabelling
-onto a chain, and the recursive chain search and shortest-path walk.  Nothing
+onto a chain, the recursive chain search and shortest-path walk, and ctag-h's
+uncapped candidate pool with its whole-text tie-break.  Nothing
 in the package calls them; the tests compare them with the layer stream, the
 meet table and the package's outputs.
 """
@@ -14,8 +15,24 @@ import itertools
 from functools import lru_cache
 
 from ctagsched.embedding import EmbeddingBudgetExceeded
-from ctagsched.graphs import Architecture, Mapping, ProblemGraph, SplitMix64, linear
-from ctagsched.pattern import CPHASE, SWAP, Gate, ScheduledCircuit, _layer_stream, _trim
+from ctagsched.graphs import (
+    Architecture,
+    Mapping,
+    ProblemGraph,
+    SplitMix64,
+    identity_mapping,
+    linear,
+)
+from ctagsched.pattern import (
+    CPHASE,
+    SWAP,
+    Gate,
+    ScheduledCircuit,
+    _layer_stream,
+    _trim,
+    prune_pattern,
+    to_text,
+)
 
 
 def _loop_step(n: int, p: int) -> int:
@@ -308,3 +325,36 @@ def ref_find_line_embedding(arch, seed=0, length=None, budget=10**6):
         if dfs(s):
             return tuple(path)
     return None
+
+
+def ref_schedule(g: ProblemGraph, arch: Architecture, threshold=0.5, beam=8, seed=0):
+    """schedule() under ctag-h as it was before routed runs were capped and
+    ties compared cycle by cycle: every routed run goes to its end, and the
+    first candidate of least (depth, CPHASE + SWAP count, to_text) wins."""
+    from ctagsched.initial_mapping import astar_initial_mapping
+    from ctagsched.scheduler import (
+        CHAINS,
+        _bfs_placement,
+        _line_orders,
+        _route,
+        partial_pattern_cycles,
+    )
+
+    n = g.n
+    if n == 1:
+        return ScheduledCircuit((), Mapping((0,)), arch)
+    chains = _line_orders(arch, n, seed, CHAINS)
+    if not chains:
+        return _route(g, arch, _bfs_placement(arch, n), ())
+    inits = [astar_initial_mapping(g, beam, seed)[0]]
+    if inits[0].pi != tuple(range(n)):
+        inits.append(identity_mapping(n))
+    pool = []
+    for chain in chains:
+        for m0 in inits:
+            full = prune_pattern(g, m0, arch, chain)
+            k = partial_pattern_cycles(g, m0, threshold)
+            if k < full.depth:
+                pool.append(_route(g, arch, full.init, full.cycles[:k]))
+            pool.append(full)
+    return min(pool, key=lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c)))

@@ -132,6 +132,13 @@ class TestAstar:
         with pytest.raises(ValueError, match="beam must be at least 1"):
             astar_initial_mapping(path(6), beam=beam)
 
+    @pytest.mark.parametrize("beam", [2.5, True, "8"], ids=["float", "bool", "str"])
+    def test_beam_that_is_not_an_int_is_rejected(self, beam):
+        # a float beam would never fill the heap, so the bar would never
+        # apply, and True would silently be a beam of 1
+        with pytest.raises(ValueError, match="beam must be an integer or None"):
+            astar_initial_mapping(path(6), beam=beam)
+
     def test_beam_never_beats_exhaustive(self):
         g = make_problem_graph(6, [(0, 3), (1, 4), (2, 5), (1, 2), (3, 4)])
         _, d_beam = astar_initial_mapping(g, beam=4)

@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +44,9 @@ from ctagsched.scheduler import (
     _bfs_placement,
     _bystander_delta,
     _first_hops,
+    _first_by_text,
     _line_orders,
+    _pick,
     _route,
     _shortest_paths,
     enumerate_swap_strategies,
@@ -53,7 +56,7 @@ from ctagsched.scheduler import (
     score_strategy,
 )
 from ctagsched.verify import verify
-from reference_models import ref_prune_pattern, ref_relabel, ref_shortest_paths
+from reference_models import ref_prune_pattern, ref_relabel, ref_schedule, ref_shortest_paths
 
 FIG_EDGES = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4)]
 
@@ -812,10 +815,10 @@ def test_ctag_i_iso_searches_under_the_configured_beam_and_seed(monkeypatch):
     assert calls == [(2, 3)]
 
 
-def test_text_form_is_rendered_only_for_ties(monkeypatch):
-    # depth and gate count decide this instance outright, so no candidate is
-    # rendered; on the clique the prefix covers the pattern, so each mapping
-    # gives only its pattern, and the two patterns' tie is broken by text
+def test_text_form_is_never_rendered(monkeypatch):
+    # depth and gate count decide the grid instance outright; on K6 the four
+    # ctag-h candidates tie on both and their texts differ, so the winner is
+    # picked cycle by cycle, and still without a whole to_text render
     real = ctagsched.scheduler.to_text
     rendered = []
 
@@ -823,18 +826,151 @@ def test_text_form_is_rendered_only_for_ties(monkeypatch):
         rendered.append(c)
         return real(c)
 
+    real_pick = ctagsched.scheduler._pick
+    pools = []
+
+    def recording(candidates):
+        pools.append(list(candidates))
+        return real_pick(candidates)
+
     monkeypatch.setattr(ctagsched.scheduler, "to_text", counting)
-    g = random_graph(12, 0.25, 17)
-    arch = make_architecture("grid:3x4")
-    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
-    assert verify(c, g, arch).ok
+    monkeypatch.setattr(ctagsched.scheduler, "_pick", recording)
+    for name in ("sparse-grid3x4", "K6-grid2x3"):
+        g, spec, digests = POOL_DIGESTS[name]
+        arch = make_architecture(spec)
+        c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
+        assert verify(c, g, arch).ok
+        blob = to_text(c) + " ".join(map(str, c.init.pi))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digests[STRATEGIES.index("ctag-h")]
     assert rendered == []
 
-    c = schedule(clique(6), linear(6), SchedulerConfig(strategy="ctag-h"))
-    assert len(rendered) >= 2
     key = (c.depth, c.cphase_count + c.swap_count)
-    assert all((r.depth, r.cphase_count + r.swap_count) == key for r in rendered)
-    assert real(c) == min(map(real, rendered))
+    tied = [r for r in pools[-1] if (r.depth, r.cphase_count + r.swap_count) == key]
+    assert len(tied) == 4 and len({to_text(r) for r in tied}) == 2
+    assert to_text(c) == min(map(to_text, tied))
+
+
+# gates whose lines collide in the ways the tie-break must get right: one
+# site pair under two logical pairs (same line), a line that is a prefix of
+# another (SWAP(1,2) and SWAP(1,23)), and the empty cycle's bare "t:"
+TIE_GATES = [
+    Gate(SWAP, 1, 2),
+    Gate(SWAP, 1, 23),
+    Gate(SWAP, 12, 3),
+    Gate(CPHASE, 1, 2, (0, 1)),
+    Gate(CPHASE, 1, 2, (2, 3)),
+    Gate(CPHASE, 2, 3, (0, 1)),
+]
+TIE_CYCLES = st.lists(st.sampled_from(TIE_GATES), max_size=3).map(tuple)
+
+
+def _relogical(gate):
+    # the same sites and kind under the other logical pair: the same line
+    if gate.logical is None:
+        return gate
+    return gate._replace(logical=(2, 3) if gate.logical == (0, 1) else (0, 1))
+
+
+@st.composite
+def candidate_pools(draw, depths):
+    """Candidates in pool order, each of a depth drawn from `depths`: fresh
+    ones, some made of shared cycle objects, some copying another's first
+    cycles (the same objects) and some another's every cycle under other
+    logical pairs."""
+    shared = draw(st.lists(TIE_CYCLES, min_size=1, max_size=4))
+    cycle = st.one_of(st.sampled_from(shared), TIE_CYCLES)
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(["fresh", "prefix", "relogical"] if pool else ["fresh"]))
+        if how == "relogical":
+            base = draw(st.sampled_from(pool))
+            cycles = tuple(tuple(map(_relogical, cyc)) for cyc in base.cycles)
+        else:
+            depth = draw(st.sampled_from(depths))
+            head = ()
+            if how == "prefix":
+                head = draw(st.sampled_from(pool)).cycles[: draw(st.integers(0, depth))]
+            cycles = head + tuple(draw(cycle) for _ in range(depth - len(head)))
+        pool.append(ScheduledCircuit(cycles, identity_mapping(2), linear(24)))
+    return pool
+
+
+def _on_sites(*cycles):
+    return ScheduledCircuit(tuple(cycles), identity_mapping(2), linear(24))
+
+
+SWAP_12, SWAP_1_23 = (Gate(SWAP, 1, 2),), (Gate(SWAP, 1, 23),)
+CPHASE_12 = (Gate(CPHASE, 1, 2, (0, 1)),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda d: candidate_pools([d])))
+@example([_on_sites(SWAP_12, SWAP_12), _on_sites(SWAP_12, CPHASE_12)])  # kind only
+@example([_on_sites(SWAP_1_23), _on_sites(SWAP_12)])  # a line's prefix
+@example([_on_sites(CPHASE_12), _on_sites(tuple(map(_relogical, CPHASE_12)))])
+def test_lazy_tie_break_is_the_smallest_text(tied):
+    # pairwise in pool order, so among equal texts the first stays
+    assert reduce(_first_by_text, tied) is min(tied, key=to_text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: candidate_pools([d, d + 1])))
+def test_pick_is_least_depth_gates_then_text(pool):
+    key = lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c))  # noqa: E731
+    assert _pick(pool) is min(pool, key=key)
+
+
+@st.composite
+def ctag_h_inputs(draw):
+    spec = draw(
+        st.one_of(
+            st.integers(2, 16).map(lambda q: f"linear:{q}"),
+            st.tuples(st.integers(2, 4), st.integers(2, 4)).map(lambda rc: "grid:%dx%d" % rc),
+            st.integers(2, 8).map(lambda c: f"grid:2x{c}"),
+            st.sampled_from(["ibm20", "ibm27"]),
+        )
+    )
+    arch = make_architecture(spec)
+    n = draw(st.integers(2, min(arch.q, 22)))
+    density = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]))
+    seed = draw(st.integers(0, 999))
+    # a density that rounds to no edge gives the empty graph
+    g = random_graph(n, density, seed) if density * n * (n - 1) >= 1 else make_problem_graph(n, [])
+    threshold = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    return g, arch, threshold, draw(st.sampled_from([1, 8])), draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ctag_h_inputs())
+@example((random_graph(40, 0.1, 1120), linear(40), 0.5, 8, 0))
+def test_capped_pool_picks_the_uncapped_winner(drawn):
+    # every routed run goes to its end in the reference and ties are
+    # rendered whole; capping runs and comparing cycles lazily must not
+    # change the circuit, down to its logical pairs and pool position
+    g, arch, threshold, beam, seed = drawn
+    c = schedule(g, arch, SchedulerConfig("ctag-h", threshold, beam, seed))
+    assert c == ref_schedule(g, arch, threshold, beam, seed)
+
+
+def test_capped_routed_runs_stop_early(monkeypatch):
+    # route-sparse's linear:40 d=0.1 instance at seed 1: the pattern ends at
+    # 62 cycles and the uncapped routed runs at 92 and 101, so both capped
+    # runs give up; maximal_matching runs once per heuristic round
+    g, arch = random_graph(40, 0.1, 1120), linear(40)
+    real = ctagsched.scheduler.maximal_matching
+    rounds = []
+
+    def counting(edges, mapping):
+        rounds.append(1)
+        return real(edges, mapping)
+
+    monkeypatch.setattr(ctagsched.scheduler, "maximal_matching", counting)
+    c = schedule(g, arch)
+    capped = len(rounds)
+    rounds.clear()
+    assert c == ref_schedule(g, arch)
+    assert c.depth == 62
+    assert 0 < capped < len(rounds)
 
 
 @pytest.mark.parametrize(
@@ -956,6 +1092,9 @@ BAD_CONFIGS = [
     ({"threshold": -0.1}, "threshold"),
     ({"threshold": float("nan")}, "threshold"),
     ({"beam": 0}, "beam must be at least 1"),
+    ({"beam": 2.5}, "beam must be an integer"),
+    ({"beam": True}, "beam must be an integer"),
+    ({"beam": "8"}, "beam must be an integer"),
 ]
 
 

@@ -199,8 +199,10 @@ def cmd_bench(args) -> int:
     # rows come back in cell order, from the pool as from the loop
     cells.sort(key=lambda c: (c[0], c[1], c[3].seed, c[3].strategy))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool starts all its workers at once, so it gets no more than one per cell
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, cells))
     else:
         rows = [_bench_cell(c) for c in cells]
@@ -245,10 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--graph", required=True, help="problem graph file")
     ps.add_argument("--arch", required=True,
                     help="linear:N | grid:RxC | ibm20 | ibm27 | file:PATH")
-    ps.add_argument("--strategy", default="ctag-h", choices=STRATEGIES)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--threshold", type=float, default=0.5)
-    ps.add_argument("--beam", type=int, default=8)
+    ps.add_argument("--strategy", default=SchedulerConfig.strategy, choices=STRATEGIES)
+    ps.add_argument("--seed", type=int, default=SchedulerConfig.seed)
+    ps.add_argument("--threshold", type=float, default=SchedulerConfig.threshold)
+    ps.add_argument("--beam", type=int, default=SchedulerConfig.beam)
     ps.add_argument("--out", help="output prefix (default: graph file stem)")
     ps.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -258,9 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", default="1", help="comma-separated seeds")
     pb.add_argument("--arch", required=True,
                     help="comma-separated arch specs; bare 'linear' sizes to n")
-    pb.add_argument("--strategy", default="ctag-h", help="comma-separated strategies")
-    pb.add_argument("--threshold", type=float, default=0.5)
-    pb.add_argument("--beam", type=int, default=8)
+    pb.add_argument("--strategy", default=SchedulerConfig.strategy,
+                    help="comma-separated strategies")
+    pb.add_argument("--threshold", type=float, default=SchedulerConfig.threshold)
+    pb.add_argument("--beam", type=int, default=SchedulerConfig.beam)
     pb.add_argument("--jobs", type=int, default=1)
     pb.add_argument("--out", help="CSV output path (default: stdout)")
     pb.add_argument("--format", choices=("csv", "json", "text"), default="csv")

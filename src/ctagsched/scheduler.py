@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 from ctagsched.embedding import (
     canonical,
@@ -95,8 +96,8 @@ class SchedulerState:
     qubit is on now and inv its site -> logical inverse; _apply_swaps moves
     both in place.  blocked holds the sites the current cycle's SWAPs may not
     touch: those of the executable edges, of the SWAPs already chosen and of
-    the endpoints parked this round; _run_rounds refills it every round.
-    paths memoises _shortest_paths for the life of one run.
+    the endpoints parked this round; _route refills it every round.  paths
+    memoises _shortest_paths by its two end sites for the life of one run.
     """
 
     g: ProblemGraph
@@ -106,28 +107,24 @@ class SchedulerState:
     blocked: set[int] = field(default_factory=set)
     pi: list[int] = field(init=False)
     inv: dict[int, int] = field(init=False)
-    paths: dict[tuple[int, int, int], list[tuple[int, ...]]] = field(
-        init=False, default_factory=dict
-    )
+    paths: dict[tuple[int, int], list[tuple[int, ...]]] = field(init=False, default_factory=dict)
 
     def __post_init__(self, init: Mapping):
         self.pi = list(init.pi)
         self.inv = init.inverse()
 
 
-@dataclass(frozen=True)
-class SwapStrategy:
+class SwapStrategy(NamedTuple):
     """One way to bring an edge's endpoints adjacent along a shortest path.
 
-    split (d1, d2) moves the first endpoint d1 hops and the second d2 hops
-    with d1 + d2 = dist - 1; paths hold the site sequence each endpoint
-    traverses (starting at its current site).
+    path runs from the first endpoint's site to the second's; the first
+    endpoint moves d1 hops along it and the second the other
+    len(path) - 2 - d1 hops back, so they meet on path[d1:d1 + 2].
     """
 
     edge: Edge
-    split: tuple[int, int]
-    paths: tuple[tuple[int, ...], tuple[int, ...]]
-    new_positions: tuple[int, int]
+    path: tuple[int, ...]
+    d1: int
 
 
 def partial_pattern_cycles(g: ProblemGraph, mapping: Mapping, threshold: float) -> int:
@@ -204,19 +201,17 @@ def _shortest_paths(arch: Architecture, s: int, t: int, limit: int) -> list[tupl
 
 
 def _first_hops(ss: SwapStrategy) -> tuple[tuple[int, int], ...]:
-    # the SWAPs a strategy contributes to the current cycle
-    hops = []
-    for path in ss.paths:
-        if len(path) > 1:
-            a, b = path[0], path[1]
-            hops.append((a, b) if a < b else (b, a))
-    return tuple(sorted(hops))
+    # the SWAPs a strategy adds to the current cycle: path[:2] when the
+    # first endpoint moves (d1 > 0), path[-2:] when the second does
+    path, d1 = ss.path, ss.d1
+    hops = [path[:2]] if d1 else []
+    if d1 < len(path) - 2:
+        hops.append(path[-2:])
+    return tuple(sorted((a, b) if a < b else (b, a) for a, b in hops))
 
 
-def enumerate_swap_strategies(
-    edge: Edge, state: SchedulerState, max_paths: int = MAX_PATHS
-) -> list[SwapStrategy]:
-    """Feasible (path, split) strategies that bring `edge` adjacent.
+def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStrategy]:
+    """Feasible (path, d1) strategies that bring `edge` adjacent.
 
     Only each strategy's first-cycle SWAPs are checked against the current
     cycle: they may not touch sites of gates already scheduled, of currently
@@ -225,13 +220,14 @@ def enumerate_swap_strategies(
 
     So only four sites can block a strategy: the first endpoint's site pu and
     path[1] when it moves (d1 > 0), the second's pv and path[-2] when it moves
-    (d2 > 0).  The two first hops never share a site: at distance 2 only one
-    endpoint moves.  path[1] and path[-2] step one hop closer to the other
-    endpoint, so before reading any path a call returns [] unless a free
-    endpoint has such a neighbour unblocked.  Then it builds only the
-    feasible strategies, in path order and then by d1, from shortest paths
-    memoised in `state`.  A call costs O(1) when both endpoints are blocked,
-    O(deg) when every first hop is, and O(max_paths * dist) otherwise.
+    (d1 < dist - 1).  The two first hops never share a site: at distance 2
+    only one endpoint moves.  path[1] and path[-2] step one hop closer to the
+    other endpoint, so before reading any path a call returns [] unless a
+    free endpoint has such a neighbour unblocked.  Then it builds only the
+    feasible strategies, in path order and then by d1, from the first
+    MAX_PATHS shortest paths memoised in `state`.  A call costs O(1) when
+    both endpoints are blocked, O(deg) when every first hop is, and
+    O(MAX_PATHS * dist) otherwise.
     """
     u, v = edge
     pu, pv = state.pi[u], state.pi[v]
@@ -248,25 +244,14 @@ def enumerate_swap_strategies(
         or (pv_free and any(to_u[q] == closer and q not in blocked for q in arch.adj[pv]))
     ):
         return []
-    key = (pu, pv, max_paths)
-    paths = state.paths.get(key)
+    paths = state.paths.get((pu, pv))
     if paths is None:
-        paths = state.paths[key] = _shortest_paths(arch, pu, pv, max_paths)
+        paths = state.paths[pu, pv] = _shortest_paths(arch, pu, pv, MAX_PATHS)
     out = []
     for path in paths:
-        u_moves = pu_free and path[1] not in blocked  # d1 > 0 allowed
-        v_moves = pv_free and path[-2] not in blocked  # d2 > 0 allowed
-        for d1 in range(dist):
-            if (d1 > 0 and not u_moves) or (d1 < dist - 1 and not v_moves):
-                continue
-            out.append(
-                SwapStrategy(
-                    edge,
-                    (d1, dist - 1 - d1),
-                    (path[: d1 + 1], path[:d1:-1]),
-                    (path[d1], path[d1 + 1]),
-                )
-            )
+        lo = 0 if pv_free and path[-2] not in blocked else closer
+        hi = dist if pu_free and path[1] not in blocked else 1
+        out += [SwapStrategy(edge, path, d1) for d1 in range(lo, hi)]
     return out
 
 
@@ -280,7 +265,7 @@ def score_strategy(ss: SwapStrategy, state: SchedulerState) -> int:
     dist = state.arch.dist
     pi, remaining = state.pi, state.remaining
     score = 0
-    for end, newpos in zip(ss.edge, ss.new_positions):
+    for end, newpos in zip(ss.edge, ss.path[ss.d1 : ss.d1 + 2]):
         row = dist[newpos]
         for nb in state.g.adj[end]:
             e = (end, nb) if end < nb else (nb, end)
@@ -299,13 +284,14 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
     maintained inverse map, so a call costs O(dist * deg).
     """
     u, v = ss.edge
+    path, d1 = ss.path, ss.d1
     inv = state.inv
+    # each SWAP carries the qubit it meets one hop against its endpoint's way
     moved: dict[int, int] = {}
-    for path in ss.paths:
-        for k in range(1, len(path)):
-            l = inv.get(path[k])
-            if l is not None:
-                moved[l] = path[k - 1]
+    for k in range(1, len(path) - 1):
+        l = inv.get(path[k])
+        if l is not None:
+            moved[l] = path[k - 1] if k <= d1 else path[k + 1]
     if not moved:
         return 0
     dist = state.arch.dist
@@ -335,11 +321,12 @@ def _apply_swaps(state: SchedulerState, hops) -> None:
             inv[a] = lb
 
 
-def _run_rounds(
-    state: SchedulerState, limit: int | None = None
-) -> list[tuple[Gate, ...]] | None:
-    """Schedule state.remaining in cycles and return them, or None as soon
-    as the edges still left need a cycle past `limit` cycles.
+def _route(
+    g: ProblemGraph, arch: Architecture, init: Mapping, prefix, cap: int | None = None
+) -> ScheduledCircuit | None:
+    """Run `prefix` (cycles on arch's sites) from `init`, then schedule the
+    edges it leaves in heuristic rounds; None as soon as they need a cycle
+    past `cap` cycles in all.
 
     One cycle per round: a maximal matching of the executable edges plus
     the first SWAPs of the best-scored strategy for each distant edge.  A
@@ -350,11 +337,15 @@ def _run_rounds(
     blocked is not enumerated, a lone strategy is not scored, and a lone
     lowest score skips the bystander-delta tie-break.
     """
-    dist = state.arch.dist
+    state = SchedulerState(g, arch, init, set(g.edges))
+    for cyc in prefix:
+        state.remaining.difference_update(x.logical for x in cyc if x.kind == CPHASE)
+        _apply_swaps(state, [(x.a, x.b) for x in cyc if x.kind == SWAP])
+    dist = arch.dist
     pi, blocked = state.pi, state.blocked
-    cycles = []
+    cycles = list(prefix)
     while state.remaining:
-        if limit is not None and len(cycles) >= limit:
+        if cap is not None and len(cycles) >= cap:
             return None
         # each distance is read once per round: adjacent edges are
         # executable, the others are routed nearest first, ties by edge id
@@ -375,7 +366,7 @@ def _run_rounds(
                 continue  # earlier swaps this round already parked it adjacent
             if pu in blocked and pv in blocked:
                 continue  # dead until the constraints reset next cycle
-            strategies = enumerate_swap_strategies(e, state, MAX_PATHS)
+            strategies = enumerate_swap_strategies(e, state)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
             if len(strategies) == 1:
@@ -384,14 +375,16 @@ def _run_rounds(
                 scores = [score_strategy(ss, state) for ss in strategies]
                 low = min(scores)
                 tied = [ss for ss, sc in zip(strategies, scores) if sc == low]
-                # the bystander delta only breaks score ties, so only ties pay for it
+                # the bystander delta only breaks score ties, so only ties
+                # pay for it; then the hops, d1 and each endpoint's own path
                 best = tied[0] if len(tied) == 1 else min(
                     tied,
                     key=lambda ss: (
                         _bystander_delta(ss, state),
                         _first_hops(ss),
-                        ss.split,
-                        ss.paths,
+                        ss.d1,
+                        ss.path[: ss.d1 + 1],
+                        ss.path[: ss.d1 : -1],
                     ),
                 )
             hops = _first_hops(best)
@@ -402,7 +395,7 @@ def _run_rounds(
             blocked.update((pi[e[0]], pi[e[1]]))
         assert cycle, "scheduler round made no progress"
         cycles.append(tuple(cycle))
-    return cycles
+    return ScheduledCircuit(tuple(cycles), init, arch)
 
 
 def _line_orders(
@@ -411,7 +404,7 @@ def _line_orders(
     """Up to `count` chains of n coupled sites to lay the pattern on, best
     first: the built-in chain of the device's name where arch couples it (a
     coupling file may carry a built-in name such as ibm20 or grid:4x5), then
-    a search for CHAINS chains, which runs only if it is still needed."""
+    a search for `count` chains, which runs only if it is still needed."""
     chain = ()
     if arch.name.startswith("linear:"):
         chain = tuple(range(arch.q))
@@ -429,25 +422,9 @@ def _line_orders(
     if len(out) < count:
         # the searched chains are distinct, but one may be the built-in one
         known = {canonical(c) for c in out}
-        found = multi_embeddings(arch, CHAINS, seed=seed, length=n)
+        found = multi_embeddings(arch, count, seed=seed, length=n)
         out += [c for c in found if canonical(c) not in known]
     return out[:count]
-
-
-def _route(
-    g: ProblemGraph, arch: Architecture, init: Mapping, prefix, cap: int | None = None
-) -> ScheduledCircuit | None:
-    """Run `prefix` (cycles on arch's sites) from `init`, then schedule the
-    edges it leaves with the heuristic rounds; None once the rounds would
-    take the circuit past `cap` cycles."""
-    state = SchedulerState(g, arch, init, set(g.edges))
-    for cyc in prefix:
-        state.remaining.difference_update(x.logical for x in cyc if x.kind == CPHASE)
-        _apply_swaps(state, [(x.a, x.b) for x in cyc if x.kind == SWAP])
-    rounds = _run_rounds(state, None if cap is None else cap - len(prefix))
-    if rounds is None:
-        return None
-    return ScheduledCircuit(tuple(prefix) + tuple(rounds), init, arch)
 
 
 def _first_by_text(a: ScheduledCircuit, b: ScheduledCircuit) -> ScheduledCircuit:
@@ -489,7 +466,7 @@ def _bfs_placement(arch: Architecture, n: int) -> Mapping:
     while dq:
         p = dq.popleft()
         order.append(p)
-        for q in sorted(arch.adj[p]):
+        for q in arch.adj[p]:
             if not seen[q]:
                 seen[q] = True
                 dq.append(q)

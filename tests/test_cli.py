@@ -20,7 +20,7 @@ from ctagsched import cli
 from ctagsched.cli import CSV_COLUMNS, main
 from ctagsched.graphs import clique, linear, make_problem_graph, random_graph, save_problem_graph
 from ctagsched.pattern import to_json_dict
-from ctagsched.scheduler import STRATEGIES, schedule
+from ctagsched.scheduler import STRATEGIES, SchedulerConfig, schedule
 
 FIG_EDGES = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (1, 3), (2, 4)]
 
@@ -375,6 +375,23 @@ class TestVerify:
         assert message in err
 
 
+def rows_without_time(text):
+    # bench CSV rows without the one column that varies from run to run
+    rows = list(csv.DictReader(io.StringIO(text)))
+    for r in rows:
+        r.pop("compile_time_ms")
+    return rows
+
+
+def test_parsed_defaults_are_the_scheduler_defaults():
+    parser = cli._build_parser()
+    ps = parser.parse_args(["schedule", "--graph", "g.txt", "--arch", "linear:4"])
+    assert SchedulerConfig(ps.strategy, ps.threshold, ps.beam, ps.seed) == SchedulerConfig()
+    # bench's --seed is a list of its own
+    pb = parser.parse_args(["bench", "--n", "4", "--density", "1", "--arch", "linear"])
+    assert SchedulerConfig(pb.strategy, pb.threshold, pb.beam) == SchedulerConfig()
+
+
 class TestBench:
     def test_clique_reference_row(self, capsys):
         code, stdout, _ = run(
@@ -412,15 +429,46 @@ class TestBench:
         ]
         code1, serial, _ = run(capsys, *args)
         code2, parallel, _ = run(capsys, *args, "--jobs", "2")
-
-        def strip_time(text):
-            rows = list(csv.DictReader(io.StringIO(text)))
-            for r in rows:
-                r.pop("compile_time_ms")
-            return rows
-
         assert code1 == code2 == 0
-        assert strip_time(serial) == strip_time(parallel)
+        assert rows_without_time(serial) == rows_without_time(parallel)
+
+    @pytest.mark.parametrize(
+        "jobs, ns, seeds, workers",
+        [
+            ("5000", "6,7", "1,2", 4),
+            ("2", "6,7", "1,2", 2),
+            ("5000", "6", "1", None),
+            ("1", "6,7", "1,2", None),
+        ],
+    )
+    def test_at_most_one_worker_per_cell(self, monkeypatch, capsys, jobs, ns, seeds, workers):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker is ever started; one cell per (n, seed)
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        args = [
+            "bench", "--n", ns, "--density", "0.5", "--seed", seeds,
+            "--arch", "linear", "--strategy", "pattern-only",
+        ]
+        code1, serial, _ = run(capsys, *args)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        code2, pooled, _ = run(capsys, *args, "--jobs", jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert code1 == code2 == 0
+        assert rows_without_time(serial) == rows_without_time(pooled)
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -1,8 +1,11 @@
 """Heuristic scheduler: pattern prefix, matching, routing, and end-to-end runs."""
 
 import hashlib
+import importlib
+import importlib.util
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -198,9 +201,9 @@ class TestSwapStrategies:
         st = state_on_line(5, [(0, 3)])
         out = enumerate_swap_strategies((0, 3), st)
         assert len(out) == 3
-        assert sorted(ss.split for ss in out) == [(0, 2), (1, 1), (2, 0)]
+        assert sorted((ss.d1, len(ss.path) - 2 - ss.d1) for ss in out) == [(0, 2), (1, 1), (2, 0)]
         for ss in out:
-            a, b = ss.new_positions
+            a, b = ss.path[ss.d1 : ss.d1 + 2]
             assert st.arch.dist[a][b] == 1
 
     def test_grid_corner_pairs_use_multiple_paths(self):
@@ -208,15 +211,15 @@ class TestSwapStrategies:
         g = make_problem_graph(6, [(0, 5)])
         st = SchedulerState(g, arch, identity_mapping(6), set(g.edges))
         out = enumerate_swap_strategies((0, 5), st)
-        paths = {ss.paths for ss in out}
         assert len(out) == 9  # 3 shortest paths x 3 splits
-        assert len(paths) == 9
+        assert len({ss.path for ss in out}) == 3
+        assert len({(ss.path, ss.d1) for ss in out}) == 9
 
     def test_busy_sites_filter_strategies(self):
         st = state_on_line(5, [(0, 3)])
         st.blocked.add(1)  # first hop 0->1 now collides for d1 >= 1
         out = enumerate_swap_strategies((0, 3), st)
-        assert all(ss.split[0] == 0 for ss in out)
+        assert all(ss.d1 == 0 for ss in out)
 
     def test_protected_sites_filter_strategies(self):
         from ctagsched.scheduler import _first_hops
@@ -248,7 +251,7 @@ class TestScoreStrategy:
     def test_hand_computed_scores(self):
         st = state_on_line(6, [(0, 3), (3, 5)])
         out = enumerate_swap_strategies((0, 3), st)
-        by_split = {ss.split: ss for ss in out}
+        by_split = {(ss.d1, len(ss.path) - 2 - ss.d1): ss for ss in out}
         # (2,0): u ends at 2, v stays at 3; only (3,5) contributes: d(3,5)=2
         assert score_strategy(by_split[(2, 0)], st) == 2
         # (1,1): v ends at 2: d(2,5)=3
@@ -266,7 +269,7 @@ class TestScoreStrategy:
         dist = st.arch.dist
         for ss in enumerate_swap_strategies((0, 4), st):
             expect = 0
-            for end, pos in zip(ss.edge, ss.new_positions):
+            for end, pos in zip(ss.edge, ss.path[ss.d1 : ss.d1 + 2]):
                 for x, y in st.remaining:
                     if (x, y) == ss.edge or end not in (x, y):
                         continue
@@ -278,25 +281,35 @@ class TestScoreStrategy:
 # Reference versions of the round engine's hot path as it was before it was
 # made O(degree) per candidate: build every (path, split) strategy from the
 # recursive path walk and then filter, and scan every remaining edge when
-# scoring.
+# scoring.  Each reads a strategy as it was first recorded: a split, the
+# site sequence each endpoint traverses and the two sites they meet on.
 
 
-def ref_enumerate(edge, state, max_paths):
+def ref_split_paths(ss):
+    """(split, paths, new_positions) of ss: the first endpoint walks
+    path[:d1 + 1], the second path[d1 + 1:] backwards."""
+    path, d1 = list(ss.path), ss.d1
+    split = (d1, len(path) - 2 - d1)
+    paths = (tuple(path[: d1 + 1]), tuple(reversed(path[d1 + 1 :])))
+    return split, paths, (path[d1], path[d1 + 1])
+
+
+def ref_first_hops(ss):
+    # the first SWAP of each endpoint that moves
+    hops = [tuple(sorted(p[:2])) for p in ref_split_paths(ss)[1] if len(p) > 1]
+    return tuple(sorted(hops))
+
+
+def ref_enumerate(edge, state):
     u, v = edge
     pu, pv = state.pi[u], state.pi[v]
     dist = state.arch.dist[pu][pv]
     blocked = state.blocked
     out = []
-    for path in ref_shortest_paths(state.arch, pu, pv, max_paths):
+    for path in ref_shortest_paths(state.arch, pu, pv, MAX_PATHS):
         for d1 in range(dist):
-            d2 = dist - 1 - d1
-            ss = SwapStrategy(
-                edge,
-                (d1, d2),
-                (tuple(path[: d1 + 1]), tuple(reversed(path[d1 + 1 :]))),
-                (path[d1], path[d1 + 1]),
-            )
-            sites = [s for h in _first_hops(ss) for s in h]
+            ss = SwapStrategy(edge, tuple(path), d1)
+            sites = [s for h in ref_first_hops(ss) for s in h]
             if len(set(sites)) < len(sites):
                 continue
             if any(s in blocked for s in sites):
@@ -308,7 +321,7 @@ def ref_enumerate(edge, state, max_paths):
 def ref_score(ss, state):
     dist = state.arch.dist
     score = 0
-    for end, newpos in zip(ss.edge, ss.new_positions):
+    for end, newpos in zip(ss.edge, ref_split_paths(ss)[2]):
         for x, y in state.remaining:
             if (x, y) == ss.edge:
                 continue
@@ -326,7 +339,7 @@ def ref_bystander_delta(ss, state):
     u, v = ss.edge
     inv = Mapping(tuple(state.pi)).inverse()
     moved = {}
-    for path in ss.paths:
+    for path in ref_split_paths(ss)[1]:
         for k in range(1, len(path)):
             l = inv.get(path[k])
             if l is not None:
@@ -375,36 +388,57 @@ def routing_states(draw):
         make_problem_graph(n, edges), arch, Mapping(tuple(sites[:n])), remaining
     )
     state.blocked = draw(site_sets) | draw(site_sets) | draw(site_sets)
-    return state, draw(st.integers(1, 4))
+    return state
 
 
 class TestRoundEngineMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(routing_states())
-    def test_strategies_scores_and_deltas(self, drawn):
-        state, max_paths = drawn
+    def test_strategies_scores_and_deltas(self, state):
         dist = state.arch.dist
         for e in sorted(state.remaining):
             if dist[state.pi[e[0]]][state.pi[e[1]]] < 2:
                 continue
-            ref = ref_enumerate(e, state, max_paths)
-            assert enumerate_swap_strategies(e, state, max_paths) == ref
+            ref = ref_enumerate(e, state)
+            assert enumerate_swap_strategies(e, state) == ref
             for ss in ref:
+                assert _first_hops(ss) == ref_first_hops(ss)
                 assert score_strategy(ss, state) == ref_score(ss, state)
                 assert _bystander_delta(ss, state) == ref_bystander_delta(ss, state)
             # cached paths give the same list on a second call
-            assert enumerate_swap_strategies(e, state, max_paths) == ref
+            assert enumerate_swap_strategies(e, state) == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(routing_states(), st.booleans())
+    def test_one_endpoint_moves_the_whole_way(self, state, u_parked):
+        # with one endpoint's site blocked, only the other one moves: every
+        # strategy is d1 == 0 (the second endpoint walks the whole path) or
+        # d1 == dist - 1 (the first does), and has one first hop
+        dist = state.arch.dist
+        for e in sorted(state.remaining):
+            pu, pv = state.pi[e[0]], state.pi[e[1]]
+            if dist[pu][pv] < 2:
+                continue
+            state.blocked = (state.blocked - {pu, pv}) | {pu if u_parked else pv}
+            ref = ref_enumerate(e, state)
+            got = enumerate_swap_strategies(e, state)
+            assert got == ref
+            for ss in got:
+                assert ss.d1 == (0 if u_parked else dist[pu][pv] - 1)
+                assert _first_hops(ss) == ref_first_hops(ss)
+                assert len(_first_hops(ss)) == 1
+                assert score_strategy(ss, state) == ref_score(ss, state)
+                assert _bystander_delta(ss, state) == ref_bystander_delta(ss, state)
 
     @settings(max_examples=100, deadline=None)
     @given(routing_states())
-    def test_apply_swaps_keeps_the_inverse(self, drawn):
-        state, max_paths = drawn
+    def test_apply_swaps_keeps_the_inverse(self, state):
         state.blocked = set()
         dist = state.arch.dist
         for e in sorted(state.remaining):
             if dist[state.pi[e[0]]][state.pi[e[1]]] < 2:
                 continue
-            hops = _first_hops(enumerate_swap_strategies(e, state, max_paths)[-1])
+            hops = _first_hops(enumerate_swap_strategies(e, state)[-1])
             expect = ref_apply_swaps(Mapping(tuple(state.pi)), hops)
             _apply_swaps(state, hops)
             assert Mapping(tuple(state.pi)) == expect
@@ -439,7 +473,7 @@ def ref_run_rounds(state):
             if dist[pi[e[0]]][pi[e[1]]] < 2:
                 continue  # earlier swaps this round already parked it adjacent
             state.blocked = busy | re_sites | protected
-            strategies = ref_enumerate(e, state, MAX_PATHS)
+            strategies = ref_enumerate(e, state)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
             scores = [ref_score(ss, state) for ss in strategies]
@@ -449,12 +483,11 @@ def ref_run_rounds(state):
                 (ss for ss, sc in zip(strategies, scores) if sc == low),
                 key=lambda ss: (
                     ref_bystander_delta(ss, state),
-                    _first_hops(ss),
-                    ss.split,
-                    ss.paths,
+                    ref_first_hops(ss),
+                    *ref_split_paths(ss)[:2],
                 ),
             )
-            hops = _first_hops(best)
+            hops = ref_first_hops(best)
             for a, b in hops:
                 cycle.append(Gate(SWAP, a, b))
                 busy |= {a, b}
@@ -716,11 +749,11 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
     found = {}  # edge -> the strategies its latest enumeration returned
     calls = Counter()
 
-    def enumerate_(edge, state, max_paths=MAX_PATHS):
+    def enumerate_(edge, state):
         calls["enumerate"] += 1
         pi = state.pi
         assert not (pi[edge[0]] in state.blocked and pi[edge[1]] in state.blocked)
-        found[edge] = real_enumerate(edge, state, max_paths)
+        found[edge] = real_enumerate(edge, state)
         return found[edge]
 
     def score(ss, state):
@@ -798,6 +831,28 @@ def test_only_ctag_h_searches_past_a_builtin_chain(monkeypatch, spec, strategy):
     c = schedule(g, arch, SchedulerConfig(strategy=strategy))
     assert verify(c, g, arch).ok
     assert calls == ([CHAINS] if strategy == "ctag-h" else [])
+
+
+@pytest.mark.parametrize("device", ["grid:4x5", "ibm20", "ibm27"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_line_strategy_searches_for_one_chain(monkeypatch, device, strategy):
+    # a custom-named device has no built-in chain: a line strategy searches
+    # for the one chain it lays, which is the first of ctag-h's CHAINS
+    real = ctagsched.scheduler.multi_embeddings
+    couplings = make_architecture(device).couplings
+    arch = Architecture(1 + max(map(max, couplings)), couplings, "custom")
+    calls = []
+
+    def search(arch, k, **kwargs):
+        calls.append(k)
+        return real(arch, k, **kwargs)
+
+    monkeypatch.setattr(ctagsched.scheduler, "multi_embeddings", search)
+    g = random_graph(12, 0.3, 1)
+    c = schedule(g, arch, SchedulerConfig(strategy=strategy))
+    assert verify(c, g, arch).ok
+    assert calls == [CHAINS if strategy == "ctag-h" else 1]
+    assert _line_orders(arch, 12, 0, 1) == real(arch, CHAINS, seed=0, length=12)[:1]
 
 
 def test_ctag_i_iso_searches_under_the_configured_beam_and_seed(monkeypatch):
@@ -1218,3 +1273,44 @@ def test_shortest_paths_match_the_recursive_walk_on_devices(spec):
 def test_shortest_path_longer_than_the_recursion_limit():
     # one stack frame per hop would overflow at about 1,000
     assert _shortest_paths(linear(1500), 0, 1499, MAX_PATHS) == [tuple(range(1500))]
+
+
+def tracer_scheduler_calls():
+    # the benchmark tracer's table of names it rebinds, read from its source;
+    # that module imports nothing from ctagsched at load time
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SCHEDULER_CALLS
+
+
+# a traced name the scheduler no longer calls: schedule() stopped rendering
+# candidates whole, so the tracer's to_text counter reads 0 on every workload
+KNOWN_DEAD_TRACED = {"to_text"}
+
+
+def test_every_traced_scheduler_name_is_still_called(monkeypatch):
+    # the tracer times a layer by rebinding its name where the scheduler
+    # looks it up; a name still bound but no longer called there leaves a
+    # per-layer metric that silently reads 0
+    calls = Counter()
+    names = set()
+    for module_name, attr, _, _ in tracer_scheduler_calls():
+        module = importlib.import_module(module_name)
+        names.add(attr)
+
+        def counting(*args, _real=getattr(module, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+    # a sparse grid instance that routes, a device chain, and the iso search
+    for g, spec, strategy in [
+        (random_graph(12, 0.25, 17), "grid:3x4", "ctag-h"),
+        (random_graph(16, 0.3, 2), "ibm20", "ctag-h"),
+        (random_graph(8, 0.4, 5), "linear:8", "ctag-i-iso"),
+    ]:
+        arch = make_architecture(spec)
+        assert verify(schedule(g, arch, SchedulerConfig(strategy=strategy)), g, arch).ok
+    assert {name for name in names if calls[name] == 0} <= KNOWN_DEAD_TRACED

@@ -3,16 +3,22 @@
 Exit codes: 0 success, 1 semantic failure (bad value, too-small architecture,
 failed verification), 2 malformed input (reported with a line number where
 available).
+
+Each ``ctagsched schedule`` or ``verify`` is a fresh process, so an import
+that only one command needs is made where that command uses it:
+``ProcessPoolExecutor`` (with multiprocessing, socket, pickle and logging
+behind it) only for ``bench --jobs N > 1``, and ``csv`` only for bench's CSV
+output.  Likewise ``graphs`` loads ``fractions`` only in ``random_graph``,
+and ``graphs`` and ``embedding`` load ``importlib.resources`` only to read a
+packaged data file.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 from ctagsched.graphs import (
@@ -202,6 +208,8 @@ def cmd_bench(args) -> int:
     # a pool starts all its workers at once, so it gets no more than one per cell
     workers = min(args.jobs, len(cells))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, cells))
     else:
@@ -217,6 +225,8 @@ def cmd_bench(args) -> int:
             lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in CSV_COLUMNS))
         body = "\n".join(lines) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
         writer.writeheader()

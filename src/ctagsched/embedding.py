@@ -6,8 +6,6 @@ search for Hamiltonian (sub)paths.
 """
 from __future__ import annotations
 
-from importlib import resources
-
 from ctagsched.graphs import Architecture, SplitMix64
 
 
@@ -203,5 +201,7 @@ def multi_embeddings(
 def device_embedding(name: str) -> tuple[int, ...]:
     """Cached chain for a shipped device topology (ibm20 full path, ibm27 the
     longest chain it admits; six pendants rule out a full Hamiltonian path)."""
+    from importlib import resources
+
     text = resources.files("ctagsched.data").joinpath(f"embeddings/{name}.txt").read_text()
     return tuple(int(tok) for tok in text.split())

@@ -2,9 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 
 Edge = tuple[int, int]
 
@@ -129,11 +127,16 @@ class SplitMix64:
 
 
 def _edge_count(n: int, dens) -> int:
+    # the range check comes first: it also turns away nan and inf, which
+    # Fraction would reject with a message about its own parser
+    if not 0 < dens <= 1:
+        raise ValueError(f"density must be in (0, 1], got {dens}")
+    # only random_graph needs exact decimals, so a schedule never loads them
+    from fractions import Fraction
+
     # Exact decimal arithmetic: float 0.3 * 1225 rounds down to 367,
     # while the intended value of round(0.3 * 1225) is 368 (half-up).
     d = Fraction(str(dens)) if not isinstance(dens, Fraction) else dens
-    if not 0 < d <= 1:
-        raise ValueError(f"density must be in (0, 1], got {dens}")
     total = n * (n - 1) // 2
     m = int(d * total + Fraction(1, 2))
     return m
@@ -341,6 +344,8 @@ def _load_coupling_file(text: str, name: str) -> Architecture:
 
 
 def _packaged(relpath: str) -> str:
+    from importlib import resources
+
     return resources.files("ctagsched.data").joinpath(relpath).read_text()
 
 

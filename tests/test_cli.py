@@ -45,11 +45,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_networkx_out():
+# modules a schedule process never needs: networkx is no dependency, and the
+# rest serve only bench (its worker pool, its CSV output, random_graph)
+NOT_LOADED_BY_SCHEDULE = ("networkx", "concurrent.futures", "multiprocessing", "fractions", "csv")
+
+
+def test_schedule_process_imports_only_what_it_runs(k6_file, tmp_path):
+    # a fresh process, as a user starts one; ibm20 also reads packaged data
     src = str(Path(ctagsched.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import ctagsched.cli, sys; assert 'networkx' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    code = (
+        "import sys\n"
+        "import ctagsched.cli\n"
+        f"def loaded(): return [m for m in {NOT_LOADED_BY_SCHEDULE!r} if m in sys.modules]\n"
+        "assert not loaded(), f'after import: {loaded()}'\n"
+        "rc = ctagsched.cli.main(sys.argv[1:])\n"
+        "assert rc == 0 and not loaded(), f'after schedule (exit {rc}): {loaded()}'\n"
+    )
+    argv = ["schedule", "--graph", k6_file, "--arch", "ibm20", "--out", str(tmp_path / "run")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run.sched.json").exists()
 
 
 class TestSchedule:
@@ -464,7 +482,8 @@ class TestBench:
             "--arch", "linear", "--strategy", "pattern-only",
         ]
         code1, serial, _ = run(capsys, *args)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # cmd_bench imports the pool class from here when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         code2, pooled, _ = run(capsys, *args, "--jobs", jobs)
         assert sizes == ([] if workers is None else [workers])
         assert code1 == code2 == 0
@@ -507,6 +526,18 @@ class TestBench:
         assert err.splitlines() == [
             "error: n=100000 density=1 seed=1 arch=linear:6 strategy=ctag-h: "
             "ValueError: random_graph needs n <= MAX_SITES = 4096, got 100000"
+        ]
+
+    @pytest.mark.parametrize("dens", ["nan", "inf", "-inf"])
+    def test_non_finite_density_exits_1(self, capsys, dens):
+        code, stdout, err = run(
+            capsys, "bench", "--n", "6", f"--density={dens}", "--arch", "linear:6",
+        )
+        assert code == 1
+        assert next(csv.DictReader(io.StringIO(stdout)))["verified"] == "false"
+        assert err.splitlines() == [
+            f"error: n=6 density={dens} seed=1 arch=linear:6 strategy=ctag-h: "
+            f"ValueError: density must be in (0, 1], got {dens}"
         ]
 
     def test_json_format(self, capsys):

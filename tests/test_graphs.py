@@ -149,6 +149,9 @@ class TestRandomGraph:
             random_graph(5, 1.5, 0)
         with pytest.raises(ValueError):
             random_graph(7, 0.0, 3)  # zero edges is not a workload
+        for dens in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=rf"^density must be in \(0, 1\], got {dens}$"):
+                random_graph(5, dens, 0)
 
 
 class TestArchitecture:

@@ -286,8 +286,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# options that take a number or a list of numbers; argparse reads a value
+# such as "-inf" or "-1,2", which starts with "-" but is no plain negative
+# number, as an option and exits 2, so main() hands it over in the
+# "--flag=value" spelling argparse documents for such values
+_NUMBER_OPTIONS = frozenset({"--n", "--density", "--seed", "--threshold", "--beam", "--jobs"})
+
+
+def _is_dash_number(tok: str) -> bool:
+    # a value whose first comma-separated item parses as a negative float
+    if not tok.startswith("-"):
+        return False
+    try:
+        float(tok.split(",", 1)[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_number_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and _is_dash_number(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _attach_number_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         if args.command == "schedule":
             cfg = SchedulerConfig(args.strategy, args.threshold, args.beam, args.seed)

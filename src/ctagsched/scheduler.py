@@ -22,6 +22,7 @@ routes from a breadth-first placement and no prefix.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
@@ -92,11 +93,16 @@ class SchedulerConfig:
 class SchedulerState:
     """Mutable context threaded through the heuristic rounds.
 
-    Built from the starting Mapping `init`.  pi[logical] is the site each
-    qubit is on now and inv its site -> logical inverse; _apply_swaps moves
-    both in place.  blocked holds the sites the current cycle's SWAPs may not
-    touch: those of the executable edges, of the SWAPs already chosen and of
-    the endpoints parked this round; _route refills it every round.  paths
+    Built from the starting Mapping `init` and the edges still to run.
+    pi[logical] is the site each qubit is on now and inv its site -> logical
+    inverse; _apply_swaps moves both in place.  partners[x] holds the qubits
+    x still shares a remaining edge with, built from `remaining` once, so
+    it costs O(n + len(remaining)); execute() is the one place an edge runs
+    and drops it from `remaining` and both partner sets, so a walk over
+    partners[x] costs x's remaining degree, which shrinks over the run.
+    blocked holds the sites the current cycle's SWAPs may not touch: those
+    of the executable edges, of the SWAPs already chosen and of the
+    endpoints parked this round; _route refills it every round.  paths
     memoises _shortest_paths by its two end sites for the life of one run.
     """
 
@@ -107,11 +113,24 @@ class SchedulerState:
     blocked: set[int] = field(default_factory=set)
     pi: list[int] = field(init=False)
     inv: dict[int, int] = field(init=False)
+    partners: list[set[int]] = field(init=False)
     paths: dict[tuple[int, int], list[tuple[int, ...]]] = field(init=False, default_factory=dict)
 
     def __post_init__(self, init: Mapping):
         self.pi = list(init.pi)
         self.inv = init.inverse()
+        self.partners = partners = [set() for _ in range(self.g.n)]
+        for u, v in self.remaining:
+            partners[u].add(v)
+            partners[v].add(u)
+
+    def execute(self, edges) -> None:
+        """Run `edges`: each leaves `remaining` and its endpoints' partners."""
+        partners = self.partners
+        for u, v in edges:
+            self.remaining.discard((u, v))
+            partners[u].discard(v)
+            partners[v].discard(u)
 
 
 class SwapStrategy(NamedTuple):
@@ -180,34 +199,47 @@ def maximal_matching(edges, mapping: Mapping | list[int]) -> list[Edge]:
 def _shortest_paths(arch: Architecture, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
     # first `limit` shortest paths from s to a distinct t, in lexicographic
     # order (arch.adj rows are sorted; row t of dist gives every d(., t)),
-    # by a depth-first walk on an explicit stack that no path length limits
+    # by a depth-first walk on an explicit stack that no path length limits;
+    # `want` is d(., t) of the next site on a shortest path, 0 only at t
     dt = arch.dist[t]
     adj = arch.adj
     out: list[tuple[int, ...]] = []
     path = [s]
     stack = [iter(adj[s])]
-    while stack and len(out) < limit:
+    want = dt[s] - 1
+    while stack:
         q = next(stack[-1], None)
         if q is None:
             stack.pop()
             path.pop()
-        elif dt[q] == dt[path[-1]] - 1:
-            if q == t:
-                out.append((*path, t))
-            else:
+            want += 1
+        elif dt[q] == want:
+            if want:
                 path.append(q)
                 stack.append(iter(adj[q]))
+                want -= 1
+            else:
+                out.append((*path, t))
+                if len(out) == limit:
+                    break
     return out
 
 
 def _first_hops(ss: SwapStrategy) -> tuple[tuple[int, int], ...]:
-    # the SWAPs a strategy adds to the current cycle: path[:2] when the
-    # first endpoint moves (d1 > 0), path[-2:] when the second does
+    # the SWAPs a strategy adds to the current cycle, each smaller site
+    # first and in order: path[:2] when the first endpoint moves (d1 > 0),
+    # path[-2:] when the second does (d1 < len(path) - 2)
     path, d1 = ss.path, ss.d1
-    hops = [path[:2]] if d1 else []
-    if d1 < len(path) - 2:
-        hops.append(path[-2:])
-    return tuple(sorted((a, b) if a < b else (b, a) for a, b in hops))
+    if d1:
+        a, b = path[0], path[1]
+        first = (a, b) if a < b else (b, a)
+        if d1 == len(path) - 2:
+            return (first,)
+    a, b = path[-2], path[-1]
+    second = (a, b) if a < b else (b, a)
+    if not d1:
+        return (second,)
+    return (first, second) if first < second else (second, first)
 
 
 def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStrategy]:
@@ -259,18 +291,21 @@ def score_strategy(ss: SwapStrategy, state: SchedulerState) -> int:
     """Sum of distances from each endpoint's final site to its unscheduled
     neighbors; the routed edge itself does not count.  Lower is better.
 
-    Walks the problem-graph neighbours of the two endpoints, so a call costs
-    O(deg(u) + deg(v)).
+    Walks the two endpoints' partner sets, so a call costs their remaining
+    degrees, O(deg(u) + deg(v)) at most.
     """
     dist = state.arch.dist
-    pi, remaining = state.pi, state.remaining
+    pi, partners = state.pi, state.partners
+    u, v = ss.edge
+    row = dist[ss.path[ss.d1]]
     score = 0
-    for end, newpos in zip(ss.edge, ss.path[ss.d1 : ss.d1 + 2]):
-        row = dist[newpos]
-        for nb in state.g.adj[end]:
-            e = (end, nb) if end < nb else (nb, end)
-            if e != ss.edge and e in remaining:
-                score += row[pi[nb]]
+    for y in partners[u]:
+        if y != v:
+            score += row[pi[y]]
+    row = dist[ss.path[ss.d1 + 1]]
+    for y in partners[v]:
+        if y != u:
+            score += row[pi[y]]
     return score
 
 
@@ -280,8 +315,9 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
 
     Breaks score ties toward strategies that park bystanders closer to their
     own partners.  Edges touching the routed edge's endpoints do not count.
-    Walks the problem-graph neighbours of the moved qubits and reads the
-    maintained inverse map, so a call costs O(dist * deg).
+    Walks the partner sets of the moved qubits and reads the maintained
+    inverse map, so a call costs O(dist) plus the moved qubits' remaining
+    degrees, O(dist * deg) at most.
     """
     u, v = ss.edge
     path, d1 = ss.path, ss.d1
@@ -295,16 +331,15 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
     if not moved:
         return 0
     dist = state.arch.dist
-    pi, remaining = state.pi, state.remaining
+    pi, partners = state.pi, state.partners
     delta = 0
     for x, px in moved.items():
-        px0 = pi[x]
-        for y in state.g.adj[x]:
+        row, row0 = dist[px], dist[pi[x]]
+        for y in partners[x]:
             if y == u or y == v or (y in moved and y < x):
                 continue  # an edge between two moved qubits counts once
-            if ((x, y) if x < y else (y, x)) in remaining:
-                py0 = pi[y]
-                delta += dist[px][moved.get(y, py0)] - dist[px0][py0]
+            py0 = pi[y]
+            delta += row[moved.get(y, py0)] - row0[py0]
     return delta
 
 
@@ -337,21 +372,32 @@ def _route(
     blocked is not enumerated, a lone strategy is not scored, and a lone
     lowest score skips the bystander-delta tie-break.
     """
-    state = SchedulerState(g, arch, init, set(g.edges))
+    # every per-run structure holds only the edges the prefix leaves: its
+    # CPHASEs are marked at u*n + v in n*n bytes, at most an eighth of the
+    # pointers in arch.dist, not in a set as large as g.edges
+    n = g.n
+    nn = n * n
+    ran = bytearray(nn)
     for cyc in prefix:
-        state.remaining.difference_update(x.logical for x in cyc if x.kind == CPHASE)
-        _apply_swaps(state, [(x.a, x.b) for x in cyc if x.kind == SWAP])
+        for x in cyc:
+            if x.kind == CPHASE:
+                u, v = x.logical
+                ran[u * n + v] = 1
+    state = SchedulerState(g, arch, init, {e for e in g.edges if not ran[e[0] * n + e[1]]})
+    _apply_swaps(state, ((x.a, x.b) for cyc in prefix for x in cyc if x.kind == SWAP))
     dist = arch.dist
-    pi, blocked = state.pi, state.blocked
+    pi, blocked, remaining = state.pi, state.blocked, state.remaining
     cycles = list(prefix)
-    while state.remaining:
+    while remaining:
         if cap is not None and len(cycles) >= cap:
             return None
-        # each distance is read once per round: adjacent edges are
-        # executable, the others are routed nearest first, ties by edge id
-        ranked = sorted((dist[pi[u]][pi[v]], (u, v)) for u, v in state.remaining)
-        re = [e for d, e in ranked if d == 1]
-        far = [e for d, e in ranked if d > 1]
+        # each distance is read once per round: edge (u, v) at distance d
+        # ranks by the int d*n*n + u*n + v, the order of (d, (u, v)), so
+        # the adjacent edges (d == 1, keys below 2*n*n) come first and are
+        # executable, and the others are routed nearest first, ties by edge
+        keys = sorted([dist[pi[u]][pi[v]] * nn + u * n + v for u, v in remaining])
+        split = bisect_left(keys, 2 * nn)
+        re = [divmod(k - nn, n) for k in keys[:split]]
         matching = maximal_matching(re, pi)
         cycle: list[Gate] = []
         blocked.clear()
@@ -359,8 +405,9 @@ def _route(
         for u, v in matching:
             a, b = pi[u], pi[v]
             cycle.append(Gate(CPHASE, min(a, b), max(a, b), (u, v)))
-            state.remaining.discard((u, v))
-        for e in far:
+        state.execute(matching)
+        for k in keys[split:]:
+            e = divmod(k % nn, n)
             pu, pv = pi[e[0]], pi[e[1]]
             if dist[pu][pv] < 2:
                 continue  # earlier swaps this round already parked it adjacent

@@ -70,7 +70,34 @@ def test_schedule_process_imports_only_what_it_runs(k6_file, tmp_path):
     assert (tmp_path / "run.sched.json").exists()
 
 
+# values that start with "-" but are no plain negative number, and how the
+# range checks print them
+DASH_NON_FINITE = [("-inf", "-inf"), ("-nan", "nan"), ("-infinity", "-inf")]
+
+
+def spelled(flag, value, spelling):
+    return [flag, value] if spelling == "space" else [f"{flag}={value}"]
+
+
 class TestSchedule:
+    @pytest.mark.parametrize("spelling", ["space", "equals"])
+    @pytest.mark.parametrize("value, shown", DASH_NON_FINITE)
+    def test_dash_threshold_reaches_the_range_check(
+        self, fig_file, tmp_path, capsys, value, shown, spelling
+    ):
+        code, _, err = run(
+            capsys, "schedule", "--graph", fig_file, "--arch", "linear:6",
+            *spelled("--threshold", value, spelling), "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert err == f"error: threshold {shown} not in [0, 1]\n"
+
+    def test_dash_value_that_is_no_number_is_a_usage_error(self, fig_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "--graph", fig_file, "--arch", "linear:6", "--threshold", "-x"])
+        assert exc.value.code == 2
+        assert "--threshold: expected one argument" in capsys.readouterr().err
+
     def test_k6_writes_artifacts(self, k6_file, tmp_path, capsys):
         out = str(tmp_path / "k6run")
         code, stdout, _ = run(
@@ -539,6 +566,28 @@ class TestBench:
             f"error: n=6 density={dens} seed=1 arch=linear:6 strategy=ctag-h: "
             f"ValueError: density must be in (0, 1], got {dens}"
         ]
+
+    @pytest.mark.parametrize("spelling", ["space", "equals"])
+    @pytest.mark.parametrize("dens, shown", DASH_NON_FINITE)
+    def test_dash_density_reaches_the_range_check(self, capsys, dens, shown, spelling):
+        code, stdout, err = run(
+            capsys, "bench", "--n", "6", *spelled("--density", dens, spelling),
+            "--arch", "linear:6",
+        )
+        assert code == 1
+        assert next(csv.DictReader(io.StringIO(stdout)))["verified"] == "false"
+        assert err.splitlines() == [
+            f"error: n=6 density={shown} seed=1 arch=linear:6 strategy=ctag-h: "
+            f"ValueError: density must be in (0, 1], got {shown}"
+        ]
+
+    def test_dash_seed_list_is_a_value(self, capsys):
+        code, stdout, _ = run(
+            capsys, "bench", "--n", "6", "--density", "0.5", "--seed", "-1,2",
+            "--arch", "linear:6", "--strategy", "pattern-only",
+        )
+        assert code == 0
+        assert [r["seed"] for r in csv.DictReader(io.StringIO(stdout))] == ["-1", "2"]
 
     def test_json_format(self, capsys):
         code, stdout, _ = run(

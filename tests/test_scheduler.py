@@ -557,6 +557,45 @@ class TestRouteMatchesReference:
         assert to_text(got) == to_text(ref)
 
 
+def assert_partners_follow_remaining(state):
+    adj = [set() for _ in range(state.g.n)]
+    for u, v in state.remaining:
+        adj[u].add(v)
+        adj[v].add(u)
+    assert state.partners == adj
+
+
+class TestPartnerSets:
+    @settings(max_examples=120, deadline=None)
+    @given(route_inputs())
+    @example(IBM27_NO_CHAIN)
+    def test_partners_are_the_remaining_adjacency_after_every_round(self, drawn):
+        # the state _route builds checks its partner sets once the prefix is
+        # out and after each round's execute(), the one place they change
+        g, arch, init, prefix = drawn
+        ran = {x.logical for cyc in prefix for x in cyc if x.kind == CPHASE}
+        states, rounds = [], []
+
+        class Checked(SchedulerState):
+            def __post_init__(self, init):
+                super().__post_init__(init)
+                assert self.remaining == set(g.edges) - ran
+                assert_partners_follow_remaining(self)
+                states.append(self)
+
+            def execute(self, edges):
+                super().execute(edges)
+                assert_partners_follow_remaining(self)
+                rounds.append(len(edges))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctagsched.scheduler, "SchedulerState", Checked)
+            c = _route(g, arch, init, prefix)
+        assert len(states) == 1 and not any(states[0].partners)
+        assert len(rounds) == c.depth - len(prefix)
+        assert sum(rounds) == len(g.edges) - len(ran)
+
+
 class TestScheduleEndToEnd:
     def test_strategy_roster(self):
         assert STRATEGIES == (
@@ -1122,6 +1161,16 @@ POOL_DIGESTS = {
         None,
         None,
         "b7aa771f64e2733984434bc6071b9b02f9136062883c7db49cd1d96d04b69fe1",
+    )),
+    # captured before the round engine kept per-qubit partner sets: a dense
+    # input whose ctag-h winner is routed from a 6-cycle prefix (depth 45,
+    # the best pattern 46), so score ties reach the bystander delta
+    "dense-grid5x5": (random_graph(25, 0.6, 1), "grid:5x5", (
+        "5584e0e7215aa3090eabbfd61a751d9fe53f51f9bf7bcff393fcc461ab437966",
+        "ca2bb3506648167700d19c0eac6a6243d4a17c38c515307956bbe7936bf742a6",
+        "9a0e587cda97a9f00fb3ba47a306c85ec025ad32526bd5cdeed82e4f07919ba6",
+        "9a0e587cda97a9f00fb3ba47a306c85ec025ad32526bd5cdeed82e4f07919ba6",
+        "7832903a1771364e3b189a2502bde034c60b6df429ad9e89c72ba93c9485c774",
     )),
 }
 

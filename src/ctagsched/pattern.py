@@ -3,21 +3,24 @@
 The clique pattern alternates two CPHASE layers with two SWAP layers so that
 every qubit pair becomes adjacent, and executes, exactly once within 2n-2
 cycles.  _layer_stream yields those layers over chain positions 0..n-1;
-prune_pattern walks the stream once, lays it on a chain of a device's sites
-and keeps only the CPHASEs of an input graph under an initial mapping.  The
-full pattern is the pruning of the clique onto linear(n) under the natural
-mapping.  The module also holds the meet table (the cycle at which any two
-start positions execute) and the 2xN grid variant that drops every second
-SWAP layer.
+_pattern_cycles walks the stream once, lays it on a chain of a device's
+sites and keeps only the CPHASEs of an input graph under an initial
+mapping, and prune_pattern trims what it yields to a circuit.  The full
+pattern is the pruning of the clique onto linear(n) under the natural
+mapping.  The meet table (the cycle at which any two start positions
+execute) gives a pruned pattern's depth, gates and state after k cycles
+without building it.  The 2xN grid variant drops every second SWAP layer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from ctagsched.graphs import (
     Architecture,
+    Edge,
     Mapping,
     ProblemGraph,
     clique,
@@ -98,30 +101,23 @@ def _trim(cycles) -> tuple[tuple[Gate, ...], ...]:
     return tuple(cycles[: last + 1])
 
 
-def prune_pattern(
-    g: ProblemGraph, init: Mapping, arch: Architecture, chain
-) -> ScheduledCircuit:
-    """Clique pattern laid on `chain` in arch, restricted to g's edges under init.
+def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
+    """Each cycle of the clique pattern laid on `chain` in arch and
+    restricted to g's edges under init, one per layer of the stream and
+    none trimmed, built only as far as the reader takes it.
 
     init places each logical qubit on a chain position 0..n-1, and position
-    p is site chain[p].  One walk of the layer stream: SWAP layers are kept
-    whole (the two distinct ones are built once and shared), and a CPHASE is
-    kept only when the logical pair on its two positions is an edge of g.
-    Execution cycles emptied by pruning stay as empty cycles (the SWAP
-    cadence around them is unchanged), but everything after the last
-    surviving CPHASE is removed.
+    p is site chain[p].  SWAP layers are kept whole (the two distinct ones
+    are built once and shared), and a CPHASE is kept only when the logical
+    pair on its two positions is an edge of g.
     """
     n = g.n
     if len(chain) != n or not arch.is_chain(chain):
         raise ValueError(f"chain must be {n} distinct coupled sites of {arch.name}")
     if init.n != n or any(not 0 <= p < n for p in init.pi):
         raise ValueError("init must map g's vertices onto positions 0..n-1")
-    occ = [0] * n  # occ[position] = logical qubit
-    for l, p in enumerate(init.pi):
-        occ[p] = l
+    occ = sorted(range(n), key=init.pi.__getitem__)  # occ[position] = logical qubit
     edges = g.edges
-    cycles = []
-    last = -1  # the last cycle that keeps a CPHASE
     # link[p]: the sites of chain positions p and p + 1, smaller first
     link = [(a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])]
     # the stream repeats two SWAP layers (the same pairs objects), so each
@@ -132,7 +128,7 @@ def prune_pattern(
             layer = swap_layers.get(id(pairs))
             if layer is None:
                 layer = swap_layers[id(pairs)] = tuple(Gate(SWAP, *link[a]) for a, _ in pairs)
-            cycles.append(layer)
+            yield layer
             for a, b in pairs:
                 occ[a], occ[b] = occ[b], occ[a]
             continue
@@ -142,11 +138,20 @@ def prune_pattern(
             pair = (la, lb) if la < lb else (lb, la)
             if pair in edges:
                 gates.append(Gate(CPHASE, *link[a], pair))
-        if gates:
-            last = len(cycles)
-        cycles.append(tuple(gates))
-    init_sites = Mapping(tuple(chain[p] for p in init.pi))
-    return ScheduledCircuit(tuple(cycles[: last + 1]), init_sites, arch)
+        yield tuple(gates)
+
+
+def prune_pattern(
+    g: ProblemGraph, init: Mapping, arch: Architecture, chain
+) -> ScheduledCircuit:
+    """Clique pattern laid on `chain` in arch, restricted to g's edges under init.
+
+    One walk of the layer stream, through _pattern_cycles.  Execution cycles
+    emptied by pruning stay as empty cycles (the SWAP cadence around them is
+    unchanged), but everything after the last surviving CPHASE is removed.
+    """
+    cycles = _trim(tuple(_pattern_cycles(g, init, arch, chain)))
+    return ScheduledCircuit(cycles, Mapping(tuple(chain[p] for p in init.pi)), arch)
 
 
 @lru_cache(maxsize=None)
@@ -171,6 +176,36 @@ def meet_cycle(n: int, pos_a: int, pos_b: int) -> int:
     if not (0 <= pos_a < n and 0 <= pos_b < n):
         raise ValueError(f"positions out of range for n={n}")
     return _meet_table(n)[pos_a][pos_b]
+
+
+def _swaps_before(n: int, t: int) -> int:
+    # SWAPs in the pattern's first t cycles: pruning keeps every SWAP layer
+    return sum(len(pairs) for kind, pairs in islice(_layer_stream(n), t) if kind == SWAP)
+
+
+def _pattern_key(g: ProblemGraph, m0: Mapping) -> tuple[int, int]:
+    # (depth, gates) of the pattern pruned to g under m0 on any chain, from
+    # the meet table: each edge fires at its meet cycle, so the pattern ends
+    # after the latest one (depth 0 without edges), and its gates are g's
+    # edges and the SWAPs of its cycles
+    pi, table = m0.pi, _meet_table(g.n)
+    depth = 1 + max((table[pi[u]][pi[v]] for u, v in g.edges), default=-1)
+    return depth, len(g.edges) + _swaps_before(g.n, depth)
+
+
+def _routed_start(g: ProblemGraph, m0: Mapping, chain, k: int) -> tuple[Mapping, set[Edge], int]:
+    # the pattern on `chain` under m0 after its first k cycles: each qubit's
+    # site, from a walk of the SWAP layers alone, the edges it has not run
+    # (those whose meet cycle is k or later) and the gates it has run
+    n, pi, table = g.n, m0.pi, _meet_table(g.n)
+    occ = sorted(range(n), key=pi.__getitem__)  # occ[position] = logical qubit
+    for kind, pairs in islice(_layer_stream(n), k):
+        if kind == SWAP:
+            for a, b in pairs:
+                occ[a], occ[b] = occ[b], occ[a]
+    sites = Mapping(tuple(chain[p] for p in sorted(range(n), key=occ.__getitem__)))
+    remaining = {(u, v) for u, v in g.edges if table[pi[u]][pi[v]] >= k}
+    return sites, remaining, len(g.edges) - len(remaining) + _swaps_before(n, k)
 
 
 def generate_2xn_pattern(n: int) -> ScheduledCircuit:

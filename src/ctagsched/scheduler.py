@@ -10,22 +10,21 @@ chain of g.n coupled sites under its own initial mappings:
                  node-budgeted search over the meet table
   ctag-h         the beam-searched mapping, then the natural one if it differs
 
-A chain is a tuple of sites.  The line strategies take one chain, ctag-h up
-to CHAINS of them, and each (chain, mapping) pair gives the pattern pruned
-onto that chain as a candidate.  Only ctag-h routes: ahead of each pattern
-it adds a candidate that runs the pattern's first cycles and schedules the
-rest with matching/swap-routing rounds; the run gives up once it is deeper
-than a pattern or an earlier routed candidate.  A prefix that covers the
-whole pruned pattern has run every edge, so the pattern alone is that
-candidate.  With no chain, a line strategy raises ValueError and ctag-h
-routes from a breadth-first placement and no prefix.
+A chain is a tuple of sites.  A line strategy lays its one mapping on one
+chain.  ctag-h takes up to CHAINS chains; each (chain, mapping) pair gives
+the pattern and, ahead of it unless its first cycles run every edge, a
+routed candidate that runs those cycles and schedules the rest in
+matching/swap-routing rounds.  Candidates are compared by keys (a
+pattern's depth and gates come from the meet table, and a routed run stops
+once deeper than the best so far), ties are read cycle by cycle, and only
+the winner is built.  With no chain, a line strategy raises ValueError and
+ctag-h routes from a breadth-first placement.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from functools import reduce
 from typing import NamedTuple
 
 from ctagsched.embedding import (
@@ -51,6 +50,9 @@ from ctagsched.pattern import (
     ScheduledCircuit,
     _layer_stream,
     _meet_table,
+    _pattern_cycles,
+    _pattern_key,
+    _routed_start,
     cycle_line,
     prune_pattern,
     to_text,  # not called here; the benchmark's tracer rebinds this name
@@ -356,12 +358,9 @@ def _apply_swaps(state: SchedulerState, hops) -> None:
             inv[a] = lb
 
 
-def _route(
-    g: ProblemGraph, arch: Architecture, init: Mapping, prefix, cap: int | None = None
-) -> ScheduledCircuit | None:
-    """Run `prefix` (cycles on arch's sites) from `init`, then schedule the
-    edges it leaves in heuristic rounds; None as soon as they need a cycle
-    past `cap` cycles in all.
+def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, ...], ...] | None:
+    """Schedule state.remaining in heuristic rounds from state's sites: the
+    cycles they add, or None as soon as they need more than `cap`.
 
     One cycle per round: a maximal matching of the executable edges plus
     the first SWAPs of the best-scored strategy for each distant edge.  A
@@ -372,22 +371,10 @@ def _route(
     blocked is not enumerated, a lone strategy is not scored, and a lone
     lowest score skips the bystander-delta tie-break.
     """
-    # every per-run structure holds only the edges the prefix leaves: its
-    # CPHASEs are marked at u*n + v in n*n bytes, at most an eighth of the
-    # pointers in arch.dist, not in a set as large as g.edges
-    n = g.n
+    n, dist = state.g.n, state.arch.dist
     nn = n * n
-    ran = bytearray(nn)
-    for cyc in prefix:
-        for x in cyc:
-            if x.kind == CPHASE:
-                u, v = x.logical
-                ran[u * n + v] = 1
-    state = SchedulerState(g, arch, init, {e for e in g.edges if not ran[e[0] * n + e[1]]})
-    _apply_swaps(state, ((x.a, x.b) for cyc in prefix for x in cyc if x.kind == SWAP))
-    dist = arch.dist
     pi, blocked, remaining = state.pi, state.blocked, state.remaining
-    cycles = list(prefix)
+    cycles = []
     while remaining:
         if cap is not None and len(cycles) >= cap:
             return None
@@ -442,7 +429,7 @@ def _route(
             blocked.update((pi[e[0]], pi[e[1]]))
         assert cycle, "scheduler round made no progress"
         cycles.append(tuple(cycle))
-    return ScheduledCircuit(tuple(cycles), init, arch)
+    return tuple(cycles)
 
 
 def _line_orders(
@@ -466,6 +453,8 @@ def _line_orders(
     elif arch.name in ("ibm20", "ibm27"):
         chain = device_embedding(arch.name)
     out = [chain[:n]] if len(chain) >= n and arch.is_chain(chain[:n]) else []
+    if out and arch.q == n and len(arch.couplings) == n - 1:
+        return out  # a path of n sites has no chain but it and its reverse
     if len(out) < count:
         # the searched chains are distinct, but one may be the built-in one
         known = {canonical(c) for c in out}
@@ -474,49 +463,44 @@ def _line_orders(
     return out[:count]
 
 
-def _first_by_text(a: ScheduledCircuit, b: ScheduledCircuit) -> ScheduledCircuit:
-    """b if its to_text is smaller than a's, else a; both have one depth.
-
-    The texts agree up to the first cycle whose lines differ, and there the
-    smaller line decides: equal depths give equal line counts, and the
-    newline that ends a line sorts below every character in one.  Cycles
-    with the same sites and kinds give the same line, so only a cycle that
-    differs in them is rendered.
-    """
-    for t, (ca, cb) in enumerate(zip(a.cycles, b.cycles)):
-        if ca is cb or ca == cb or [x[:3] for x in ca] == [x[:3] for x in cb]:
-            continue
-        la, lb = cycle_line(t, ca), cycle_line(t, cb)
-        if la != lb:
-            return b if lb < la else a
-    return a
-
-
-def _pick(candidates: list[ScheduledCircuit]) -> ScheduledCircuit:
-    """The shallowest candidate; ties go to fewer gates, then to the smaller
-    to_text, then to the first in the list."""
-    # a lone candidate is not measured; every gate is a CPHASE or a SWAP,
-    # so the gates are counted per cycle
-    if len(candidates) == 1:
-        return candidates[0]
-    keys = [(c.depth, sum(map(len, c.cycles))) for c in candidates]
-    low = min(keys)
-    return reduce(_first_by_text, [c for c, key in zip(candidates, keys) if key == low])
+def _select(pool: list, arch: Architecture) -> ScheduledCircuit:
+    # The first candidate of least (depth, gates, to_text) in `pool`, built
+    # whole.  Each entry is (key, seen, cycles, k, tail, init): key is
+    # (depth, gates); cycle t is seen[t] below k, drawn in turn from the
+    # iterator `cycles` into the list `seen` (a routed run shares both with
+    # its pattern), and tail[t - k] from there.  Texts of one depth agree up
+    # to the first cycle whose lines differ, and there the smaller line
+    # decides: the newline that ends a line sorts below every character in
+    # one.  So cycle t of every tied candidate is read in lockstep, lines
+    # are rendered only where their sites or kinds differ, those above the
+    # least line drop out, and the reads stop once one is left.
+    low = min(c[0] for c in pool)
+    tied = [c for c in pool if c[0] == low]
+    t = 0
+    while len(tied) > 1 and t < low[0]:
+        for _, seen, cycles, k, _, _ in tied:
+            if t == len(seen) < k:  # a list two survivors share grows once
+                seen.append(next(cycles))
+        row = [seen[t] if t < k else tail[t - k] for _, seen, _, k, tail, _ in tied]
+        if len({tuple(x[:3] for x in c) for c in row}) > 1:
+            lines = [cycle_line(t, c) for c in row]
+            least = min(lines)
+            tied = [c for c, line in zip(tied, lines) if line == least]
+        t += 1
+    _, seen, cycles, k, tail, init = tied[0]
+    seen += (next(cycles) for _ in range(k - len(seen)))
+    return ScheduledCircuit(tuple(seen[:k]) + tail, init, arch)
 
 
 def _bfs_placement(arch: Architecture, n: int) -> Mapping:
-    # logical i on the i-th site of a breadth-first sweep from site 0
-    order = []
-    seen = [False] * arch.q
-    seen[0] = True
-    dq = deque([0])
-    while dq:
-        p = dq.popleft()
-        order.append(p)
+    # logical i on the i-th site of a breadth-first sweep from site 0; the
+    # loop reads `order` as it grows
+    order, seen = [0], {0}
+    for p in order:
         for q in arch.adj[p]:
-            if not seen[q]:
-                seen[q] = True
-                dq.append(q)
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
     return Mapping(tuple(order[:n]))
 
 
@@ -527,11 +511,11 @@ def schedule(
 
     Every strategy builds one candidate pool: the pattern pruned onto each
     of its chains under each of its initial mappings, and under ctag-h a
-    routed candidate ahead of each pattern.  The returned circuit
-    always passes verify(c, g, arch).  The shallowest candidate wins; ties go
-    to fewer gates, then to the lexicographically smallest text form, then
-    to the first in the pool.  A routed run stops once it is deeper than
-    the best candidate so far, and ties are compared cycle by cycle.
+    routed candidate ahead of each pattern.  The returned circuit always
+    passes verify(c, g, arch).  The shallowest candidate wins; ties go to
+    fewer gates, then to the smallest text form, then to the first in the
+    pool.  ctag-h compares keys read without building its candidates and
+    builds only the winner; ties are read cycle by cycle.
     """
     if cfg is None:
         cfg = SchedulerConfig()
@@ -552,37 +536,38 @@ def schedule(
     if not chains:
         if not routed:
             raise ValueError(f"no chain of {n} coupled sites in {arch.name}")
-        return _route(g, arch, _bfs_placement(arch, n), ())
+        init = _bfs_placement(arch, n)
+        return ScheduledCircuit(_route(SchedulerState(g, arch, init, set(g.edges))), init, arch)
 
     if cfg.strategy == "pattern-only":
-        inits = [identity_mapping(n)]
+        m0 = identity_mapping(n)
     elif cfg.strategy == "ctag-r":
-        inits = [random_initial_mapping(n, cfg.seed)]
+        m0 = random_initial_mapping(n, cfg.seed)
     elif cfg.strategy == "ctag-i-iso":
-        inits = [iso_initial_mapping(g, beam=cfg.beam, tie_seed=cfg.seed)[0]]
+        m0 = iso_initial_mapping(g, beam=cfg.beam, tie_seed=cfg.seed)[0]
     else:  # ctag-i-astar and ctag-h
-        inits = [astar_initial_mapping(g, cfg.beam, cfg.seed)[0]]
-        if routed and inits[0].pi != tuple(range(n)):
-            inits.append(identity_mapping(n))
-    # ctag-h's prefix length depends only on the mapping; a line strategy's
-    # prefix is the whole pattern
-    prefixes = [partial_pattern_cycles(g, m0, cfg.threshold) if routed else None for m0 in inits]
-    patterns = [
-        (prune_pattern(g, m0, arch, chain), k)
-        for chain in chains
-        for m0, k in zip(inits, prefixes)
-    ]
-    # the patterns cost little, so every routed run is capped at the best
-    # depth so far; a run past it could not win, and selection keeps the
-    # pool order: each routed run ahead of its pattern
-    cap = min(full.depth for full, _ in patterns)
-    candidates = []
-    for full, k in patterns:
-        if routed and k < full.depth:
-            # a prefix that ran every edge would only copy the pattern
-            c = _route(g, arch, full.init, full.cycles[:k], cap)
-            if c is not None:
-                cap = c.depth
-                candidates.append(c)
-        candidates.append(full)
-    return _pick(candidates)
+        m0 = astar_initial_mapping(g, cfg.beam, cfg.seed)[0]
+    if not routed:
+        # one chain and one mapping: the pattern is the only candidate
+        return prune_pattern(g, m0, arch, chains[0])
+    inits = [m0] if m0.pi == tuple(range(n)) else [m0, identity_mapping(n)]
+    # each mapping's pattern key and prefix length hold on every chain
+    keyed = [(m, _pattern_key(g, m), partial_pattern_cycles(g, m, cfg.threshold)) for m in inits]
+    # every routed run is capped at the best depth so far, as a run past it
+    # could not win; the pool keeps each routed run ahead of its pattern,
+    # and both read the (chain, mapping) pattern's cycles from one generator
+    cap = min(key for _, key, _ in keyed)[0]
+    pool = []  # (key, seen, cycles, k, tail, init), as _select reads them
+    for chain in chains:
+        for m0, key, k in keyed:
+            seen, cycles = [], _pattern_cycles(g, m0, arch, chain)
+            init = Mapping(tuple(chain[p] for p in m0.pi))
+            if k < key[0]:
+                # a prefix that ran every edge would only copy the pattern
+                start, remaining, gates = _routed_start(g, m0, chain, k)
+                tail = _route(SchedulerState(g, arch, start, remaining), cap - k)
+                if tail is not None:
+                    cap = k + len(tail)
+                    pool.append(((cap, gates + sum(map(len, tail))), seen, cycles, k, tail, init))
+            pool.append((key, seen, cycles, key[0], (), init))
+    return _select(pool, arch)

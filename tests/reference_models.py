@@ -4,8 +4,9 @@ The closed-form position model of the clique pattern (where a qubit is after
 t outer loops, and which cyclic ranks it meets in loop t), a brute-force
 optimal-depth search for tiny instances, and earlier, plainer versions of
 package functions: the pattern built in full and then pruned, its relabelling
-onto a chain, the recursive chain search and shortest-path walk, and ctag-h's
-uncapped candidate pool with its whole-text tie-break.  Nothing
+onto a chain, the recursive chain search and shortest-path walk, a routed
+start replayed gate by gate, and ctag-h's uncapped candidate pool, built
+whole, with its whole-text tie-break.  Nothing
 in the package calls them; the tests compare them with the layer stream, the
 meet table and the package's outputs.
 """
@@ -327,16 +328,49 @@ def ref_find_line_embedding(arch, seed=0, length=None, budget=10**6):
     return None
 
 
+def replay_start(g: ProblemGraph, init: Mapping, prefix):
+    """Each qubit's site and the edges left after running `prefix` (cycles
+    on a device's sites) from `init`, one gate at a time, as the routed runs
+    did before they started from the pattern's state."""
+    site = dict(enumerate(init.pi))
+    at = {p: l for l, p in site.items()}
+    remaining = set(g.edges)
+    for cyc in prefix:
+        for x in cyc:
+            if x.kind == CPHASE:
+                remaining.discard(x.logical)
+                continue
+            la, lb = at.pop(x.a, None), at.pop(x.b, None)
+            if la is not None:
+                site[la] = x.b
+                at[x.b] = la
+            if lb is not None:
+                site[lb] = x.a
+                at[x.a] = lb
+    return Mapping(tuple(site[l] for l in range(g.n))), remaining
+
+
+def ref_routed(g: ProblemGraph, arch: Architecture, init: Mapping, prefix) -> ScheduledCircuit:
+    """`prefix` from `init`, then the package's heuristic rounds from the
+    state its replay reaches: a routed candidate built whole."""
+    from ctagsched.scheduler import SchedulerState, _route
+
+    start, remaining = replay_start(g, init, prefix)
+    tail = _route(SchedulerState(g, arch, start, remaining))
+    return ScheduledCircuit(tuple(prefix) + tail, init, arch)
+
+
 def ref_schedule(g: ProblemGraph, arch: Architecture, threshold=0.5, beam=8, seed=0):
-    """schedule() under ctag-h as it was before routed runs were capped and
-    ties compared cycle by cycle: every routed run goes to its end, and the
-    first candidate of least (depth, CPHASE + SWAP count, to_text) wins."""
+    """schedule() under ctag-h as it was before candidates were keyed from
+    the meet table, routed runs capped and ties compared cycle by cycle:
+    every candidate is built whole, each routed start is a replay of its
+    pattern's first cycles, every routed run goes to its end, and the first
+    candidate of least (depth, CPHASE + SWAP count, to_text) wins."""
     from ctagsched.initial_mapping import astar_initial_mapping
     from ctagsched.scheduler import (
         CHAINS,
         _bfs_placement,
         _line_orders,
-        _route,
         partial_pattern_cycles,
     )
 
@@ -345,7 +379,7 @@ def ref_schedule(g: ProblemGraph, arch: Architecture, threshold=0.5, beam=8, see
         return ScheduledCircuit((), Mapping((0,)), arch)
     chains = _line_orders(arch, n, seed, CHAINS)
     if not chains:
-        return _route(g, arch, _bfs_placement(arch, n), ())
+        return ref_routed(g, arch, _bfs_placement(arch, n), ())
     inits = [astar_initial_mapping(g, beam, seed)[0]]
     if inits[0].pi != tuple(range(n)):
         inits.append(identity_mapping(n))
@@ -355,6 +389,6 @@ def ref_schedule(g: ProblemGraph, arch: Architecture, threshold=0.5, beam=8, see
             full = prune_pattern(g, m0, arch, chain)
             k = partial_pattern_cycles(g, m0, threshold)
             if k < full.depth:
-                pool.append(_route(g, arch, full.init, full.cycles[:k]))
+                pool.append(ref_routed(g, arch, full.init, full.cycles[:k]))
             pool.append(full)
     return min(pool, key=lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c)))

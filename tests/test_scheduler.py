@@ -4,7 +4,6 @@ import hashlib
 import importlib
 import importlib.util
 from collections import Counter
-from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,8 @@ from ctagsched.pattern import (
     Gate,
     ScheduledCircuit,
     _layer_stream,
+    _pattern_key,
+    _routed_start,
     generate_clique_pattern,
     prune_pattern,
     to_text,
@@ -47,10 +48,9 @@ from ctagsched.scheduler import (
     _bfs_placement,
     _bystander_delta,
     _first_hops,
-    _first_by_text,
     _line_orders,
-    _pick,
     _route,
+    _select,
     _shortest_paths,
     enumerate_swap_strategies,
     maximal_matching,
@@ -59,7 +59,14 @@ from ctagsched.scheduler import (
     score_strategy,
 )
 from ctagsched.verify import verify
-from reference_models import ref_prune_pattern, ref_relabel, ref_schedule, ref_shortest_paths
+from reference_models import (
+    ref_prune_pattern,
+    ref_relabel,
+    ref_routed,
+    ref_schedule,
+    ref_shortest_paths,
+    replay_start,
+)
 
 FIG_EDGES = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4)]
 
@@ -551,7 +558,7 @@ class TestRouteMatchesReference:
     @example(IBM27_NO_CHAIN)
     def test_route_equals_the_engine_without_shortcuts(self, drawn):
         g, arch, init, prefix = drawn
-        got = _route(g, arch, init, prefix)
+        got = ref_routed(g, arch, init, prefix)
         ref = ref_route(g, arch, init, prefix)
         assert got.init == ref.init
         assert to_text(got) == to_text(ref)
@@ -570,29 +577,24 @@ class TestPartnerSets:
     @given(route_inputs())
     @example(IBM27_NO_CHAIN)
     def test_partners_are_the_remaining_adjacency_after_every_round(self, drawn):
-        # the state _route builds checks its partner sets once the prefix is
-        # out and after each round's execute(), the one place they change
+        # a state started after the prefix checks its partner sets once
+        # built and after each round's execute(), the one place they change
         g, arch, init, prefix = drawn
         ran = {x.logical for cyc in prefix for x in cyc if x.kind == CPHASE}
-        states, rounds = [], []
+        rounds = []
 
         class Checked(SchedulerState):
-            def __post_init__(self, init):
-                super().__post_init__(init)
-                assert self.remaining == set(g.edges) - ran
-                assert_partners_follow_remaining(self)
-                states.append(self)
-
             def execute(self, edges):
                 super().execute(edges)
                 assert_partners_follow_remaining(self)
                 rounds.append(len(edges))
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ctagsched.scheduler, "SchedulerState", Checked)
-            c = _route(g, arch, init, prefix)
-        assert len(states) == 1 and not any(states[0].partners)
-        assert len(rounds) == c.depth - len(prefix)
+        state = Checked(g, arch, *replay_start(g, init, prefix))
+        assert state.remaining == set(g.edges) - ran
+        assert_partners_follow_remaining(state)
+        tail = _route(state)
+        assert not any(state.partners)
+        assert len(rounds) == len(tail)
         assert sum(rounds) == len(g.edges) - len(ran)
 
 
@@ -717,7 +719,7 @@ def heuristic_only(g, arch):
     n = g.n
     orders = _line_orders(arch, n, 0)
     if not orders:
-        return _route(g, arch, _bfs_placement(arch, n), ())
+        return ref_routed(g, arch, _bfs_placement(arch, n), ())
     inits = [astar_initial_mapping(g, 8, 0)[0]]
     if inits[0].pi != tuple(range(n)):
         inits.append(identity_mapping(n))
@@ -726,7 +728,8 @@ def heuristic_only(g, arch):
         for m0 in inits:
             full = prune_pattern(g, m0, arch, order)
             k = partial_pattern_cycles(g, m0, 0.5)
-            pool.append(full if k >= full.depth else _route(g, arch, full.init, full.cycles[:k]))
+            routed = k < full.depth
+            pool.append(ref_routed(g, arch, full.init, full.cycles[:k]) if routed else full)
     return min(pool, key=lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c)))
 
 
@@ -825,38 +828,57 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
     assert 0 < calls["paths"] < 482  # the parent made 482
 
 
-def test_ctag_h_prunes_once_per_chain_and_mapping(monkeypatch):
-    # two chains and two initial mappings: the pattern is pruned onto each
-    # chain under each mapping, and its prefix is measured once per mapping
-    g = random_graph(12, 0.25, 17)
-    arch = make_architecture("grid:3x4")
+@pytest.mark.parametrize(
+    "g, spec",
+    [(random_graph(12, 0.25, 17), "grid:3x4"), (random_graph(16, 0.8, 1), "grid:4x4")],
+    ids=["sparse-grid3x4", "dense-grid4x4"],
+)
+def test_ctag_h_builds_only_the_circuit_it_returns(monkeypatch, g, spec):
+    # two chains and two initial mappings: ctag-h prunes no pattern whole
+    # and starts one pattern generator per (chain, mapping) pair, which its
+    # routed run shares; the prefix is measured once per mapping, and the
+    # losers' generators are read only up to the cycle that drops them
+    arch = make_architecture(spec)
     S = ctagsched.scheduler
-    real_prune, real_prefix = S.prune_pattern, S.partial_pattern_cycles
-    pruned, measured = [], []
+    real_cycles, real_prefix = S._pattern_cycles, S.partial_pattern_cycles
+    started, measured, drawn = [], [], Counter()
 
-    def prune(g, init, arch, chain):
-        pruned.append((chain, init.pi))
-        return real_prune(g, init, arch, chain)
+    def counted(pair, gen):
+        for cyc in gen:
+            drawn[pair] += 1
+            yield cyc
+
+    def cycles(g, init, arch, chain):
+        pair = (tuple(chain), init.pi)
+        started.append(pair)
+        return counted(pair, real_cycles(g, init, arch, chain))
+
+    def prune(*args):
+        raise AssertionError("ctag-h pruned a pattern whole")
 
     def prefix(g, mapping, threshold):
         measured.append(mapping.pi)
         return real_prefix(g, mapping, threshold)
 
+    monkeypatch.setattr(S, "_pattern_cycles", cycles)
     monkeypatch.setattr(S, "prune_pattern", prune)
     monkeypatch.setattr(S, "partial_pattern_cycles", prefix)
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
     assert verify(c, g, arch).ok
-    inits = {pi for _, pi in pruned}
-    assert len({chain for chain, _ in pruned}) == len(inits) == 2
-    assert len(pruned) == len(set(pruned)) == 4
+    inits = {pi for _, pi in started}
+    assert len({chain for chain, _ in started}) == len(inits) == 2
+    assert len(started) == len(set(started)) == 4
     assert sorted(measured) == sorted(inits)
+    # only the winner's pattern may be read through to its end
+    assert all(count < c.depth for count in sorted(drawn.values())[:-1])
 
 
-@pytest.mark.parametrize("spec", ["linear:20", "grid:4x5", "ibm20"])
+@pytest.mark.parametrize("spec", ["linear:20", "linear:24", "grid:4x5", "ibm20"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_only_ctag_h_searches_past_a_builtin_chain(monkeypatch, spec, strategy):
     # a line strategy lays the device's own chain and searches for no other;
-    # ctag-h searches for CHAINS chains to add to it
+    # ctag-h searches for CHAINS chains to add to it, unless the device is
+    # one path of n sites, whose only other chain is its own reverse
     real = ctagsched.scheduler.multi_embeddings
     calls = []
 
@@ -869,7 +891,7 @@ def test_only_ctag_h_searches_past_a_builtin_chain(monkeypatch, spec, strategy):
     arch = make_architecture(spec)
     c = schedule(g, arch, SchedulerConfig(strategy=strategy))
     assert verify(c, g, arch).ok
-    assert calls == ([CHAINS] if strategy == "ctag-h" else [])
+    assert calls == ([CHAINS] if strategy == "ctag-h" and spec != "linear:20" else [])
 
 
 @pytest.mark.parametrize("device", ["grid:4x5", "ibm20", "ibm27"])
@@ -920,15 +942,15 @@ def test_text_form_is_never_rendered(monkeypatch):
         rendered.append(c)
         return real(c)
 
-    real_pick = ctagsched.scheduler._pick
+    real_select = ctagsched.scheduler._select
     pools = []
 
-    def recording(candidates):
-        pools.append(list(candidates))
-        return real_pick(candidates)
+    def recording(pool, arch):
+        pools.append(list(pool))
+        return real_select(pool, arch)
 
     monkeypatch.setattr(ctagsched.scheduler, "to_text", counting)
-    monkeypatch.setattr(ctagsched.scheduler, "_pick", recording)
+    monkeypatch.setattr(ctagsched.scheduler, "_select", recording)
     for name in ("sparse-grid3x4", "K6-grid2x3"):
         g, spec, digests = POOL_DIGESTS[name]
         arch = make_architecture(spec)
@@ -939,7 +961,8 @@ def test_text_form_is_never_rendered(monkeypatch):
     assert rendered == []
 
     key = (c.depth, c.cphase_count + c.swap_count)
-    tied = [r for r in pools[-1] if (r.depth, r.cphase_count + r.swap_count) == key]
+    # a pool of one entry is that entry built whole
+    tied = [_select([entry], arch) for entry in pools[-1] if entry[0] == key]
     assert len(tied) == 4 and len({to_text(r) for r in tied}) == 2
     assert to_text(c) == min(map(to_text, tied))
 
@@ -967,15 +990,19 @@ def _relogical(gate):
 
 @st.composite
 def candidate_pools(draw, depths):
-    """Candidates in pool order, each of a depth drawn from `depths`: fresh
-    ones, some made of shared cycle objects, some copying another's first
-    cycles (the same objects) and some another's every cycle under other
-    logical pairs."""
+    """Candidates in pool order, each of a depth drawn from `depths`, with
+    their pool entries: fresh ones, some made of shared cycle objects, some
+    copying another's first cycles and some another's every cycle under
+    other logical pairs.  A fresh or relogical entry draws its own cycles up
+    to a drawn split and holds the rest as its tail; a copying one draws its
+    first cycles from the copied one's source (the same list and iterator,
+    so the same objects), as a routed run draws its pattern's."""
     shared = draw(st.lists(TIE_CYCLES, min_size=1, max_size=4))
     cycle = st.one_of(st.sampled_from(shared), TIE_CYCLES)
-    pool = []
+    pool, sources, entries = [], [], []
     for _ in range(draw(st.integers(1, 6))):
         how = draw(st.sampled_from(["fresh", "prefix", "relogical"] if pool else ["fresh"]))
+        source = None
         if how == "relogical":
             base = draw(st.sampled_from(pool))
             cycles = tuple(tuple(map(_relogical, cyc)) for cyc in base.cycles)
@@ -983,35 +1010,58 @@ def candidate_pools(draw, depths):
             depth = draw(st.sampled_from(depths))
             head = ()
             if how == "prefix":
-                head = draw(st.sampled_from(pool)).cycles[: draw(st.integers(0, depth))]
+                i = draw(st.integers(0, len(pool) - 1))
+                head, source = pool[i].cycles[: draw(st.integers(0, depth))], sources[i]
             cycles = head + tuple(draw(cycle) for _ in range(depth - len(head)))
-        pool.append(ScheduledCircuit(cycles, identity_mapping(2), linear(24)))
-    return pool
+        c = ScheduledCircuit(cycles, identity_mapping(2), linear(24))
+        k = len(head) if source else draw(st.integers(0, c.depth))
+        sources.append(([], iter(cycles)))
+        key = (c.depth, c.cphase_count + c.swap_count)
+        pool.append(c)
+        entries.append((key, *(source or sources[-1]), k, cycles[k:], c.init))
+    return pool, entries
 
 
 def _on_sites(*cycles):
-    return ScheduledCircuit(tuple(cycles), identity_mapping(2), linear(24))
+    circuit = ScheduledCircuit(tuple(cycles), identity_mapping(2), linear(24))
+    return circuit, (len(cycles), 0), [], iter(cycles), len(cycles), (), circuit.init
+
+
+def _examples(*candidates):
+    return [c for c, *_ in candidates], [tuple(entry) for _, *entry in candidates]
 
 
 SWAP_12, SWAP_1_23 = (Gate(SWAP, 1, 2),), (Gate(SWAP, 1, 23),)
 CPHASE_12 = (Gate(CPHASE, 1, 2, (0, 1)),)
 
 
+def _selected(pool, entries):
+    c = _select(entries, linear(24))
+    # the init objects are distinct, so they name the pool position
+    [chosen] = [x for x in pool if x.init is c.init]
+    assert c == chosen
+    return chosen
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 5).flatmap(lambda d: candidate_pools([d])))
-@example([_on_sites(SWAP_12, SWAP_12), _on_sites(SWAP_12, CPHASE_12)])  # kind only
-@example([_on_sites(SWAP_1_23), _on_sites(SWAP_12)])  # a line's prefix
-@example([_on_sites(CPHASE_12), _on_sites(tuple(map(_relogical, CPHASE_12)))])
-def test_lazy_tie_break_is_the_smallest_text(tied):
-    # pairwise in pool order, so among equal texts the first stays
-    assert reduce(_first_by_text, tied) is min(tied, key=to_text)
+@example(_examples(_on_sites(SWAP_12, SWAP_12), _on_sites(SWAP_12, CPHASE_12)))  # kind only
+@example(_examples(_on_sites(SWAP_1_23), _on_sites(SWAP_12)))  # a line's prefix
+@example(_examples(_on_sites(CPHASE_12), _on_sites(tuple(map(_relogical, CPHASE_12)))))
+def test_lazy_tie_break_is_the_smallest_text(drawn):
+    # one key for all (the depths are equal), so only the text decides;
+    # among equal texts the first in the pool stays
+    pool, entries = drawn
+    tied = [((key[0], 0), *rest) for key, *rest in entries]
+    assert _selected(pool, tied) is min(pool, key=to_text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda d: candidate_pools([d, d + 1])))
-def test_pick_is_least_depth_gates_then_text(pool):
+def test_pick_is_least_depth_gates_then_text(drawn):
+    pool, entries = drawn
     key = lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c))  # noqa: E731
-    assert _pick(pool) is min(pool, key=key)
+    assert _selected(pool, entries) is min(pool, key=key)
 
 
 @st.composite
@@ -1026,7 +1076,7 @@ def ctag_h_inputs(draw):
     )
     arch = make_architecture(spec)
     n = draw(st.integers(2, min(arch.q, 22)))
-    density = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]))
+    density = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8, 0.9, 1.0]))
     seed = draw(st.integers(0, 999))
     # a density that rounds to no edge gives the empty graph
     g = random_graph(n, density, seed) if density * n * (n - 1) >= 1 else make_problem_graph(n, [])
@@ -1037,10 +1087,15 @@ def ctag_h_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(ctag_h_inputs())
 @example((random_graph(40, 0.1, 1120), linear(40), 0.5, 8, 0))
+# dense ties: six candidates at (22, 108), two of them routed from k = 21,
+# and the third wins; eight at one key on the 4x4 grid, four routed
+@example((random_graph(12, 0.8, 2), make_architecture("grid:3x4"), 0.5, 8, 0))
+@example((random_graph(16, 0.8, 1), make_architecture("grid:4x4"), 0.5, 8, 0))
 def test_capped_pool_picks_the_uncapped_winner(drawn):
-    # every routed run goes to its end in the reference and ties are
-    # rendered whole; capping runs and comparing cycles lazily must not
-    # change the circuit, down to its logical pairs and pool position
+    # the reference builds every candidate whole, replays each routed start
+    # and renders ties whole; keys from the meet table, capped runs from the
+    # pattern's state and the lockstep tie-break must not change the
+    # circuit, down to its logical pairs and pool position
     g, arch, threshold, beam, seed = drawn
     c = schedule(g, arch, SchedulerConfig("ctag-h", threshold, beam, seed))
     assert c == ref_schedule(g, arch, threshold, beam, seed)
@@ -1297,6 +1352,19 @@ def test_prune_onto_a_chain_equals_prune_then_relabel(drawn):
     g, init, arch, chain = drawn
     expect = ref_relabel(ref_prune_pattern(g, init, g.n), chain, arch)
     assert prune_pattern(g, init, arch, chain) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_inputs(), st.data())
+def test_meet_table_key_and_routed_start_equal_the_built_pattern(drawn, data):
+    # ctag-h keys a pattern and starts a routed run without building it; the
+    # built pattern and a replay of its first k cycles must agree
+    g, init, arch, chain = drawn
+    full = prune_pattern(g, init, arch, chain)
+    assert _pattern_key(g, init) == (full.depth, full.cphase_count + full.swap_count)
+    k = data.draw(st.integers(0, full.depth))
+    ran = sum(map(len, full.cycles[:k]))
+    assert _routed_start(g, init, chain, k) == (*replay_start(g, full.init, full.cycles[:k]), ran)
 
 
 @settings(max_examples=100, deadline=None)

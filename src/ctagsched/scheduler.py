@@ -91,6 +91,31 @@ class SchedulerConfig:
     seed: int = 0
 
 
+class _Toward(dict):
+    """Closer-hop table of one schedule() call: toward[t][s] is the tuple
+    of arch.adj[s] sites one hop closer to site t, in adj order, and () at
+    t itself.
+
+    Row t is built the first time it is read, in O(q + couplings).  A site
+    has few distinct closer sets, so equal tuples are interned and a row
+    holds one pointer per site, as a row of arch.dist does.
+    """
+
+    __slots__ = ("arch", "interned")
+
+    def __init__(self, arch: Architecture):
+        super().__init__()
+        self.arch = arch
+        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def __missing__(self, t: int) -> tuple[tuple[int, ...], ...]:
+        dt, adj = self.arch.dist[t], self.arch.adj
+        intern = self.interned.setdefault
+        hops = (tuple([q for q in nbrs if dt[q] == dt[s] - 1]) for s, nbrs in adj.items())
+        row = self[t] = tuple(intern(h, h) for h in hops)
+        return row
+
+
 @dataclass
 class SchedulerState:
     """Mutable context threaded through the heuristic rounds.
@@ -104,8 +129,11 @@ class SchedulerState:
     partners[x] costs x's remaining degree, which shrinks over the run.
     blocked holds the sites the current cycle's SWAPs may not touch: those
     of the executable edges, of the SWAPs already chosen and of the
-    endpoints parked this round; _route refills it every round.  paths
-    memoises _shortest_paths by its two end sites for the life of one run.
+    endpoints parked this round; _route refills it every round.  toward is
+    the closer-hop table (_Toward) of arch; schedule() passes one table to
+    every run of its call, and a state built without one makes its own.
+    paths memoises _shortest_paths by its two end sites for the life of
+    one run.
     """
 
     g: ProblemGraph
@@ -113,12 +141,15 @@ class SchedulerState:
     init: InitVar[Mapping]
     remaining: set[Edge]
     blocked: set[int] = field(default_factory=set)
+    toward: _Toward | None = None
     pi: list[int] = field(init=False)
     inv: dict[int, int] = field(init=False)
     partners: list[set[int]] = field(init=False)
     paths: dict[tuple[int, int], list[tuple[int, ...]]] = field(init=False, default_factory=dict)
 
     def __post_init__(self, init: Mapping):
+        if self.toward is None:
+            self.toward = _Toward(self.arch)
         self.pi = list(init.pi)
         self.inv = init.inverse()
         self.partners = partners = [set() for _ in range(self.g.n)]
@@ -198,32 +229,28 @@ def maximal_matching(edges, mapping: Mapping | list[int]) -> list[Edge]:
     return sorted(out)
 
 
-def _shortest_paths(arch: Architecture, s: int, t: int, limit: int) -> list[tuple[int, ...]]:
+def _shortest_paths(
+    row: tuple[tuple[int, ...], ...], s: int, t: int, limit: int
+) -> list[tuple[int, ...]]:
     # first `limit` shortest paths from s to a distinct t, in lexicographic
-    # order (arch.adj rows are sorted; row t of dist gives every d(., t)),
-    # by a depth-first walk on an explicit stack that no path length limits;
-    # `want` is d(., t) of the next site on a shortest path, 0 only at t
-    dt = arch.dist[t]
-    adj = arch.adj
+    # order (row is toward[t]: row[q] holds the sites one hop closer to t
+    # than q, in sorted arch.adj order), by a depth-first walk on an explicit
+    # stack that no path length limits; every step is closer, so t ends it
     out: list[tuple[int, ...]] = []
     path = [s]
-    stack = [iter(adj[s])]
-    want = dt[s] - 1
+    stack = [iter(row[s])]
     while stack:
         q = next(stack[-1], None)
         if q is None:
             stack.pop()
             path.pop()
-            want += 1
-        elif dt[q] == want:
-            if want:
-                path.append(q)
-                stack.append(iter(adj[q]))
-                want -= 1
-            else:
-                out.append((*path, t))
-                if len(out) == limit:
-                    break
+        elif q != t:
+            path.append(q)
+            stack.append(iter(row[q]))
+        else:
+            out.append((*path, t))
+            if len(out) == limit:
+                break
     return out
 
 
@@ -257,30 +284,29 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
     (d1 < dist - 1).  The two first hops never share a site: at distance 2
     only one endpoint moves.  path[1] and path[-2] step one hop closer to the
     other endpoint, so before reading any path a call returns [] unless a
-    free endpoint has such a neighbour unblocked.  Then it builds only the
-    feasible strategies, in path order and then by d1, from the first
-    MAX_PATHS shortest paths memoised in `state`.  A call costs O(1) when
-    both endpoints are blocked, O(deg) when every first hop is, and
-    O(MAX_PATHS * dist) otherwise.
+    free endpoint has such a neighbour unblocked, read from the closer-hop
+    table state.toward.  Then it builds only the feasible strategies, in
+    path order and then by d1, from the first MAX_PATHS shortest paths
+    memoised in `state`.  A call costs O(deg) when no first hop is free
+    (one C-level superset test per free endpoint) and O(MAX_PATHS * dist)
+    otherwise.
     """
     u, v = edge
     pu, pv = state.pi[u], state.pi[v]
-    arch = state.arch
-    dist = arch.dist[pu][pv]
+    dist = state.arch.dist[pu][pv]
     if dist < 2:
         raise ValueError("edge is already executable")
-    blocked = state.blocked
+    blocked, toward = state.blocked, state.toward
     pu_free, pv_free = pu not in blocked, pv not in blocked
-    closer = dist - 1
-    to_v, to_u = arch.dist[pv], arch.dist[pu]
     if not (
-        (pu_free and any(to_v[q] == closer and q not in blocked for q in arch.adj[pu]))
-        or (pv_free and any(to_u[q] == closer and q not in blocked for q in arch.adj[pv]))
+        (pu_free and not blocked.issuperset(toward[pv][pu]))
+        or (pv_free and not blocked.issuperset(toward[pu][pv]))
     ):
         return []
     paths = state.paths.get((pu, pv))
     if paths is None:
-        paths = state.paths[pu, pv] = _shortest_paths(arch, pu, pv, MAX_PATHS)
+        paths = state.paths[pu, pv] = _shortest_paths(toward[pv], pu, pv, MAX_PATHS)
+    closer = dist - 1
     out = []
     for path in paths:
         lo = 0 if pv_free and path[-2] not in blocked else closer
@@ -367,13 +393,17 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
     round starts state.blocked from the executable edges' sites and adds
     each chosen strategy's SWAP sites and its parked endpoints' sites.
 
-    Only open choices are paid for: an edge whose endpoint sites are both
-    blocked is not enumerated, a lone strategy is not scored, and a lone
-    lowest score skips the bystander-delta tie-break.
+    Only open choices are paid for: a far edge is not enumerated unless a
+    free endpoint has a free neighbour one hop closer to the other endpoint
+    (the closer-hop table makes that one C-level superset test per free
+    endpoint, so a dead edge is still visited but builds nothing), a lone
+    strategy is not scored, and a lone lowest score skips the
+    bystander-delta tie-break.  A round that adds no gate raises
+    RuntimeError rather than loop.
     """
     n, dist = state.g.n, state.arch.dist
     nn = n * n
-    pi, blocked, remaining = state.pi, state.blocked, state.remaining
+    pi, blocked, remaining, toward = state.pi, state.blocked, state.remaining, state.toward
     cycles = []
     while remaining:
         if cap is not None and len(cycles) >= cap:
@@ -398,8 +428,10 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
             pu, pv = pi[e[0]], pi[e[1]]
             if dist[pu][pv] < 2:
                 continue  # earlier swaps this round already parked it adjacent
-            if pu in blocked and pv in blocked:
-                continue  # dead until the constraints reset next cycle
+            if (pu in blocked or blocked.issuperset(toward[pv][pu])) and (
+                pv in blocked or blocked.issuperset(toward[pu][pv])
+            ):
+                continue  # no first hop is free until the constraints reset
             strategies = enumerate_swap_strategies(e, state)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
@@ -427,7 +459,9 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
                 blocked.update((a, b))
             _apply_swaps(state, hops)
             blocked.update((pi[e[0]], pi[e[1]]))
-        assert cycle, "scheduler round made no progress"
+        if not cycle:
+            # no gate and no SWAP: every later round would be the same
+            raise RuntimeError("scheduler round made no progress")
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
@@ -537,6 +571,7 @@ def schedule(
         if not routed:
             raise ValueError(f"no chain of {n} coupled sites in {arch.name}")
         init = _bfs_placement(arch, n)
+        # one run, so the table its state makes is the call's
         return ScheduledCircuit(_route(SchedulerState(g, arch, init, set(g.edges))), init, arch)
 
     if cfg.strategy == "pattern-only":
@@ -557,6 +592,7 @@ def schedule(
     # could not win; the pool keeps each routed run ahead of its pattern,
     # and both read the (chain, mapping) pattern's cycles from one generator
     cap = min(key for _, key, _ in keyed)[0]
+    toward = _Toward(arch)  # every routed run reads one closer-hop table
     pool = []  # (key, seen, cycles, k, tail, init), as _select reads them
     for chain in chains:
         for m0, key, k in keyed:
@@ -565,7 +601,7 @@ def schedule(
             if k < key[0]:
                 # a prefix that ran every edge would only copy the pattern
                 start, remaining, gates = _routed_start(g, m0, chain, k)
-                tail = _route(SchedulerState(g, arch, start, remaining), cap - k)
+                tail = _route(SchedulerState(g, arch, start, remaining, toward=toward), cap - k)
                 if tail is not None:
                     cap = k + len(tail)
                     pool.append(((cap, gates + sum(map(len, tail))), seen, cycles, k, tail, init))

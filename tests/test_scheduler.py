@@ -44,6 +44,7 @@ from ctagsched.scheduler import (
     SchedulerConfig,
     SchedulerState,
     SwapStrategy,
+    _Toward,
     _apply_swaps,
     _bfs_placement,
     _bystander_delta,
@@ -782,9 +783,10 @@ def test_dense_round_engine_output_is_pinned(arch_spec, n, dens, seed, digest):
 
 def test_round_engine_pays_only_for_open_choices(monkeypatch):
     # counts every call the round engine makes on one instance and checks
-    # each against the choice it serves: no enumeration for an edge whose
-    # endpoint sites are both blocked, no score for a lone strategy, no
-    # bystander delta unless two or more strategies tie on the lowest score
+    # each against the choice it serves: no enumeration for an edge unless
+    # a free endpoint has an unblocked neighbour one hop closer to the other
+    # endpoint, no score for a lone strategy, no bystander delta unless two
+    # or more strategies tie on the lowest score
     S = ctagsched.scheduler
     real_enumerate, real_score = S.enumerate_swap_strategies, S.score_strategy
     real_delta, real_paths = S._bystander_delta, S._shortest_paths
@@ -793,8 +795,13 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
 
     def enumerate_(edge, state):
         calls["enumerate"] += 1
-        pi = state.pi
-        assert not (pi[edge[0]] in state.blocked and pi[edge[1]] in state.blocked)
+        pu, pv = state.pi[edge[0]], state.pi[edge[1]]
+        dist, blocked = state.arch.dist, state.blocked
+        assert any(
+            a not in blocked
+            and any(dist[b][x] == dist[b][a] - 1 and x not in blocked for x in state.arch.adj[a])
+            for a, b in ((pu, pv), (pv, pu))
+        )
         found[edge] = real_enumerate(edge, state)
         return found[edge]
 
@@ -822,10 +829,20 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
     arch = make_architecture("grid:4x5")
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
     assert verify(c, g, arch).ok
-    assert 0 < calls["enumerate"] < 1769  # the parent made 1769
-    assert 0 < calls["score"] < 606  # the parent made 606
-    assert 0 < calls["delta"] < 456  # the parent made 456
-    assert 0 < calls["paths"] < 482  # the parent made 482
+    assert 0 < calls["enumerate"] <= 337  # the parent made 809
+    assert 0 < calls["score"] <= 436  # the parent made 436
+    assert 0 < calls["delta"] <= 198  # the parent made 198
+    assert 0 < calls["paths"] <= 275  # the parent made 275
+
+
+def test_round_without_progress_raises(monkeypatch):
+    # ibm27 has no 24-site chain, so ctag-h routes breadth-first with no
+    # cap; once the adjacent edges have run, a round whose far edges all
+    # find no strategy adds nothing, and would add nothing forever
+    monkeypatch.setattr(ctagsched.scheduler, "enumerate_swap_strategies", lambda e, st: [])
+    g = random_graph(24, 0.2, 1)
+    with pytest.raises(RuntimeError, match="round made no progress"):
+        schedule(g, make_architecture("ibm27"), SchedulerConfig(strategy="ctag-h"))
 
 
 @pytest.mark.parametrize(
@@ -1367,29 +1384,68 @@ def test_meet_table_key_and_routed_start_equal_the_built_pattern(drawn, data):
     assert _routed_start(g, init, chain, k) == (*replay_start(g, full.init, full.cycles[:k]), ran)
 
 
+def assert_closer_hop_table(arch, order):
+    # rows read lazily in `order` equal rows built eagerly in site order,
+    # each one arch.adj[s] filtered to the sites one hop closer to t, and
+    # equal closer sets are one interned tuple
+    lazy, eager = _Toward(arch), _Toward(arch)
+    for t in range(arch.q):
+        eager[t]
+    dist = arch.dist
+    for t in order:
+        row = lazy[t]
+        assert row == eager[t]
+        assert row == tuple(
+            tuple(x for x in arch.adj[s] if dist[t][x] == dist[t][s] - 1) for s in range(arch.q)
+        )
+    assert len(lazy) == len(set(order))
+    interned = {}
+    for row in lazy.values():
+        for hops in row:
+            assert interned.setdefault(hops, hops) is hops
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closer_hop_rows_equal_the_filtered_adjacency(data):
+    _, arch = data.draw(connected_devices())
+    order = data.draw(st.lists(st.integers(0, arch.q - 1), max_size=2 * arch.q))
+    assert_closer_hop_table(arch, order)
+
+
+@pytest.mark.parametrize("spec", ["grid:6x6", "ibm20", "ibm27", "linear:40"])
+def test_closer_hop_rows_equal_the_filtered_adjacency_on_devices(spec):
+    arch = make_architecture(spec)
+    assert_closer_hop_table(arch, list(range(arch.q - 1, -1, -1)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(connected_devices(), st.integers(1, 6))
 def test_shortest_paths_match_the_recursive_walk(drawn, limit):
     _, arch = drawn
+    toward = _Toward(arch)
     for s in range(arch.q):
         for t in range(arch.q):
             if s != t:
-                assert _shortest_paths(arch, s, t, limit) == ref_shortest_paths(arch, s, t, limit)
+                got = _shortest_paths(toward[t], s, t, limit)
+                assert got == ref_shortest_paths(arch, s, t, limit)
 
 
 @pytest.mark.parametrize("spec", ["grid:6x6", "ibm20", "ibm27", "linear:40"])
 def test_shortest_paths_match_the_recursive_walk_on_devices(spec):
     arch = make_architecture(spec)
+    toward = _Toward(arch)
     for s in range(arch.q):
         for t in range(arch.q):
             if arch.dist[s][t] >= 2:
                 expect = ref_shortest_paths(arch, s, t, MAX_PATHS)
-                assert _shortest_paths(arch, s, t, MAX_PATHS) == expect
+                assert _shortest_paths(toward[t], s, t, MAX_PATHS) == expect
 
 
 def test_shortest_path_longer_than_the_recursion_limit():
     # one stack frame per hop would overflow at about 1,000
-    assert _shortest_paths(linear(1500), 0, 1499, MAX_PATHS) == [tuple(range(1500))]
+    row = _Toward(linear(1500))[1499]
+    assert _shortest_paths(row, 0, 1499, MAX_PATHS) == [tuple(range(1500))]
 
 
 def tracer_scheduler_calls():

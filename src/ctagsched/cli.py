@@ -10,7 +10,8 @@ that only one command needs is made where that command uses it:
 behind it) only for ``bench --jobs N > 1``, and ``csv`` only for bench's CSV
 output.  Likewise ``graphs`` loads ``fractions`` only in ``random_graph``,
 and ``graphs`` and ``embedding`` load ``importlib.resources`` only to read a
-packaged data file.
+packaged data file.  No process loads ``dataclasses``: the package's records
+are NamedTuples and plain classes.
 """
 from __future__ import annotations
 

@@ -1,7 +1,6 @@
 """Problem graphs, hardware coupling graphs, and qubit mappings."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 Edge = tuple[int, int]
@@ -36,23 +35,57 @@ def _adjacency(count: int, pairs) -> dict[int, tuple[int, ...]]:
     return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
 
-@dataclass(frozen=True)
-class ProblemGraph:
+class _Record:
+    """Read-only value record over the fields named in _fields.
+
+    Records are equal when their classes and field values are, hash as the
+    tuple of their field values and show as ``Name(field=value, ...)``.  A
+    subclass's __init__ writes its fields into the instance dict, where
+    cached_property stores its values too; any other assignment or deletion
+    raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple(d[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ProblemGraph(_Record):
     """Undirected simple graph whose edges are the CPHASE gates to execute."""
 
-    n: int
-    edges: frozenset[Edge]
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: frozenset[Edge]):
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u > v:
                 raise ValueError(f"edge ({u}, {v}) not normalized")
+        self.__dict__.update(n=n, edges=edges)
 
     @property
     def m(self) -> int:
@@ -90,6 +123,13 @@ def density(g: ProblemGraph) -> float:
     return g.m / total if total else 0.0
 
 
+def _check_seed(seed) -> None:
+    # a seed is a plain int, as a beam is: a float or a str would otherwise
+    # fail inside the generator with a TypeError, and True would pass for 1
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 class SplitMix64:
     """Portable integer-only PRNG (SplitMix64).
 
@@ -101,6 +141,7 @@ class SplitMix64:
     MASK = (1 << 64) - 1
 
     def __init__(self, seed: int):
+        _check_seed(seed)
         self.state = seed & self.MASK
 
     def next64(self) -> int:
@@ -179,23 +220,21 @@ def random_graph(n: int, dens, seed: int) -> ProblemGraph:
     return ProblemGraph(n, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(_Record):
     """Hardware coupling graph: q physical qubits, undirected couplings."""
 
-    q: int
-    couplings: frozenset[Edge]
-    name: str = "custom"
+    _fields = ("q", "couplings", "name")
 
-    def __post_init__(self):
-        _check_sites(self.q, self.name)
-        for a, b in self.couplings:
-            if a == b or not (0 <= a < self.q and 0 <= b < self.q):
-                raise ValueError(f"bad coupling ({a}, {b}) for q={self.q}")
+    def __init__(self, q: int, couplings: frozenset[Edge], name: str = "custom"):
+        _check_sites(q, name)
+        for a, b in couplings:
+            if a == b or not (0 <= a < q and 0 <= b < q):
+                raise ValueError(f"bad coupling ({a}, {b}) for q={q}")
             if a > b:
                 raise ValueError(f"coupling ({a}, {b}) not normalized")
-        if self.q > 1 and not self._connected():
-            raise ValueError(f"architecture {self.name!r} is not connected")
+        self.__dict__.update(q=q, couplings=couplings, name=name)
+        if q > 1 and not self._connected():
+            raise ValueError(f"architecture {name!r} is not connected")
 
     def _connected(self) -> bool:
         seen = {0}
@@ -403,15 +442,15 @@ def save_problem_graph(g: ProblemGraph, path: str) -> None:
             fh.write(f"{u} {v}\n")
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(_Record):
     """Injective placement of logical qubits onto physical qubits: pi[logical] = physical."""
 
-    pi: tuple[int, ...]
+    _fields = ("pi",)
 
-    def __post_init__(self):
-        if len(set(self.pi)) != len(self.pi):
+    def __init__(self, pi: tuple[int, ...]):
+        if len(set(pi)) != len(pi):
             raise ValueError("mapping is not injective")
+        self.__dict__.update(pi=pi)
 
     @property
     def n(self) -> int:

@@ -13,7 +13,6 @@ without building it.  The 2xN grid variant drops every second SWAP layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
@@ -42,8 +41,7 @@ class Gate(NamedTuple):
     logical: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class ScheduledCircuit:
+class ScheduledCircuit(NamedTuple):
     """Cycle-by-cycle schedule; each cycle holds qubit-disjoint gates."""
 
     cycles: tuple[tuple[Gate, ...], ...]
@@ -191,6 +189,21 @@ def _pattern_key(g: ProblemGraph, m0: Mapping) -> tuple[int, int]:
     pi, table = m0.pi, _meet_table(g.n)
     depth = 1 + max((table[pi[u]][pi[v]] for u, v in g.edges), default=-1)
     return depth, len(g.edges) + _swaps_before(g.n, depth)
+
+
+def _same_pattern(g: ProblemGraph, m1: Mapping, m2: Mapping) -> bool:
+    # True when the pattern pruned to g lays the same text under m2 as under
+    # m1 on any chain: a CPHASE stands where two start positions meet, so
+    # the texts agree exactly when both mappings put g's edges on the same
+    # start-position pairs, that is when the relabelling m1^-1 . m2 maps
+    # every edge of g onto an edge of g; O(|E|), stopping at the first miss
+    inv, edges = m1.inverse(), g.edges
+    tau = [inv[p] for p in m2.pi]
+    for u, v in edges:
+        a, b = tau[u], tau[v]
+        if ((a, b) if a < b else (b, a)) not in edges:
+            return False
+    return True
 
 
 def _routed_start(g: ProblemGraph, m0: Mapping, chain, k: int) -> tuple[Mapping, set[Edge], int]:

@@ -14,17 +14,17 @@ A chain is a tuple of sites.  A line strategy lays its one mapping on one
 chain.  ctag-h takes up to CHAINS chains; each (chain, mapping) pair gives
 the pattern and, ahead of it unless its first cycles run every edge, a
 routed candidate that runs those cycles and schedules the rest in
-matching/swap-routing rounds.  Candidates are compared by keys (a
-pattern's depth and gates come from the meet table, and a routed run stops
-once deeper than the best so far), ties are read cycle by cycle, and only
-the winner is built.  With no chain, a line strategy raises ValueError and
+matching/swap-routing rounds; a mapping whose pattern lays an earlier
+mapping's text adds only its routed candidate.  Candidates are compared
+by keys (a pattern's depth and gates come from the meet table, and a
+routed run stops once deeper than the best so far), ties are read cycle by
+cycle, and only the winner is built.  With no chain, a line strategy raises ValueError and
 ctag-h routes from a breadth-first placement.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 from ctagsched.embedding import (
@@ -38,6 +38,7 @@ from ctagsched.graphs import (
     Edge,
     Mapping,
     ProblemGraph,
+    _check_seed,
     _spec_ints,
     identity_mapping,
     random_initial_mapping,
@@ -53,6 +54,7 @@ from ctagsched.pattern import (
     _pattern_cycles,
     _pattern_key,
     _routed_start,
+    _same_pattern,
     cycle_line,
     prune_pattern,
     to_text,  # not called here; the benchmark's tracer rebinds this name
@@ -79,16 +81,33 @@ MAX_PATHS = 4
 CHAINS = 2
 
 
-@dataclass
 class SchedulerConfig:
     """Knobs for schedule(): strategy names the initial mappings and whether
     to route, threshold sets ctag-h's pattern prefix, beam and seed the
-    mapping search (seed also ctag-r's mapping and the chain search)."""
+    mapping search (seed also ctag-r's mapping and the chain search).
+
+    The class attributes are the defaults, which the CLI reads too.
+    """
 
     strategy: str = "ctag-h"
     threshold: float = 0.5
     beam: int | None = 8
     seed: int = 0
+
+    def __init__(self, strategy=strategy, threshold=threshold, beam=beam, seed=seed):
+        self.strategy = strategy
+        self.threshold = threshold
+        self.beam = beam
+        self.seed = seed
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"SchedulerConfig({fields})"
 
 
 class _Toward(dict):
@@ -116,7 +135,6 @@ class _Toward(dict):
         return row
 
 
-@dataclass
 class SchedulerState:
     """Mutable context threaded through the heuristic rounds.
 
@@ -136,26 +154,27 @@ class SchedulerState:
     one run.
     """
 
-    g: ProblemGraph
-    arch: Architecture
-    init: InitVar[Mapping]
-    remaining: set[Edge]
-    blocked: set[int] = field(default_factory=set)
-    toward: _Toward | None = None
-    pi: list[int] = field(init=False)
-    inv: dict[int, int] = field(init=False)
-    partners: list[set[int]] = field(init=False)
-    paths: dict[tuple[int, int], list[tuple[int, ...]]] = field(init=False, default_factory=dict)
-
-    def __post_init__(self, init: Mapping):
-        if self.toward is None:
-            self.toward = _Toward(self.arch)
+    def __init__(
+        self,
+        g: ProblemGraph,
+        arch: Architecture,
+        init: Mapping,
+        remaining: set[Edge],
+        blocked: set[int] | None = None,
+        toward: _Toward | None = None,
+    ):
+        self.g = g
+        self.arch = arch
+        self.remaining = remaining
+        self.blocked = set() if blocked is None else blocked
+        self.toward = _Toward(arch) if toward is None else toward
         self.pi = list(init.pi)
         self.inv = init.inverse()
-        self.partners = partners = [set() for _ in range(self.g.n)]
-        for u, v in self.remaining:
+        self.partners = partners = [set() for _ in range(g.n)]
+        for u, v in remaining:
             partners[u].add(v)
             partners[v].add(u)
+        self.paths: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
     def execute(self, edges) -> None:
         """Run `edges`: each leaves `remaining` and its endpoints' partners."""
@@ -559,6 +578,7 @@ def schedule(
     if not 0.0 <= cfg.threshold <= 1.0:  # NaN fails too
         raise ValueError(f"threshold {cfg.threshold} not in [0, 1]")
     _check_beam(cfg.beam)
+    _check_seed(cfg.seed)
     if arch.q < g.n:
         raise ValueError(f"{arch.name} has {arch.q} qubits, input needs {g.n}")
     n = g.n
@@ -586,24 +606,35 @@ def schedule(
         # one chain and one mapping: the pattern is the only candidate
         return prune_pattern(g, m0, arch, chains[0])
     inits = [m0] if m0.pi == tuple(range(n)) else [m0, identity_mapping(n)]
-    # each mapping's pattern key and prefix length hold on every chain
-    keyed = [(m, _pattern_key(g, m), partial_pattern_cycles(g, m, cfg.threshold)) for m in inits]
+    # each mapping's pattern key and prefix length hold on every chain, and
+    # so does a twin: a pattern that lays an earlier mapping's text ties
+    # with that one on key and text, so it could never win and stays out of
+    # the pool (its routed run still joins it)
+    keyed = []
+    for m in inits:
+        key = _pattern_key(g, m)
+        twin = any(key == k1 and _same_pattern(g, m1, m) for m1, k1, _, _ in keyed)
+        keyed.append((m, key, partial_pattern_cycles(g, m, cfg.threshold), twin))
     # every routed run is capped at the best depth so far, as a run past it
     # could not win; the pool keeps each routed run ahead of its pattern,
     # and both read the (chain, mapping) pattern's cycles from one generator
-    cap = min(key for _, key, _ in keyed)[0]
+    cap = min(key for _, key, _, _ in keyed)[0]
     toward = _Toward(arch)  # every routed run reads one closer-hop table
     pool = []  # (key, seen, cycles, k, tail, init), as _select reads them
     for chain in chains:
-        for m0, key, k in keyed:
+        for m0, key, k, twin in keyed:
+            # a prefix that ran every edge would only copy the pattern
+            routes = k < key[0]
+            if twin and not routes:
+                continue
             seen, cycles = [], _pattern_cycles(g, m0, arch, chain)
             init = Mapping(tuple(chain[p] for p in m0.pi))
-            if k < key[0]:
-                # a prefix that ran every edge would only copy the pattern
+            if routes:
                 start, remaining, gates = _routed_start(g, m0, chain, k)
                 tail = _route(SchedulerState(g, arch, start, remaining, toward=toward), cap - k)
                 if tail is not None:
                     cap = k + len(tail)
                     pool.append(((cap, gates + sum(map(len, tail))), seen, cycles, k, tail, init))
-            pool.append((key, seen, cycles, key[0], (), init))
+            if not twin:
+                pool.append((key, seen, cycles, key[0], (), init))
     return _select(pool, arch)

@@ -7,7 +7,7 @@ the generators attach.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from ctagsched.graphs import Architecture, Mapping, ProblemGraph
 from ctagsched.pattern import CPHASE, SWAP, ScheduledCircuit
@@ -23,8 +23,7 @@ QAIM_IC_REFERENCE = {
 }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     executed_pairs: tuple[tuple[int, int], ...]
     missing: frozenset[tuple[int, int]]
@@ -115,8 +114,7 @@ def verify(c: ScheduledCircuit, g: ProblemGraph, arch: Architecture) -> Verifica
     )
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     abstract_depth: int
     decomposed_depth: int
     cphase_count: int
@@ -124,7 +122,7 @@ class Metrics:
     decomposed_gate_count: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def metrics(c: ScheduledCircuit, n: int) -> Metrics:

@@ -45,9 +45,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# modules a schedule process never needs: networkx is no dependency, and the
-# rest serve only bench (its worker pool, its CSV output, random_graph)
-NOT_LOADED_BY_SCHEDULE = ("networkx", "concurrent.futures", "multiprocessing", "fractions", "csv")
+# modules a schedule process never needs: networkx is no dependency,
+# dataclasses no record of the package uses, and the rest serve only bench
+# (its worker pool, its CSV output, random_graph)
+NOT_LOADED_BY_SCHEDULE = (
+    "networkx", "concurrent.futures", "multiprocessing", "fractions", "csv", "dataclasses",
+)
 
 
 def test_schedule_process_imports_only_what_it_runs(k6_file, tmp_path):
@@ -68,6 +71,34 @@ def test_schedule_process_imports_only_what_it_runs(k6_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run.sched.json").exists()
+
+
+def test_no_process_loads_dataclasses_or_inspect(tmp_path):
+    # a fresh schedule process and then a fresh verify process of its
+    # output, each started with -S so that no site hook loads a module
+    # first; grid:2x3 reads no packaged data, which Python 3.12's
+    # importlib.resources reads with inspect
+    src = str(Path(ctagsched.__file__).resolve().parents[1])
+    graph = tmp_path / "g.graph"
+    save_problem_graph(random_graph(6, 0.5, 1), graph)
+    code = (
+        "import sys\n"
+        "import ctagsched.cli\n"
+        "def loaded(): return [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not loaded(), f'after import: {loaded()}'\n"
+        "rc = ctagsched.cli.main(sys.argv[1:])\n"
+        "assert rc == 0 and not loaded(), f'after {sys.argv[1]} (exit {rc}): {loaded()}'\n"
+    )
+    out = tmp_path / "run"
+    for argv in (
+        ["schedule", "--graph", graph, "--arch", "grid:2x3", "--out", out],
+        ["verify", "--schedule", f"{out}.sched.json", "--graph", graph, "--arch", "grid:2x3"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 # values that start with "-" but are no plain negative number, and how the

@@ -1,5 +1,7 @@
 """Problem graphs, architectures, mappings, and their file formats."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,9 @@ from ctagsched.graphs import (
     save_problem_graph,
     shortest_dist,
 )
+from ctagsched.pattern import ScheduledCircuit
+from ctagsched.scheduler import SchedulerConfig, schedule
+from ctagsched.verify import metrics
 
 # deterministic output of random_graph(10, 0.5, 1), frozen
 RG_10_05_1 = [
@@ -323,3 +328,64 @@ class TestMapping:
     def test_random_initial_mapping_deterministic(self):
         assert random_initial_mapping(8, 3).pi == random_initial_mapping(8, 3).pi
         assert random_initial_mapping(8, 3).pi != random_initial_mapping(8, 4).pi
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", None, True], ids=repr)
+def test_seed_that_is_no_plain_int_is_rejected(seed):
+    # both seeded helpers reach SplitMix64, which takes a plain int only, as
+    # a beam is checked: True would pass for 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        random_graph(8, 0.5, seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        random_initial_mapping(8, seed)
+
+
+def test_records_are_read_only_values():
+    # the graph records compare and hash by their fields, as frozen records
+    # do, keep their cached properties, refuse assignment and show their
+    # fields; the result records keep their field order and pickle, which
+    # a bench worker pool relies on
+    g = make_problem_graph(3, [(1, 2), (0, 1)])
+    arch = linear(3)
+    m = Mapping((2, 0, 1))
+    pairs = [
+        (g, ProblemGraph(3, frozenset({(0, 1), (1, 2)})), make_problem_graph(3, [(0, 1)])),
+        (arch, Architecture(3, frozenset({(0, 1), (1, 2)}), "linear:3"),
+         Architecture(3, arch.couplings)),
+        (m, Mapping((2, 0, 1)), Mapping((0, 1, 2))),
+    ]
+    for rec, same, other in pairs:
+        assert rec == same and hash(rec) == hash(same) and rec is not same
+        assert rec != other and rec != rec._values()
+    assert hash(g) == hash((3, g.edges))
+    assert hash(arch) == hash((3, arch.couplings, "linear:3"))
+    assert hash(m) == hash(((2, 0, 1),))
+    assert arch.dist[0][2] == 2 and arch.dist is arch.dist
+    for rec, name in [(g, "n"), (g, "edges"), (g, "adj"), (arch, "q"), (arch, "name"),
+                      (arch, "dist"), (m, "pi"), (m, "other")]:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert g == make_problem_graph(3, [(0, 1), (1, 2)]) and m.pi == (2, 0, 1)
+    assert repr(ProblemGraph(2, frozenset({(0, 1)}))) == "ProblemGraph(n=2, edges=frozenset({(0, 1)}))"
+    assert repr(Architecture(2, frozenset({(0, 1)}))) == (
+        "Architecture(q=2, couplings=frozenset({(0, 1)}), name='custom')"
+    )
+    assert repr(m) == "Mapping(pi=(2, 0, 1))"
+
+    cfg = SchedulerConfig("ctag-r", 0.25, None, 3)
+    assert cfg == SchedulerConfig(strategy="ctag-r", threshold=0.25, beam=None, seed=3)
+    assert cfg != SchedulerConfig("ctag-r", 0.25, None, 4)
+    assert repr(SchedulerConfig()) == (
+        "SchedulerConfig(strategy='ctag-h', threshold=0.5, beam=8, seed=0)"
+    )
+    c = schedule(clique(4), linear(4), cfg)
+    assert list(metrics(c, 4).to_json_dict()) == [
+        "abstract_depth", "decomposed_depth", "cphase_count", "swap_count",
+        "decomposed_gate_count",
+    ]
+    for value in (cfg, c):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and type(back) is type(value)
+    assert isinstance(c, ScheduledCircuit)

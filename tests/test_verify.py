@@ -1,7 +1,5 @@
 """The verification oracle, metrics, and the tiny brute-force baseline."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,7 +171,7 @@ def verified_schedules(draw):
 
 
 def _with_cycles(c, cycles):
-    return replace(c, cycles=tuple(tuple(cyc) for cyc in cycles))
+    return ScheduledCircuit(tuple(tuple(cyc) for cyc in cycles), c.init, c.arch)
 
 
 class TestVerifyRejectsOneMutation:

@@ -9,9 +9,9 @@ that only one command needs is made where that command uses it:
 ``ProcessPoolExecutor`` (with multiprocessing, socket, pickle and logging
 behind it) only for ``bench --jobs N > 1``, and ``csv`` only for bench's CSV
 output.  Likewise ``graphs`` loads ``fractions`` only in ``random_graph``,
-and ``graphs`` and ``embedding`` load ``importlib.resources`` only to read a
-packaged data file.  No process loads ``dataclasses``: the package's records
-are NamedTuples and plain classes.
+and ``importlib.resources`` only in ``_packaged``, which reads a packaged
+device file or cached chain.  No process loads ``dataclasses``: the
+package's records are NamedTuples and plain classes.
 """
 from __future__ import annotations
 
@@ -253,15 +253,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Commutativity-aware QAOA circuit scheduling.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    defaults = SchedulerConfig()
 
     ps = sub.add_parser("schedule", help="schedule one problem graph")
     ps.add_argument("--graph", required=True, help="problem graph file")
     ps.add_argument("--arch", required=True,
                     help="linear:N | grid:RxC | ibm20 | ibm27 | file:PATH")
-    ps.add_argument("--strategy", default=SchedulerConfig.strategy, choices=STRATEGIES)
-    ps.add_argument("--seed", type=int, default=SchedulerConfig.seed)
-    ps.add_argument("--threshold", type=float, default=SchedulerConfig.threshold)
-    ps.add_argument("--beam", type=int, default=SchedulerConfig.beam)
+    ps.add_argument("--strategy", default=defaults.strategy, choices=STRATEGIES)
+    ps.add_argument("--seed", type=int, default=defaults.seed)
+    ps.add_argument("--threshold", type=float, default=defaults.threshold)
+    ps.add_argument("--beam", type=int, default=defaults.beam)
     ps.add_argument("--out", help="output prefix (default: graph file stem)")
     ps.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -271,10 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--seed", default="1", help="comma-separated seeds")
     pb.add_argument("--arch", required=True,
                     help="comma-separated arch specs; bare 'linear' sizes to n")
-    pb.add_argument("--strategy", default=SchedulerConfig.strategy,
+    pb.add_argument("--strategy", default=defaults.strategy,
                     help="comma-separated strategies")
-    pb.add_argument("--threshold", type=float, default=SchedulerConfig.threshold)
-    pb.add_argument("--beam", type=int, default=SchedulerConfig.beam)
+    pb.add_argument("--threshold", type=float, default=defaults.threshold)
+    pb.add_argument("--beam", type=int, default=defaults.beam)
     pb.add_argument("--jobs", type=int, default=1)
     pb.add_argument("--out", help="CSV output path (default: stdout)")
     pb.add_argument("--format", choices=("csv", "json", "text"), default="csv")

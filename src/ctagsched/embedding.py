@@ -6,7 +6,7 @@ search for Hamiltonian (sub)paths.
 """
 from __future__ import annotations
 
-from ctagsched.graphs import Architecture, SplitMix64
+from ctagsched.graphs import Architecture, SplitMix64, _packaged
 
 
 class EmbeddingBudgetExceeded(RuntimeError):
@@ -175,7 +175,6 @@ def multi_embeddings(
     k: int,
     seed: int = 0,
     length: int | None = None,
-    budget: int = 10**6,
 ) -> list[tuple[int, ...]]:
     """Up to k distinct chains from re-seeded searches (reverses dedup)."""
     if k < 1:
@@ -184,7 +183,7 @@ def multi_embeddings(
     seen = set()
     for attempt in range(8 * k + 16):
         try:
-            chain = find_line_embedding(arch, seed + attempt, length, budget)
+            chain = find_line_embedding(arch, seed + attempt, length)
         except EmbeddingBudgetExceeded:
             continue
         if chain is None:
@@ -201,7 +200,4 @@ def multi_embeddings(
 def device_embedding(name: str) -> tuple[int, ...]:
     """Cached chain for a shipped device topology (ibm20 full path, ibm27 the
     longest chain it admits; six pendants rule out a full Hamiltonian path)."""
-    from importlib import resources
-
-    text = resources.files("ctagsched.data").joinpath(f"embeddings/{name}.txt").read_text()
-    return tuple(int(tok) for tok in text.split())
+    return tuple(int(tok) for tok in _packaged(f"embeddings/{name}.txt").split())

@@ -366,10 +366,14 @@ def _parse_edge_list(text: str, what: str) -> tuple[int, list[Edge]]:
 
 
 def _read_utf8(path: str) -> str:
-    """Text of an input file (graph, coupling or schedule); a byte that is
-    not UTF-8 raises GraphFormatError at its 1-based line."""
+    """Text of an input file (graph, coupling or schedule), without a leading
+    UTF-8 byte-order mark; a byte that is not UTF-8 raises GraphFormatError
+    at its 1-based line."""
     with open(path, "rb") as fh:
         data = fh.read()
+    # a leading byte-order mark is dropped before decoding rather than by
+    # utf-8-sig, whose error offsets count from after the mark
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

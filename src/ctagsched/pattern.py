@@ -9,7 +9,9 @@ mapping, and prune_pattern trims what it yields to a circuit.  The full
 pattern is the pruning of the clique onto linear(n) under the natural
 mapping.  The meet table (the cycle at which any two start positions
 execute) gives a pruned pattern's depth, gates and state after k cycles
-without building it.  The 2xN grid variant drops every second SWAP layer.
+without building it.  The 2xN grid variant folds the full pattern laid on a
+two-row snake chain: each S0 cycle, which only swaps the two sites of every
+column, becomes a relabelling of the rows.
 """
 from __future__ import annotations
 
@@ -224,55 +226,38 @@ def _routed_start(g: ProblemGraph, m0: Mapping, chain, k: int) -> tuple[Mapping,
 def generate_2xn_pattern(n: int) -> ScheduledCircuit:
     """Clique schedule on grid(2, ceil(n/2)) in 3n/2-1 cycles (even n).
 
-    The chain is laid in boustrophedon order, so every even-odd SWAP layer of
-    the line pattern only flips columns; flipping a bookkeeping bit realizes
-    it for free, which removes one cycle per loop.  One walk of the line
-    pattern's layer stream turns each of those S0 layers into a flip.  Odd n
-    keeps one grid site empty (the last chain slot) and pays one real SWAP
-    per flip to carry the lone last-column qubit across; that SWAP shares a
-    cycle with the next CPHASE layer, which never touches the last column, so
-    the depth is 3(n-1)/2+1.
+    The line pattern laid on the boustrophedon chain of the two rows, folded:
+    each of its S0 cycles only swaps the two sites of every column, so the
+    fold drops it and lays every later gate on the other row instead, which
+    removes one cycle per loop.  Gates keep their sites in chain-position
+    order.  Odd n keeps one grid site empty (the last column's second) and
+    pays one real SWAP per dropped cycle to carry the lone last-column qubit
+    across; that SWAP shares a cycle with the next CPHASE layer, which never
+    touches the last column, so the depth is 3(n-1)/2+1.
     """
     if n < 4:
         raise ValueError(f"2xN pattern needs n >= 4, got {n}")
     cols = (n + 1) // 2
     arch = grid(2, cols)
-    odd = n % 2 == 1
-
-    def site(slot: int, o: int) -> int:
-        # virtual chain slot -> grid site under orientation flag o
-        c = slot // 2
-        row = (slot & 1) ^ (c & 1) ^ o
-        return row * cols + c
-
-    occ = list(range(n))  # occ[virtual slot] = logical
-    o = 0
-    pending = None  # corrective SWAP riding in the next cycle (odd n)
-    cycles = []
-    for kind, pairs in _layer_stream(n):
-        if kind == SWAP and pairs[0] == (0, 1):
-            # an S0 layer only flips columns: flip the orientation instead
-            for j, k in pairs:
-                occ[j], occ[k] = occ[k], occ[j]
-            if odd:
-                # last slot keeps its virtual place but its address flips rows
-                pending = Gate(SWAP, site(n - 1, o), site(n - 1, o ^ 1))
+    # snake[p]: row (p & 1) ^ (p // 2 & 1) of column p // 2
+    snake = tuple(((p & 1) ^ (p // 2 & 1)) * cols + p // 2 for p in range(n))
+    line = prune_pattern(clique(n), identity_mapping(n), arch, snake)
+    pos = {s: p for p, s in enumerate(snake)}
+    # rows[o][p]: the site of chain position p after o row swaps (mod 2)
+    rows = (snake, tuple((s + cols) % (2 * cols) for s in snake))
+    o, pending, cycles = 0, [], []
+    for cyc, (kind, pairs) in zip(line.cycles, _layer_stream(n)):
+        if kind == SWAP and pairs[0] == (0, 1):  # an S0 cycle: swap the rows
+            if n % 2:
+                pending = [Gate(SWAP, rows[o][n - 1], rows[o ^ 1][n - 1])]
             o ^= 1
             continue
-        gates = [] if pending is None else [pending]
-        pending = None
-        for j, k in pairs:
-            a, b = site(j, o), site(k, o)
-            if kind == CPHASE:
-                la, lb = occ[j], occ[k]
-                gates.append(Gate(CPHASE, a, b, (la, lb) if la < lb else (lb, la)))
-            else:
-                gates.append(Gate(SWAP, a, b))
-                occ[j], occ[k] = occ[k], occ[j]
+        gates, pending = pending, []
+        for g in cyc:
+            a, b = sorted((pos[g.a], pos[g.b]))
+            gates.append(Gate(g.kind, rows[o][a], rows[o][b], g.logical))
         cycles.append(tuple(gates))
-
-    init = Mapping(tuple(site(slot, 0) for slot in range(n)))
-    return ScheduledCircuit(_trim(cycles), init, arch)
+    return ScheduledCircuit(tuple(cycles), line.init, arch)
 
 
 def cycle_line(t: int, cyc) -> str:

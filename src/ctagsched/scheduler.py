@@ -81,12 +81,12 @@ MAX_PATHS = 4
 CHAINS = 2
 
 
-class SchedulerConfig:
+class SchedulerConfig(NamedTuple):
     """Knobs for schedule(): strategy names the initial mappings and whether
     to route, threshold sets ctag-h's pattern prefix, beam and seed the
     mapping search (seed also ctag-r's mapping and the chain search).
 
-    The class attributes are the defaults, which the CLI reads too.
+    The field defaults are the CLI's defaults too.
     """
 
     strategy: str = "ctag-h"
@@ -94,20 +94,15 @@ class SchedulerConfig:
     beam: int | None = 8
     seed: int = 0
 
-    def __init__(self, strategy=strategy, threshold=threshold, beam=beam, seed=seed):
-        self.strategy = strategy
-        self.threshold = threshold
-        self.beam = beam
-        self.seed = seed
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"SchedulerConfig({fields})"
+def _check_threshold(threshold) -> None:
+    # a threshold is a plain int or float in [0, 1]: a str, None or a complex
+    # would otherwise fail at the range check with a TypeError, and True
+    # would pass for 1.0
+    if type(threshold) not in (int, float):
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise ValueError(f"threshold {threshold} not in [0, 1]")
 
 
 class _Toward(dict):
@@ -160,13 +155,12 @@ class SchedulerState:
         arch: Architecture,
         init: Mapping,
         remaining: set[Edge],
-        blocked: set[int] | None = None,
         toward: _Toward | None = None,
     ):
         self.g = g
         self.arch = arch
         self.remaining = remaining
-        self.blocked = set() if blocked is None else blocked
+        self.blocked: set[int] = set()
         self.toward = _Toward(arch) if toward is None else toward
         self.pi = list(init.pi)
         self.inv = init.inverse()
@@ -206,8 +200,7 @@ def partial_pattern_cycles(g: ProblemGraph, mapping: Mapping, threshold: float) 
     With threshold 0 the full pattern qualifies; an input too sparse for the
     first layer gives 0.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} not in [0, 1]")
+    _check_threshold(threshold)
     n = g.n
     if mapping.n != n or any(not 0 <= p < n for p in mapping.pi):
         raise ValueError("mapping must place g's vertices onto positions 0..n-1")
@@ -575,8 +568,7 @@ def schedule(
     if cfg.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {cfg.strategy!r}")
     # every knob is checked here, whether or not this strategy reads it
-    if not 0.0 <= cfg.threshold <= 1.0:  # NaN fails too
-        raise ValueError(f"threshold {cfg.threshold} not in [0, 1]")
+    _check_threshold(cfg.threshold)
     _check_beam(cfg.beam)
     _check_seed(cfg.seed)
     if arch.q < g.n:

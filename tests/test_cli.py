@@ -22,6 +22,7 @@ from ctagsched.graphs import clique, linear, make_problem_graph, random_graph, s
 from ctagsched.pattern import to_json_dict
 from ctagsched.scheduler import STRATEGIES, SchedulerConfig, schedule
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
 FIG_EDGES = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4), (1, 3), (2, 4)]
 
 
@@ -352,6 +353,25 @@ class TestVerify:
         assert "ok: true" in stdout
         assert "executed: 15" in stdout
 
+    def test_files_with_a_byte_order_mark_are_read(self, k6_file, tmp_path, capsys):
+        # graph, coupling file and schedule each saved with a UTF-8 BOM
+        graph, arch = tmp_path / "k6.bom.graph", tmp_path / "line6.arch"
+        graph.write_bytes(BOM + Path(k6_file).read_bytes())
+        arch.write_bytes(BOM + b"6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        code, _, _ = run(
+            capsys, "schedule", "--graph", str(graph), "--arch", f"file:{arch}",
+            "--out", str(tmp_path / "bom"),
+        )
+        assert code == 0
+        sched = tmp_path / "bom.sched.json"
+        sched.write_bytes(BOM + sched.read_bytes())
+        code, stdout, _ = run(
+            capsys, "verify", "--schedule", str(sched), "--graph", str(graph),
+            "--arch", f"file:{arch}",
+        )
+        assert code == 0
+        assert "executed: 15" in stdout
+
     def test_json_format(self, k6_file, tmp_path, capsys):
         sched = self.schedule_k6(k6_file, tmp_path, capsys)
         code, stdout, _ = run(
@@ -427,6 +447,8 @@ class TestVerify:
         "body, message",
         [
             (b'{"init": [0, 1, 2],\n "cycles": [\xff]}\n', "line 2: byte 0xff is not UTF-8 text"),
+            (BOM + b'{"init": [0, 1, 2],\n "cycles": [\xff]}\n',
+             "line 2: byte 0xff is not UTF-8 text"),
             (b"[" * 200000, "not valid JSON: nested too deeply"),
             (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "cphase", "a": 0, "b": 1e400}]]}',
              "site inf is not an integer"),
@@ -436,8 +458,8 @@ class TestVerify:
             (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "swap", "a": true, "b": 2}]]}',
              "site True is not an integer"),
         ],
-        ids=["not-utf8", "deep-nesting", "overflowing-site", "fractional-site", "string-site",
-             "boolean-site"],
+        ids=["not-utf8", "not-utf8-after-bom", "deep-nesting", "overflowing-site",
+             "fractional-site", "string-site", "boolean-site"],
     )
     def test_malformed_schedule_file_exits_2(self, k6_file, tmp_path, capsys, body, message):
         # only JSON integers are sites, and no schedule file ends in a traceback

@@ -33,6 +33,8 @@ from ctagsched.pattern import ScheduledCircuit
 from ctagsched.scheduler import SchedulerConfig, schedule
 from ctagsched.verify import metrics
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
 # deterministic output of random_graph(10, 0.5, 1), frozen
 RG_10_05_1 = [
     (0, 2), (0, 4), (0, 7), (0, 8), (1, 3), (1, 6), (1, 7), (1, 8),
@@ -303,6 +305,26 @@ class TestGraphIO:
         p.write_text("")
         with pytest.raises(GraphFormatError):
             load_problem_graph(p)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as an editor may save them: a UTF-8 byte-order mark, CRLF line ends
+        p = tmp_path / "g.graph"
+        p.write_bytes(BOM + b"3 2\r\n0 1\r\n1 2\r\n")
+        assert load_problem_graph(p) == make_problem_graph(3, [(0, 1), (1, 2)])
+        p = tmp_path / "dev.arch"
+        p.write_bytes(BOM + b"3 2\n0 1\n1 2\n")
+        assert make_architecture(f"file:{p}").couplings == linear(3).couplings
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [(b"\xff3 2\n0 1\n", "line 1: byte 0xff"), (b"3 2\n0 1\n1 \xfe2\n", "line 3: byte 0xfe")],
+    )
+    def test_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path, body, message):
+        p = tmp_path / "g.graph"
+        p.write_bytes(BOM + body)
+        with pytest.raises(GraphFormatError) as ei:
+            load_problem_graph(p)
+        assert str(ei.value) == f"{message} is not UTF-8 text"
 
 
 class TestMapping:

@@ -349,11 +349,29 @@ class Test2xN:
         assert generate_2xn_pattern(6).depth == 8  # 3*6/2 - 1
         assert generate_2xn_pattern(7).depth == 10  # 3*(7-1)/2 + 1
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 12, 13])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 12, 13, 33, 64, 101, 200])
     def test_verifies_on_grid(self, n):
         cols = (n + 1) // 2
         c = generate_2xn_pattern(n)
         assert verify(c, clique(n), grid(2, cols)).ok
+
+    def test_pairs_meet_as_on_the_line_pattern_without_its_s0_cycles(self):
+        # the ladder is the line pattern laid on the two rows' snake chain
+        # with each S0 cycle, whose SWAPs all lie within a column, dropped:
+        # cycle for cycle the same logical pairs meet
+        for n in range(4, 81):
+            cols = (n + 1) // 2
+            snake = [((p & 1) ^ (p // 2 & 1)) * cols + p // 2 for p in range(n)]
+            line = prune_pattern(clique(n), identity_mapping(n), grid(2, cols), snake)
+
+            def s0(cyc):
+                return all(g.kind == SWAP and g.a % cols == g.b % cols for g in cyc)
+
+            def pairs(cycles):
+                return [[g.logical for g in cyc if g.kind == CPHASE] for cyc in cycles]
+
+            kept = [cyc for cyc in line.cycles if not s0(cyc)]
+            assert pairs(generate_2xn_pattern(n).cycles) == pairs(kept), n
 
     def test_depth_formula(self):
         for n in range(4, 26, 2):

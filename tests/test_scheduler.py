@@ -111,6 +111,9 @@ class TestPartialPatternCycles:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             partial_pattern_cycles(clique(4), identity_mapping(4), 1.5)
+        for bad in ("0.5", None, True):
+            with pytest.raises(ValueError, match="threshold must be a number"):
+                partial_pattern_cycles(clique(4), identity_mapping(4), bad)
 
     def test_mapping_validation(self):
         from ctagsched.graphs import Mapping
@@ -1284,6 +1287,10 @@ BAD_CONFIGS = [
     ({"threshold": 2.0}, "threshold"),
     ({"threshold": -0.1}, "threshold"),
     ({"threshold": float("nan")}, "threshold"),
+    ({"threshold": "0.5"}, "threshold must be a number"),
+    ({"threshold": None}, "threshold must be a number"),
+    ({"threshold": True}, "threshold must be a number"),
+    ({"threshold": 1j}, "threshold must be a number"),
     ({"beam": 0}, "beam must be at least 1"),
     ({"beam": 2.5}, "beam must be an integer"),
     ({"beam": True}, "beam must be an integer"),

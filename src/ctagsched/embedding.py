@@ -6,7 +6,7 @@ search for Hamiltonian (sub)paths.
 """
 from __future__ import annotations
 
-from ctagsched.graphs import Architecture, SplitMix64, _packaged
+from ctagsched.graphs import Architecture, _packaged, random_initial_mapping
 
 
 class EmbeddingBudgetExceeded(RuntimeError):
@@ -123,9 +123,7 @@ def find_line_embedding(
         # more than two pendant vertices cannot all be path endpoints
         return None
 
-    rng = SplitMix64(seed)
-    salt = list(range(q))
-    rng.shuffle(salt)
+    salt = random_initial_mapping(q, seed).pi
     starts = sorted(range(q), key=lambda v: (len(arch.adj[v]), salt[v]))
 
     expansions = 0
@@ -176,7 +174,10 @@ def multi_embeddings(
     seed: int = 0,
     length: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """Up to k distinct chains from re-seeded searches (reverses dedup)."""
+    """Up to k distinct chains from re-seeded searches (reverses dedup).
+
+    The searches stop at the first one that proves no chain exists or
+    exhausts its budget; the chains found before it are returned."""
     if k < 1:
         raise ValueError("k must be positive")
     found: list[tuple[int, ...]] = []
@@ -185,7 +186,7 @@ def multi_embeddings(
         try:
             chain = find_line_embedding(arch, seed + attempt, length)
         except EmbeddingBudgetExceeded:
-            continue
+            break
         if chain is None:
             break
         key = canonical(chain)

@@ -35,6 +35,22 @@ def _adjacency(count: int, pairs) -> dict[int, tuple[int, ...]]:
     return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
 
+def _bfs(adj: dict[int, tuple[int, ...]], s: int) -> tuple[list[int], list[int]]:
+    """Breadth-first walk from s over adj: the sites it reaches in discovery
+    order, each site's neighbours taken in adj order, and every site's hop
+    count from s (-1 where it is not reached)."""
+    hops = [-1] * len(adj)
+    hops[s] = 0
+    order = [s]
+    for x in order:  # the loop reads `order` as it grows
+        h = hops[x] + 1
+        for y in adj[x]:
+            if hops[y] < 0:
+                hops[y] = h
+                order.append(y)
+    return order, hops
+
+
 class _Record:
     """Read-only value record over the fields named in _fields.
 
@@ -204,19 +220,15 @@ def random_graph(n: int, dens, seed: int) -> ProblemGraph:
     for j in range(total - m, total):
         t = rng.below(j + 1)
         chosen.add(t if t not in chosen else j)
-    # lexicographic rank -> (u, v)
+    # lexicographic rank -> (u, v); ranks ascend, so each one's row u is at
+    # or after the last one's, and base is the rank of edge (u, u+1)
     edges = []
-    starts = []  # starts[u] = rank of edge (u, u+1)
-    acc = 0
-    for u in range(n - 1):
-        starts.append(acc)
-        acc += n - 1 - u
-    u = 0  # ranks ascend, so each one's row is at or after the last one's
+    u = base = 0
     for r in sorted(chosen):
-        while u + 1 < n - 1 and starts[u + 1] <= r:
+        while r - base >= n - 1 - u:
+            base += n - 1 - u
             u += 1
-        v = u + 1 + (r - starts[u])
-        edges.append((u, v))
+        edges.append((u, u + 1 + r - base))
     return ProblemGraph(n, frozenset(edges))
 
 
@@ -233,19 +245,8 @@ class Architecture(_Record):
             if a > b:
                 raise ValueError(f"coupling ({a}, {b}) not normalized")
         self.__dict__.update(q=q, couplings=couplings, name=name)
-        if q > 1 and not self._connected():
+        if q > 1 and len(_bfs(self.adj, 0)[0]) < q:
             raise ValueError(f"architecture {name!r} is not connected")
-
-    def _connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.q
 
     @cached_property
     def adj(self) -> dict[int, tuple[int, ...]]:
@@ -253,22 +254,9 @@ class Architecture(_Record):
 
     @cached_property
     def dist(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs hop distances (BFS from every qubit)."""
-        rows = []
-        for s in range(self.q):
-            d = [-1] * self.q
-            d[s] = 0
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in self.adj[x]:
-                        if d[y] < 0:
-                            d[y] = d[x] + 1
-                            nxt.append(y)
-                frontier = nxt
-            rows.append(tuple(d))
-        return tuple(rows)
+        """All-pairs hop distances: row s is the hop counts of the
+        breadth-first walk from site s, all rows built on first read."""
+        return tuple(tuple(_bfs(self.adj, s)[1]) for s in range(self.q))
 
     def coupled(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in self.couplings

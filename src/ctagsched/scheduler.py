@@ -38,6 +38,7 @@ from ctagsched.graphs import (
     Edge,
     Mapping,
     ProblemGraph,
+    _bfs,
     _check_seed,
     _spec_ints,
     identity_mapping,
@@ -539,15 +540,9 @@ def _select(pool: list, arch: Architecture) -> ScheduledCircuit:
 
 
 def _bfs_placement(arch: Architecture, n: int) -> Mapping:
-    # logical i on the i-th site of a breadth-first sweep from site 0; the
-    # loop reads `order` as it grows
-    order, seen = [0], {0}
-    for p in order:
-        for q in arch.adj[p]:
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-    return Mapping(tuple(order[:n]))
+    """Logical i on the i-th site of the breadth-first walk from site 0,
+    the placement ctag-h routes from where the device has no n-site chain."""
+    return Mapping(tuple(_bfs(arch.adj, 0)[0][:n]))
 
 
 def schedule(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctagsched.embedding
 from ctagsched.embedding import (
     EmbeddingBudgetExceeded,
     canonical,
@@ -154,6 +155,30 @@ class TestMultiEmbeddings:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             multi_embeddings(linear(4), 0)
+
+    def test_first_exhausted_budget_ends_the_search(self, monkeypatch):
+        # an attempt that runs out of budget proves nothing, and the next
+        # seed would only spend one more budget: the search stops there
+        calls = []
+
+        def exhausted(arch, seed=0, length=None, budget=10**6):
+            calls.append(seed)
+            raise EmbeddingBudgetExceeded(f"budget {budget} exhausted")
+
+        monkeypatch.setattr(ctagsched.embedding, "find_line_embedding", exhausted)
+        assert multi_embeddings(grid(3, 3), 2) == []
+        assert calls == [0]
+
+    def test_chains_found_before_an_exhausted_budget_are_kept(self, monkeypatch):
+        real = ctagsched.embedding.find_line_embedding
+
+        def second_exhausts(arch, seed=0, length=None, budget=10**6):
+            if seed == 1:
+                raise EmbeddingBudgetExceeded(f"budget {budget} exhausted")
+            return real(arch, seed, length, budget)
+
+        monkeypatch.setattr(ctagsched.embedding, "find_line_embedding", second_exhausts)
+        assert multi_embeddings(grid(3, 3), 2) == [real(grid(3, 3), 0)]
 
 
 class TestDeviceEmbeddings:

@@ -3,7 +3,7 @@
 import hashlib
 import importlib
 import importlib.util
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -1366,6 +1366,58 @@ def test_file_devices_verify_or_find_no_chain(tmp_path_factory, drawn):
     arch = make_architecture(f"file:{path}")
     assert arch.couplings == device.couplings
     assert_verifies_or_finds_no_chain(g, arch)
+
+
+def ref_all_pairs(arch):
+    # Floyd-Warshall over the couplings: the hop distances that
+    # Architecture.dist reads from one breadth-first walk per site
+    inf = arch.q
+    d = [[0 if a == b else inf for b in range(arch.q)] for a in range(arch.q)]
+    for a, b in arch.couplings:
+        d[a][b] = d[b][a] = 1
+    for k in range(arch.q):
+        for a in range(arch.q):
+            for b in range(arch.q):
+                if d[a][k] + d[k][b] < d[a][b]:
+                    d[a][b] = d[a][k] + d[k][b]
+    return d
+
+
+def ref_bfs_order(arch):
+    # a queue breadth-first search from site 0 over sorted neighbours
+    nbrs = {v: [] for v in range(arch.q)}
+    for a, b in arch.couplings:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    order, seen, queue = [], {0}, deque([0])
+    while queue:
+        x = queue.popleft()
+        order.append(x)
+        for y in sorted(nbrs[x]):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_devices())
+@example((None, linear(1)))
+@example((None, make_architecture("linear:40")))
+@example((None, make_architecture("grid:6x6")))
+@example((None, make_architecture("grid:2x15")))
+@example((None, make_architecture("ibm20")))
+@example((None, make_architecture("ibm27")))
+def test_one_walk_gives_connectivity_distances_and_placement(drawn):
+    _, arch = drawn
+    assert type(arch.dist) is tuple and all(type(row) is tuple for row in arch.dist)
+    assert [list(row) for row in arch.dist] == ref_all_pairs(arch)
+    assert _bfs_placement(arch, arch.q).pi == tuple(ref_bfs_order(arch))
+    # cutting every coupling of one site leaves it unreachable from site 0,
+    # or site 0 unable to reach the rest
+    for v in range(arch.q if arch.q > 1 else 0):
+        with pytest.raises(ValueError, match="is not connected"):
+            Architecture(arch.q, frozenset(c for c in arch.couplings if v not in c))
 
 
 @st.composite

@@ -245,6 +245,18 @@ class TestMetrics:
         t, d = QAIM_IC_REFERENCE[50]
         assert t == 27.3 and d == 1408
 
+    def test_clique_pattern_against_the_qaim_ic_depths(self):
+        # the paper reports up to 90% less decomposed depth than QAIM_IC on
+        # cliques of up to 120 vertices; the gap widens with n
+        cuts = {n: 1 - metrics(generate_clique_pattern(n), n).decomposed_depth / depth
+                for n, (_, depth) in QAIM_IC_REFERENCE.items()}
+        assert {n: round(100 * c, 1) for n, c in cuts.items()} == {
+            10: 29.1, 30: 66.8, 50: 79.0, 100: 88.2, 200: 94.4,
+        }
+        ordered = [cuts[n] for n in sorted(cuts)]
+        assert all(a < b for a, b in zip(ordered, ordered[1:]))
+        assert cuts[100] >= 0.88
+
 
 class TestBruteForce:
     def test_goldens(self):

@@ -4,16 +4,29 @@ The pruned pattern fires each edge at the meet-table cycle of its endpoints'
 start positions, so the mapping alone sets the depth.  Both searches place
 vertices in one order (_search_order), score a placement by its meets with
 the neighbours placed before it, and build their result with _as_mapping.
+
+astar_initial_mapping scores each level of its beam search one of two ways,
+with the same children kept either way.  A narrow level, whose vertex has
+fewer than WIDE_LEVEL placed neighbours (or any level without a beam),
+reads those neighbours' meet rows for every free position.  A wide level
+rejects positions with bit operations instead: _MeetMasks holds, for a
+working cycle T, the positions that each position meets after T, so one OR
+over the neighbours' masks drops every position that would cost more than
+T, and only the rest are scored exactly.
 """
 from __future__ import annotations
 
+from functools import reduce
 from heapq import heappush, heapreplace
+from itertools import islice
+from operator import itemgetter, or_
 
 from ctagsched.graphs import Mapping, ProblemGraph, random_initial_mapping
-from ctagsched.pattern import _meet_table
+from ctagsched.pattern import SWAP, _layer_stream, _meet_table
 
 __all__ = [
     "ISO_NODE_BUDGET",
+    "WIDE_LEVEL",
     "astar_initial_mapping",
     "iso_initial_mapping",
     "random_initial_mapping",
@@ -23,6 +36,16 @@ __all__ = [
 # On one x86-64 core that is 0.5-1 s of search at n=40 and about 2 s at
 # n=100; random graphs with n <= 10 reach their result within 2,000.
 ISO_NODE_BUDGET = 100_000
+
+# Placed neighbours from which a level of astar_initial_mapping takes the
+# mask path.  On one x86-64 core (Python 3.11), over the graphs on which the
+# line-dense benchmark runs astar (n = 100-200, density 0.3-1.0), a cutoff
+# of 16 ran 3% faster than 24 and one of 32 5% slower; but at 16,
+# random_graph(200, 0.1) ran 14% slower than on rows alone, against 1% at
+# 24, as building the masks costs about n*n steps and few of its levels
+# are wide.  The route-sparse and cli-cold graphs (n <= 49) have at most 13
+# placed neighbours per level, so they never take the mask path.
+WIDE_LEVEL = 24
 
 
 def _check_beam(beam) -> None:
@@ -54,6 +77,14 @@ def _as_mapping(order: list[int], positions) -> Mapping:
     return Mapping(tuple(pi))
 
 
+# A partial assignment: the positions of an order prefix, its max meet so
+# far (-1 before any edge) and its positions as a bit mask
+_Node = tuple[tuple[int, ...], int, int]
+# A level's kept children, negated so that the heap's top is the worst:
+# (-cost, -parent rank, -salt[p], -p)
+_Heap = list[tuple[int, int, int, int]]
+
+
 def astar_initial_mapping(
     g: ProblemGraph, beam: int | None = 8, tie_seed: int = 0
 ) -> tuple[Mapping, int]:
@@ -74,11 +105,21 @@ def astar_initial_mapping(
     the worst kept child W.  A new child is kept only if its key is below
     W's: its cost may not exceed W's, nor equal it unless it shares W's
     parent (a later parent loses the tie on rank).  That limit is the bar.
-    A child's cost only rises while its neighbour rows are read and its tie
-    key is fixed, so a scan stops as soon as the running cost passes the
-    bar, and a parent already past it is skipped; W only improves, so no
-    child cut this way could have been kept.  The cut is exact.  beam=None
-    leaves the heap unbounded, so the bar never applies.
+    W only improves, so no child the bar cuts could have been kept.  The
+    heap holds the `beam` smallest keys whatever order the children come
+    in, so the two ways of scoring a level keep the same children:
+
+    - A narrow level (fewer than WIDE_LEVEL placed neighbours, or
+      beam=None, which leaves the heap unbounded) reads the neighbours' meet
+      rows per free position.  A child's cost only rises while its rows are
+      read, so a scan stops as soon as the running cost passes the bar, and
+      a parent already past it is skipped.
+    - A wide level guesses a cycle T: the lowest parent cost plus the last
+      level's slack, from that level's lowest parent cost to its worst kept
+      child.  Masks drop every child that would cost more than T; the rest
+      are scored exactly through _MeetMasks.partners.  If the heap ends
+      short of `beam` while T dropped a child, T rises and the level adds
+      the children it now admits.
     """
     n = g.n
     if n < 2:
@@ -88,53 +129,208 @@ def astar_initial_mapping(
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
     cap = float("inf") if beam is None else beam
+    bits = [1 << p for p in range(n)]  # bit p stands for position p
+    masks = None  # built at the first wide level
 
-    # this level's kept children, negated: (-cost, -parent rank, -salt[p], -p)
-    heap: list[tuple[int, int, int, int]] = []
-
-    def bar(rank: int) -> int:
-        # highest cost a child of parent `rank` may have and be kept
-        w_cost, w_rank = -heap[0][0], -heap[0][1]
-        return w_cost if w_rank == rank else w_cost - 1
-
-    # (positions of the order prefix, max meet so far or -1), by salted prefix
-    parents: list[tuple[tuple[int, ...], int]] = [((), -1)]
+    parents: list[_Node] = [((), -1, 0)]  # by salted prefix
+    last_low = -1  # the previous level's lowest parent cost
     for k in range(n):
-        heap = []
-        lim = 2 * n  # above every meet cycle until the heap is full
-        for rank, (prefix, cost) in enumerate(parents):
-            if len(heap) == cap:
-                lim = bar(rank)
-                if cost > lim:
-                    continue
-            used = set(prefix)
-            rows = [table[prefix[j]] for j in nbrs[k]]
-            for p in range(n):
-                if p in used:
-                    continue
-                c = cost
-                for row in rows:
-                    if row[p] > c:
-                        c = row[p]
-                        if c > lim:
-                            break
-                else:
-                    key = (-c, -rank, -salt[p], -p)
-                    if len(heap) < cap:
-                        heappush(heap, key)
-                        if len(heap) == cap:
-                            lim = bar(rank)
-                    elif key > heap[0]:
-                        heapreplace(heap, key)
-                        lim = bar(rank)
+        low = min(node[1] for node in parents)
+        if beam is not None and len(nbrs[k]) >= WIDE_LEVEL:
+            # the lowest parent cost plus the last level's slack; no cost
+            # falls from parent to child, so low >= last_low and the guess
+            # is at least every parent's cost
+            guess = low + max(node[1] for node in parents) - last_low
+            if masks is None:
+                masks = _MeetMasks(table, bits, guess)
+            heap = _masked_children(parents, nbrs[k], masks, salt, beam, guess)
+        else:
+            heap = _scanned_children(parents, nbrs[k], table, salt, cap)
+        last_low = low
         # back to salted order: by parent rank, then by the new position's
         # salt (the entries are negated, hence the reverse sort)
         heap.sort(key=lambda ch: (ch[1], ch[2]), reverse=True)
-        parents = [(parents[-r][0] + (-p,), -c) for c, r, _, p in heap]
+        parents = [
+            (parents[-r][0] + (-p,), -c, parents[-r][2] | bits[-p]) for c, r, _, p in heap
+        ]
 
     # parents are in salted order, so the first of lowest cost wins ties
-    prefix, cost = min(parents, key=lambda node: node[1])
+    prefix, cost, _ = min(parents, key=lambda node: node[1])
     return _as_mapping(order, prefix), cost + 1
+
+
+def _bar(heap: _Heap, rank: int) -> int:
+    # highest cost a child of parent `rank` may have and be kept, once the
+    # heap is full
+    w_cost, w_rank = -heap[0][0], -heap[0][1]
+    return w_cost if w_rank == rank else w_cost - 1
+
+
+def _scanned_children(parents: list[_Node], nbrs: list[int], table, salt, cap) -> _Heap:
+    # one narrow level: each free position's cost read from the rows of its
+    # placed neighbours, row after row until it passes the bar
+    n = len(table)
+    heap: _Heap = []
+    lim = 2 * n  # above every meet cycle until the heap is full
+    for rank, (prefix, cost, _) in enumerate(parents):
+        if len(heap) == cap:
+            lim = _bar(heap, rank)
+            if cost > lim:
+                continue
+        used = set(prefix)
+        rows = [table[prefix[j]] for j in nbrs]
+        for p in range(n):
+            if p in used:
+                continue
+            c = cost
+            for row in rows:
+                if row[p] > c:
+                    c = row[p]
+                    if c > lim:
+                        break
+            else:
+                key = (-c, -rank, -salt[p], -p)
+                if len(heap) < cap:
+                    heappush(heap, key)
+                    if len(heap) == cap:
+                        lim = _bar(heap, rank)
+                elif key > heap[0]:
+                    heapreplace(heap, key)
+                    lim = _bar(heap, rank)
+    return heap
+
+
+class _MeetMasks:
+    """The meet table as bit masks over start positions, at a working cycle T.
+
+    above[q] holds the positions that meet q after cycle T, and bits[p] is
+    the bit of position p.  A qubit meets one partner per cycle, so each
+    row of the table has distinct values, and moving T by one cycle flips
+    only the pairs that meet at that cycle.  Everything is built per search
+    and kept compact: pairs as arrays of positions, and partner rows as
+    arrays filled for a position the first time its exact cost is needed.
+    """
+
+    def __init__(self, table, bits: list[int], T: int):
+        from array import array  # only a search with a wide level needs it
+
+        n = len(table)
+        self.table, self.bits = table, bits
+        self.top = 2 * n - 3  # the last cycle of the pattern
+        # entries are positions 0..n, in one byte each while they fit
+        code = "B" if n < 256 else "H"
+        # who[p]: partners(p) once filled; every row starts as `blank`
+        self.who = [None] * n
+        self.blank = array(code, [n]) * (2 * n - 1)
+        # pairs[c]: the start positions on the pairs of cycle c in chain
+        # order, so consecutive entries meet at c; empty at a SWAP cycle
+        self.pairs = []
+        occ = list(range(n))  # occ[chain position] = start position
+        for kind, layer in _layer_stream(n):
+            a, b = (layer[0][0], layer[-1][1] + 1) if layer else (0, 0)
+            if kind == SWAP:
+                occ[a:b:2], occ[a + 1 : b : 2] = occ[a + 1 : b : 2], occ[a:b:2]
+                self.pairs.append(array(code))
+            else:
+                self.pairs.append(array(code, occ[a:b]))
+        # start from whichever end of the cycles lies closer to T: past the
+        # top no pair meets, and before cycle 0 every pair does
+        if T > self.top // 2:
+            self.T, self.above = self.top, [0] * n
+        else:
+            full = (1 << n) - 1
+            self.T, self.above = -1, [full ^ bit for bit in bits]
+        self.move(T)
+
+    def move(self, T: int) -> int:
+        """Set the working cycle to T, at most the top, and return it."""
+        T = min(T, self.top)
+        above, bits = self.above, self.bits
+        lo, hi = sorted((self.T, T))
+        for chain in self.pairs[lo + 1 : hi + 1]:
+            it = iter(chain)
+            for a, b in zip(it, it):
+                above[a] ^= bits[b]
+                above[b] ^= bits[a]
+        self.T = T
+        return T
+
+    def partners(self, p: int):
+        """p's partner at each cycle, n where it meets no one; the last
+        entry, past the top, is p itself."""
+        w = self.who[p]
+        if w is None:
+            w = self.who[p] = self.blank[:]
+            for q, c in enumerate(self.table[p]):
+                w[c] = q  # c = -1 on the diagonal, which lands in the last slot
+        return w
+
+
+def _masked_children(
+    parents: list[_Node], nbrs: list[int], masks: _MeetMasks, salt, cap: int, T: int
+) -> _Heap:
+    # one wide level: the heap _scanned_children would build.  A pass at
+    # cycle T takes the children of cost at most T: a free position
+    # survives when no placed neighbour meets it after T, and its exact cost
+    # is the first neighbour met on a walk down its partners from T.  A heap
+    # left short of cap while T dropped a child takes further passes at
+    # rising T, each adding only the positions it newly admits.  T starts
+    # at or above every parent's cost (see astar_initial_mapping), so no
+    # parent is dropped whole.
+    table, who = masks.table, masks.who
+    n = len(table)
+    full = (1 << n) - 1
+    # the positions of a parent's placed neighbours, always as a tuple
+    placed = itemgetter(*nbrs) if len(nbrs) > 1 else lambda prefix: (prefix[nbrs[0]],)
+    heap: _Heap = []
+    seen: dict[int, tuple] = {}  # rank: (neighbours, membership test, positions scored)
+    step = 1
+    while True:
+        T = masks.move(T)
+        # partners(p)[T] is the entry `skip` places from the end
+        above, skip = masks.above, 2 * n - 2 - T
+        lim = 2 * n
+        cut = False
+        for rank, (prefix, cost, taken) in enumerate(parents):
+            if len(heap) == cap:
+                lim = _bar(heap, rank)
+                if cost > lim:
+                    continue
+            if rank in seen:
+                near, is_near, done = seen[rank]
+            else:
+                near = placed(prefix)
+                is_near, done = set(near).__contains__, 0
+            # free positions that some placed neighbour meets after T
+            free = full ^ taken
+            late = free & reduce(or_, map(above.__getitem__, near))
+            if late:
+                cut = True
+            fresh = free ^ late
+            seen[rank] = (near, is_near, fresh)
+            fresh ^= done  # only the positions this T newly admits
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                p = low.bit_length() - 1
+                w = who[p] or masks.partners(p)
+                c = table[p][next(filter(is_near, islice(reversed(w), skip, None)))]
+                if c < cost:
+                    c = cost
+                elif c > lim:
+                    continue
+                key = (-c, -rank, -salt[p], -p)
+                if len(heap) < cap:
+                    heappush(heap, key)
+                    if len(heap) == cap:
+                        lim = _bar(heap, rank)
+                elif key > heap[0]:
+                    heapreplace(heap, key)
+                    lim = _bar(heap, rank)
+        if len(heap) == cap or not cut:  # at the top no neighbour meets later
+            return heap
+        T += step
+        step *= 2
 
 
 def iso_initial_mapping(

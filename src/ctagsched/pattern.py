@@ -15,6 +15,7 @@ column, becomes a relabelling of the rows.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
@@ -183,13 +184,21 @@ def _swaps_before(n: int, t: int) -> int:
     return sum(len(pairs) for kind, pairs in islice(_layer_stream(n), t) if kind == SWAP)
 
 
-def _pattern_key(g: ProblemGraph, m0: Mapping) -> tuple[int, int]:
-    # (depth, gates) of the pattern pruned to g under m0 on any chain, from
-    # the meet table: each edge fires at its meet cycle, so the pattern ends
-    # after the latest one (depth 0 without edges), and its gates are g's
-    # edges and the SWAPs of its cycles
+@lru_cache(maxsize=1)
+def _meet_counts(g: ProblemGraph, m0: Mapping) -> Counter:
+    # how many of g's edges fire at each cycle of the pattern under m0 (an
+    # edge fires at the meet cycle of its endpoints' start positions); the
+    # pattern key and the prefix length of one mapping both read it, so the
+    # last mapping's counts are kept.  Callers must not change them.
     pi, table = m0.pi, _meet_table(g.n)
-    depth = 1 + max((table[pi[u]][pi[v]] for u, v in g.edges), default=-1)
+    return Counter(table[pi[u]][pi[v]] for u, v in g.edges)
+
+
+def _pattern_key(g: ProblemGraph, m0: Mapping) -> tuple[int, int]:
+    # (depth, gates) of the pattern pruned to g under m0 on any chain: the
+    # pattern ends after the latest cycle that fires an edge (depth 0
+    # without edges), and its gates are g's edges and the SWAPs of its cycles
+    depth = 1 + max(_meet_counts(g, m0), default=-1)
     return depth, len(g.edges) + _swaps_before(g.n, depth)
 
 

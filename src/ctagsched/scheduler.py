@@ -24,7 +24,6 @@ ctag-h routes from a breadth-first placement.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from typing import NamedTuple
 
 from ctagsched.embedding import (
@@ -51,7 +50,7 @@ from ctagsched.pattern import (
     Gate,
     ScheduledCircuit,
     _layer_stream,
-    _meet_table,
+    _meet_counts,
     _pattern_cycles,
     _pattern_key,
     _routed_start,
@@ -206,9 +205,7 @@ def partial_pattern_cycles(g: ProblemGraph, mapping: Mapping, threshold: float) 
     if mapping.n != n or any(not 0 <= p < n for p in mapping.pi):
         raise ValueError("mapping must place g's vertices onto positions 0..n-1")
     bar = threshold * (n // 2)
-    # the pattern fires each edge at the meet cycle of its start positions
-    table, pi = _meet_table(n), mapping.pi
-    fired = Counter(table[pi[u]][pi[v]] for u, v in g.edges)
+    fired = _meet_counts(g, mapping)
     k = 0
     for t, (kind, _) in enumerate(_layer_stream(n)):
         if kind == SWAP:

@@ -5,8 +5,9 @@ t outer loops, and which cyclic ranks it meets in loop t), a brute-force
 optimal-depth search for tiny instances, and earlier, plainer versions of
 package functions: the pattern built in full and then pruned, its relabelling
 onto a chain, the recursive chain search and shortest-path walk, a routed
-start replayed gate by gate, and ctag-h's uncapped candidate pool, built
-whole, with its whole-text tie-break.  Nothing
+start replayed gate by gate, ctag-h's uncapped candidate pool, built
+whole, with its whole-text tie-break, and the beam search that scores every
+level by reading meet rows.  Nothing
 in the package calls them; the tests compare them with the layer stream, the
 meet table and the package's outputs.
 """
@@ -392,3 +393,70 @@ def ref_schedule(g: ProblemGraph, arch: Architecture, threshold=0.5, beam=8, see
                 pool.append(ref_routed(g, arch, full.init, full.cycles[:k]))
             pool.append(full)
     return min(pool, key=lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c)))
+
+
+def rows_astar_initial_mapping(g: ProblemGraph, beam=8, tie_seed=0):
+    """astar_initial_mapping as it was before wide levels took bit masks:
+    every level reads its placed neighbours' meet rows for each free
+    position, stopping a scan once the running cost passes the bar."""
+    from heapq import heappush, heapreplace
+
+    from ctagsched.graphs import random_initial_mapping
+    from ctagsched.initial_mapping import _as_mapping, _check_beam, _search_order
+    from ctagsched.pattern import _meet_table
+
+    n = g.n
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
+    _check_beam(beam)
+    table = _meet_table(n)
+    order, nbrs = _search_order(g)
+    salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
+    cap = float("inf") if beam is None else beam
+
+    # this level's kept children, negated: (-cost, -parent rank, -salt[p], -p)
+    heap: list[tuple[int, int, int, int]] = []
+
+    def bar(rank: int) -> int:
+        # highest cost a child of parent `rank` may have and be kept
+        w_cost, w_rank = -heap[0][0], -heap[0][1]
+        return w_cost if w_rank == rank else w_cost - 1
+
+    # (positions of the order prefix, max meet so far or -1), by salted prefix
+    parents: list[tuple[tuple[int, ...], int]] = [((), -1)]
+    for k in range(n):
+        heap = []
+        lim = 2 * n  # above every meet cycle until the heap is full
+        for rank, (prefix, cost) in enumerate(parents):
+            if len(heap) == cap:
+                lim = bar(rank)
+                if cost > lim:
+                    continue
+            used = set(prefix)
+            rows = [table[prefix[j]] for j in nbrs[k]]
+            for p in range(n):
+                if p in used:
+                    continue
+                c = cost
+                for row in rows:
+                    if row[p] > c:
+                        c = row[p]
+                        if c > lim:
+                            break
+                else:
+                    key = (-c, -rank, -salt[p], -p)
+                    if len(heap) < cap:
+                        heappush(heap, key)
+                        if len(heap) == cap:
+                            lim = bar(rank)
+                    elif key > heap[0]:
+                        heapreplace(heap, key)
+                        lim = bar(rank)
+        # back to salted order: by parent rank, then by the new position's
+        # salt (the entries are negated, hence the reverse sort)
+        heap.sort(key=lambda ch: (ch[1], ch[2]), reverse=True)
+        parents = [(parents[-r][0] + (-p,), -c) for c, r, _, p in heap]
+
+    # parents are in salted order, so the first of lowest cost wins ties
+    prefix, cost = min(parents, key=lambda node: node[1])
+    return _as_mapping(order, prefix), cost + 1

@@ -1,6 +1,9 @@
 """Initial-mapping search: beam search and its exact, budgeted refinement."""
 
+import hashlib
+from functools import lru_cache
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +17,10 @@ from ctagsched.graphs import (
     random_graph,
     random_initial_mapping,
 )
+import ctagsched.initial_mapping
 from ctagsched.initial_mapping import astar_initial_mapping, iso_initial_mapping
 from ctagsched.pattern import _meet_table, meet_cycle, prune_pattern
+from reference_models import rows_astar_initial_mapping
 
 
 def path(n):
@@ -304,6 +309,81 @@ class TestAstarMatchesReference:
         assert astar_initial_mapping(g, beam, tie_seed) == ref_astar_initial_mapping(
             g, beam, tie_seed
         )
+
+
+@st.composite
+def dense_inputs(draw):
+    n = draw(st.integers(2, 60))
+    g = random_graph(n, draw(st.floats(0.5, 1.0)), draw(st.integers(0, 2**31)))
+    beam = draw(st.sampled_from([1, 2, 8]))
+    tie_seed = draw(st.sampled_from([0, draw(st.integers(1, 2**31))]))
+    return g, beam, tie_seed
+
+
+# the graphs on which line-dense runs astar_initial_mapping, or close to them:
+# nearly every level is wide, so the mask path does most of the search
+@lru_cache(maxsize=None)
+def large_graph(name):
+    return {
+        "clique": lambda: clique(200),
+        "rg196": lambda: random_graph(196, 0.9, 1),
+        "rg150": lambda: random_graph(150, 0.5, 1),
+        "rg100": lambda: random_graph(100, 0.8, 1),
+    }[name]()
+
+
+class TestMaskedLevels:
+    @settings(max_examples=100, deadline=None)
+    @given(dense_inputs())
+    def test_every_level_masked_matches_the_row_search(self, drawn):
+        # a width cutoff of 1 sends every level with a placed neighbour
+        # down the mask path
+        g, beam, tie_seed = drawn
+        with mock.patch.object(ctagsched.initial_mapping, "WIDE_LEVEL", 1):
+            got = astar_initial_mapping(g, beam, tie_seed)
+        assert got == rows_astar_initial_mapping(g, beam, tie_seed)
+
+    @pytest.mark.parametrize("name", ["clique", "rg196", "rg150", "rg100"])
+    @pytest.mark.parametrize("beam", [1, 8])
+    @pytest.mark.parametrize("tie_seed", [0, 5])
+    def test_large_dense_graphs_match_the_row_search(self, name, beam, tie_seed):
+        g = large_graph(name)
+        assert astar_initial_mapping(g, beam, tie_seed) == rows_astar_initial_mapping(
+            g, beam, tie_seed
+        )
+
+    def test_positions_past_one_byte_match_the_row_search(self):
+        # from n = 256 the mask tables hold positions in two bytes
+        g = random_graph(260, 0.9, 1)
+        assert astar_initial_mapping(g, 1, 3) == rows_astar_initial_mapping(g, 1, 3)
+
+
+# astar_initial_mapping's sha256 of repr(pi) and depth on the four large
+# graphs, captured from the row search before wide levels took bit masks
+ASTAR_PINNED = [
+    ("clique", 1, 0, "de5bbad65a85a6aaf7bc1fe152b72b7771e7f7f928dc4002f63b9aa1304a4904", 398),
+    ("clique", 1, 5, "8efd8f7858f11ea22e3f97afeca9847aa65f4903831aafd2b15b08b250c32e5c", 398),
+    ("clique", 8, 0, "de5bbad65a85a6aaf7bc1fe152b72b7771e7f7f928dc4002f63b9aa1304a4904", 398),
+    ("clique", 8, 5, "ea8895cee16aad4fddf960e5aed92eb0f77b4b51edab2757fcea91705f8061e8", 398),
+    ("rg196", 1, 0, "bd04d858f6794dbeff14dd4686c944bcd5b1e234dfcacf5a0c24d3a75f7229c4", 390),
+    ("rg196", 1, 5, "41b54e1061afb462d702b49a2e2c0f7be3040f1612eae6ea30bc7c06923afe3f", 390),
+    ("rg196", 8, 0, "bd04d858f6794dbeff14dd4686c944bcd5b1e234dfcacf5a0c24d3a75f7229c4", 390),
+    ("rg196", 8, 5, "03aab62d051d23342e57bb7f07d89211881789b2d0a399357c71041313f8e8ea", 390),
+    ("rg150", 1, 0, "2f59d967dfee5591ad93685adb8580657d3099545eb9e045f272b13253b07338", 297),
+    ("rg150", 1, 5, "7b96a6418e4659c9a6ffcae35b71169148d3939b79d0b20aa9823b7f8860a0ad", 298),
+    ("rg150", 8, 0, "ed21e9256b80ffb8979322c7f2ecc9333b1cd1a004e9cb49d78ec6bbc92bec57", 294),
+    ("rg150", 8, 5, "138a29a310cf0425e402ff0fd5cda4e1b580a866b830623a6dff49e34e450ced", 297),
+    ("rg100", 1, 0, "b3cdc19a8074d9f229f98dec7f5a787dc477f1f404fbd3b3c001c12f0b7e1e18", 198),
+    ("rg100", 1, 5, "89d86a39fb5fcc81c569b7b9fe91b2775d1593a63de5452f5245db08cc605e14", 198),
+    ("rg100", 8, 0, "b3cdc19a8074d9f229f98dec7f5a787dc477f1f404fbd3b3c001c12f0b7e1e18", 198),
+    ("rg100", 8, 5, "28392bf5613f4e0d1824951647d9fc97f02d2446ac5966bafd79a17149187f84", 198),
+]
+
+
+@pytest.mark.parametrize("name, beam, tie_seed, digest, depth", ASTAR_PINNED)
+def test_astar_output_is_pinned(name, beam, tie_seed, digest, depth):
+    mapping, got = astar_initial_mapping(large_graph(name), beam, tie_seed)
+    assert (hashlib.sha256(repr(mapping.pi).encode()).hexdigest(), got) == (digest, depth)
 
 
 # iso_initial_mapping's (mapping, depth) on four random graphs, frozen so a

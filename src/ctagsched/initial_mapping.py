@@ -12,7 +12,9 @@ reads those neighbours' meet rows for every free position.  A wide level
 rejects positions with bit operations instead: _MeetMasks holds, for a
 working cycle T, the positions that each position meets after T, so one OR
 over the neighbours' masks drops every position that would cost more than
-T, and only the rest are scored exactly.
+T, and only the rest are scored exactly.  Once every parent of a level
+costs the pattern's last cycle, the search is settled and stops scoring
+(see astar_initial_mapping).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from heapq import heappush, heapreplace
 from itertools import islice
 from operator import itemgetter, or_
 
-from ctagsched.graphs import Mapping, ProblemGraph, random_initial_mapping
+from ctagsched.graphs import Mapping, ProblemGraph, _check_seed, random_initial_mapping
 from ctagsched.pattern import SWAP, _layer_stream, _meet_table
 
 __all__ = [
@@ -60,6 +62,16 @@ def _check_beam(beam) -> None:
         raise ValueError(f"beam must be at least 1, got {beam}")
 
 
+def _check_budget(budget) -> None:
+    # a budget is a plain int of at least 0: a str would fail at the first
+    # comparison with a TypeError, and a float or a negative count would
+    # pass unnoticed
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an integer, got {budget!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+
+
 def _search_order(g: ProblemGraph) -> tuple[list[int], list[list[int]]]:
     # highest degree first, so the most constrained vertices are placed
     # early; nbrs[k] holds the levels of order[k]'s earlier neighbours
@@ -92,7 +104,8 @@ def astar_initial_mapping(
     `beam` partial assignments per level by max meeting cycle.
 
     beam=1 is the greedy search, beam=None expands every branch and is exact;
-    a beam that is neither None nor an int of at least 1 is a ValueError.
+    a beam that is neither None nor an int of at least 1 is a ValueError,
+    and so is a tie_seed that is not an int.
     Returns the mapping and its finishing cycle count, which equals the
     depth of the pruned pattern under that mapping.
 
@@ -120,22 +133,40 @@ def astar_initial_mapping(
       are scored exactly through _MeetMasks.partners.  If the heap ends
       short of `beam` while T dropped a child, T rises and the level adds
       the children it now admits.
+
+    Saturation: once a level's lowest parent cost is the pattern's last
+    cycle, 2n-3, every parent costs it and so does every child, as no cost
+    rises past the last cycle nor falls from parent to child.  The keys
+    then differ in rank and salt alone, so each later level's first child
+    is the first parent plus its free position of least salt, and the first
+    parent wins the final tie.  The search returns that mapping at once,
+    the first parent's prefix followed by its free positions in salt order,
+    beam=None included.
     """
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     _check_beam(beam)
+    _check_seed(tie_seed)
     table = _meet_table(n)
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
     cap = float("inf") if beam is None else beam
     bits = [1 << p for p in range(n)]  # bit p stands for position p
     masks = None  # built at the first wide level
+    top = 2 * n - 3  # the last cycle of the pattern
 
     parents: list[_Node] = [((), -1, 0)]  # by salted prefix
     last_low = -1  # the previous level's lowest parent cost
     for k in range(n):
         low = min(node[1] for node in parents)
+        if low == top:
+            # saturated: every child now costs top, so only rank and salt
+            # order the children, and the first parent's children by salt
+            # lead every later level
+            prefix, _, taken = parents[0]
+            rest = sorted((p for p in range(n) if not taken & bits[p]), key=salt.__getitem__)
+            return _as_mapping(order, prefix + tuple(rest)), top + 1
         if beam is not None and len(nbrs[k]) >= WIDE_LEVEL:
             # the lowest parent cost plus the last level's slack; no cost
             # falls from parent to child, so low >= last_low and the guess
@@ -350,8 +381,10 @@ def iso_initial_mapping(
     placement from below.  The search ends when it proves the incumbent
     optimal, meets the bound over all positions, or has tried `budget`
     placements; it returns the best mapping found and its finishing cycle
-    count, as astar_initial_mapping does.
+    count, as astar_initial_mapping does.  A budget that is not an int of
+    at least 0 is a ValueError, and so is a bad beam or tie_seed.
     """
+    _check_budget(budget)
     mapping, depth = astar_initial_mapping(g, beam, tie_seed)
     n = g.n
     table = _meet_table(n)

@@ -108,9 +108,13 @@ def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
     none trimmed, built only as far as the reader takes it.
 
     init places each logical qubit on a chain position 0..n-1, and position
-    p is site chain[p].  SWAP layers are kept whole (the two distinct ones
-    are built once and shared), and a CPHASE is kept only when the logical
-    pair on its two positions is an edge of g.
+    p is site chain[p].  Every layer of the stream pairs each position with
+    the next from one start position a to the end b of its last pair, so the
+    walk reads a layer's qubits as two slices of occ (the even and the odd
+    positions from a) and moves them across a SWAP layer with one slice
+    assignment.  SWAP layers are kept whole (the two distinct ones, keyed by
+    a, are built once and shared), and a CPHASE is kept only when the
+    logical pair on its two positions is an edge of g.
     """
     n = g.n
     if len(chain) != n or not arch.is_chain(chain):
@@ -121,24 +125,27 @@ def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
     edges = g.edges
     # link[p]: the sites of chain positions p and p + 1, smaller first
     link = [(a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])]
-    # the stream repeats two SWAP layers (the same pairs objects), so each
-    # is built once and its tuple shared by every cycle that repeats it
+    # a Gate straight from its four fields, without NamedTuple's argument
+    # handling
+    new = tuple.__new__
     swap_layers: dict[int, tuple[Gate, ...]] = {}
     for kind, pairs in _layer_stream(n):
+        a, b = (pairs[0][0], pairs[-1][1] + 1) if pairs else (0, 0)
+        left, right = occ[a:b:2], occ[a + 1 : b : 2]
         if kind == SWAP:
-            layer = swap_layers.get(id(pairs))
+            layer = swap_layers.get(a)
             if layer is None:
-                layer = swap_layers[id(pairs)] = tuple(Gate(SWAP, *link[a]) for a, _ in pairs)
+                layer = swap_layers[a] = tuple(
+                    new(Gate, (SWAP, x, y, None)) for x, y in link[a:b:2]
+                )
             yield layer
-            for a, b in pairs:
-                occ[a], occ[b] = occ[b], occ[a]
+            occ[a:b:2], occ[a + 1 : b : 2] = right, left
             continue
         gates = []
-        for a, b in pairs:
-            la, lb = occ[a], occ[b]
+        for la, lb, (x, y) in zip(left, right, link[a:b:2]):
             pair = (la, lb) if la < lb else (lb, la)
             if pair in edges:
-                gates.append(Gate(CPHASE, *link[a], pair))
+                gates.append(new(Gate, (CPHASE, x, y, pair)))
         yield tuple(gates)
 
 
@@ -208,7 +215,10 @@ def _same_pattern(g: ProblemGraph, m1: Mapping, m2: Mapping) -> bool:
     # the texts agree exactly when both mappings put g's edges on the same
     # start-position pairs, that is when the relabelling m1^-1 . m2 maps
     # every edge of g onto an edge of g; O(|E|), stopping at the first miss
-    inv, edges = m1.inverse(), g.edges
+    n, edges = g.n, g.edges
+    if len(edges) == n * (n - 1) // 2:
+        return True  # every relabelling maps a complete graph onto itself
+    inv = m1.inverse()
     tau = [inv[p] for p in m2.pi]
     for u, v in edges:
         a, b = tau[u], tau[v]

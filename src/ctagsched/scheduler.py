@@ -517,7 +517,9 @@ def _select(pool: list, arch: Architecture) -> ScheduledCircuit:
     # decides: the newline that ends a line sorts below every character in
     # one.  So cycle t of every tied candidate is read in lockstep, lines
     # are rendered only where their sites or kinds differ, those above the
-    # least line drop out, and the reads stop once one is left.
+    # least line drop out, and the reads stop once one is left.  A cycle
+    # that every survivor reads as one object (a routed run and its pattern
+    # below k) cannot differ, so it is neither sliced nor rendered.
     low = min(c[0] for c in pool)
     tied = [c for c in pool if c[0] == low]
     t = 0
@@ -526,7 +528,8 @@ def _select(pool: list, arch: Architecture) -> ScheduledCircuit:
             if t == len(seen) < k:  # a list two survivors share grows once
                 seen.append(next(cycles))
         row = [seen[t] if t < k else tail[t - k] for _, seen, _, k, tail, _ in tied]
-        if len({tuple(x[:3] for x in c) for c in row}) > 1:
+        first = row[0]
+        if any(c is not first for c in row) and len({tuple(x[:3] for x in c) for c in row}) > 1:
             lines = [cycle_line(t, c) for c in row]
             least = min(lines)
             tied = [c for c, line in zip(tied, lines) if line == least]

@@ -3,13 +3,13 @@
 The closed-form position model of the clique pattern (where a qubit is after
 t outer loops, and which cyclic ranks it meets in loop t), a brute-force
 optimal-depth search for tiny instances, and earlier, plainer versions of
-package functions: the pattern built in full and then pruned, its relabelling
-onto a chain, the recursive chain search and shortest-path walk, a routed
-start replayed gate by gate, ctag-h's uncapped candidate pool, built
-whole, with its whole-text tie-break, and the beam search that scores every
-level by reading meet rows.  Nothing
-in the package calls them; the tests compare them with the layer stream, the
-meet table and the package's outputs.
+package functions: the pattern built in full and then pruned, the pattern
+walk that moves one pair at a time, the pattern's relabelling onto a chain,
+the recursive chain search and shortest-path walk, a routed start replayed
+gate by gate, ctag-h's uncapped candidate pool, built whole, with its
+whole-text tie-break, and the beam search that scores every level by
+reading meet rows.  Nothing in the package calls them; the tests compare
+them with the layer stream, the meet table and the package's outputs.
 """
 from __future__ import annotations
 
@@ -236,6 +236,34 @@ def ref_prune_pattern(g, init, n):
                     site[gate.a] = vb
         out.append(tuple(kept))
     return ScheduledCircuit(_trim(out), init, linear(n))
+
+
+def ref_pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
+    """pattern._pattern_cycles as it was before it walked by slices: every
+    layer read and every SWAP applied one pair at a time, each gate built
+    through Gate(), and the two shared SWAP layers keyed by the identity of
+    the stream's pairs objects."""
+    n = g.n
+    occ = sorted(range(n), key=init.pi.__getitem__)  # occ[position] = logical qubit
+    edges = g.edges
+    link = [(a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])]
+    swap_layers: dict[int, tuple[Gate, ...]] = {}
+    for kind, pairs in _layer_stream(n):
+        if kind == SWAP:
+            layer = swap_layers.get(id(pairs))
+            if layer is None:
+                layer = swap_layers[id(pairs)] = tuple(Gate(SWAP, *link[a]) for a, _ in pairs)
+            yield layer
+            for a, b in pairs:
+                occ[a], occ[b] = occ[b], occ[a]
+            continue
+        gates = []
+        for a, b in pairs:
+            la, lb = occ[a], occ[b]
+            pair = (la, lb) if la < lb else (lb, la)
+            if pair in edges:
+                gates.append(Gate(CPHASE, *link[a], pair))
+        yield tuple(gates)
 
 
 def ref_relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCircuit:

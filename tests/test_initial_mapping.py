@@ -163,7 +163,28 @@ class TestAstar:
             assert depth == worst + 1
 
 
+    @pytest.mark.parametrize("tie_seed", [None, False, 0.0, 1.5, "3"])
+    def test_tie_seed_that_is_not_an_int_is_rejected(self, tie_seed):
+        # None, False and 0.0 are falsy, so they once ran unsalted unchecked
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            astar_initial_mapping(path(6), tie_seed=tie_seed)
+
+
 class TestIso:
+    @pytest.mark.parametrize("tie_seed", [None, False, 0.0, 1.5, "3"])
+    def test_tie_seed_that_is_not_an_int_is_rejected(self, tie_seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            iso_initial_mapping(path(6), tie_seed=tie_seed)
+
+    @pytest.mark.parametrize("budget", ["x", 1.5, True, None], ids=["str", "float", "bool", "none"])
+    def test_budget_that_is_not_an_int_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            iso_initial_mapping(path(6), budget=budget)
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="budget must be at least 0"):
+            iso_initial_mapping(path(6), budget=-5)
+
     def test_matching_fits_the_first_layer(self):
         g = make_problem_graph(6, [(0, 1), (2, 3), (4, 5)])
         mapping, depth = iso_initial_mapping(g)
@@ -356,6 +377,64 @@ class TestMaskedLevels:
         # from n = 256 the mask tables hold positions in two bytes
         g = random_graph(260, 0.9, 1)
         assert astar_initial_mapping(g, 1, 3) == rows_astar_initial_mapping(g, 1, 3)
+
+
+def near_clique(n, removed, seed):
+    # clique(n) less `removed` seeded edges
+    pairs = sorted(clique(n).edges)
+    drop = {pairs[i] for i in random_initial_mapping(len(pairs), seed).pi[:removed]}
+    return make_problem_graph(n, [e for e in pairs if e not in drop])
+
+
+@st.composite
+def near_clique_inputs(draw):
+    n = draw(st.integers(3, 60))
+    g = near_clique(n, draw(st.integers(1, min(3, n - 1))), draw(st.integers(0, 2**31)))
+    beam = draw(st.sampled_from([1, 2, 8] + ([None] if n <= 7 else [])))
+    return g, beam, draw(st.sampled_from([0, 3, 7]))
+
+
+class TestSaturation:
+    """Once every parent costs the pattern's last cycle, astar returns the
+    first parent's prefix and then the free positions in salt order; that
+    is the mapping the whole search would reach."""
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_cliques_match_the_row_search(self, n):
+        g = clique(n)
+        for beam in (1, 2, 8) + ((None,) if n <= 7 else ()):
+            for tie_seed in (0, 3, 7):
+                got = astar_initial_mapping(g, beam, tie_seed)
+                assert got == rows_astar_initial_mapping(g, beam, tie_seed), (beam, tie_seed)
+                assert got[1] == (1 if n == 2 else 2 * n - 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(near_clique_inputs())
+    def test_near_cliques_match_the_row_search(self, drawn):
+        # a few edges short of a clique, the search still saturates, later
+        g, beam, tie_seed = drawn
+        assert astar_initial_mapping(g, beam, tie_seed) == rows_astar_initial_mapping(
+            g, beam, tie_seed
+        )
+
+    def test_the_search_stops_at_saturation(self):
+        # on K200 every parent costs the last cycle from about halfway down
+        # the order, so the levels past it are never scored
+        levels = []
+        im = ctagsched.initial_mapping
+        real = {name: getattr(im, name) for name in ("_masked_children", "_scanned_children")}
+
+        def counted(name):
+            def score(*args):
+                levels.append(name)
+                return real[name](*args)
+
+            return score
+
+        with mock.patch.multiple(im, **{name: counted(name) for name in real}):
+            mapping, depth = astar_initial_mapping(clique(200), 8, 0)
+        assert depth == 398
+        assert 0 < len(levels) < 200
 
 
 # astar_initial_mapping's sha256 of repr(pi) and depth on the four large

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctagsched.embedding import hilbert_embedding
 from ctagsched.graphs import (
     Mapping,
     clique,
@@ -14,6 +15,7 @@ from ctagsched.graphs import (
     identity_mapping,
     linear,
     make_problem_graph,
+    random_graph,
     random_initial_mapping,
 )
 from ctagsched.pattern import (
@@ -21,6 +23,8 @@ from ctagsched.pattern import (
     SWAP,
     Gate,
     ScheduledCircuit,
+    _layer_stream,
+    _pattern_cycles,
     from_json_dict,
     generate_2xn_pattern,
     generate_clique_pattern,
@@ -34,6 +38,7 @@ from reference_models import (
     cyclic_rank_shift,
     interaction_ranks,
     position_at,
+    ref_pattern_cycles,
     ref_prune_pattern,
 )
 
@@ -187,6 +192,72 @@ class TestPruneMatchesReference:
             g = clique(n)
             init = random_initial_mapping(n, seed)
             assert prune_pattern(g, init, linear(n), range(n)) == ref_prune_pattern(g, init, n)
+
+
+def _snake(n):
+    # the two-row boustrophedon chain generate_2xn_pattern lays the line on
+    cols = (n + 1) // 2
+    return grid(2, cols), tuple(((p & 1) ^ (p // 2 & 1)) * cols + p // 2 for p in range(n))
+
+
+@st.composite
+def walk_inputs(draw):
+    """A graph of n = 2-40 vertices at density 0.1-1.0 (no edge where that
+    rounds to none), a random mapping, and a chain on a line, a grid (a
+    stretch of its Hilbert path) or the 2xN snake, either way round."""
+    n = draw(st.integers(2, 40))
+    dens = draw(st.integers(1, 10)) / 10
+    try:
+        g = random_graph(n, dens, draw(st.integers(0, 2**31)))
+    except ValueError:  # the density rounds to zero edges
+        g = make_problem_graph(n, [])
+    init = Mapping(tuple(draw(st.permutations(range(n)))))
+    kind = draw(st.sampled_from(["linear", "grid", "snake"]))
+    if kind == "linear":
+        start = draw(st.integers(0, 3))
+        arch, chain = linear(n + start), tuple(range(start, start + n))
+    elif kind == "grid":
+        rows = draw(st.integers(2, 6))
+        cols = max(2, -(-n // rows)) + draw(st.integers(0, 1))
+        arch = grid(rows, cols)
+        start = draw(st.integers(0, rows * cols - n))
+        chain = hilbert_embedding(rows, cols)[start : start + n]
+    else:
+        arch, chain = _snake(n)
+    if draw(st.booleans()):
+        chain = chain[::-1]
+    return g, init, arch, chain
+
+
+class TestPatternWalkMatchesReference:
+    """_pattern_cycles moves by slices of its occupancy list; it yields the
+    cycles of the walk that moves one pair at a time, gate for gate with
+    the logical pairs, and still shares each repeated SWAP layer."""
+
+    @staticmethod
+    def check(g, init, arch, chain):
+        got = list(_pattern_cycles(g, init, arch, chain))
+        assert got == list(ref_pattern_cycles(g, init, arch, chain))
+        assert all(type(x) is Gate for cyc in got for x in cyc)
+        # every SWAP layer that starts at one position is one tuple
+        shared = {}
+        for cyc, (kind, pairs) in zip(got, _layer_stream(g.n)):
+            if kind == SWAP:
+                assert shared.setdefault(pairs[0][0], cyc) is cyc
+        assert len(shared) == (0 if g.n == 2 else 1 if g.n == 3 else 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk_inputs())
+    def test_same_cycles_as_the_pairwise_walk(self, drawn):
+        self.check(*drawn)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 40])
+    def test_cliques_on_every_chain_kind(self, n):
+        # n = 2 has an empty E1 layer and no SWAP layer, n = 3 one SWAP layer
+        init = random_initial_mapping(n, 7)
+        for arch, chain in ((linear(n), tuple(range(n))), _snake(n)):
+            self.check(clique(n), init, arch, chain)
+            self.check(clique(n), init, arch, chain[::-1])
 
 
 class TestPositionAlgebra:

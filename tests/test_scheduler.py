@@ -1095,6 +1095,74 @@ def test_pick_is_least_depth_gates_then_text(drawn):
     assert _selected(pool, entries) is min(pool, key=key)
 
 
+def test_tie_break_skips_the_cycles_a_routed_run_shares(monkeypatch):
+    # a routed run and its pattern read one `seen` list below k, so every
+    # such cycle is one object in both rows: the tie-break slices no gate
+    # of it and renders no line of it, and the first difference decides
+    sliced = []
+
+    class SliceCounting(Gate):
+        __slots__ = ()
+
+        def __getitem__(self, i):
+            if isinstance(i, slice):
+                sliced.append(self)
+            return tuple.__getitem__(self, i)
+
+    rendered = []
+    real_line = ctagsched.scheduler.cycle_line
+
+    def line(t, cyc):
+        rendered.append(t)
+        return real_line(t, cyc)
+
+    monkeypatch.setattr(ctagsched.scheduler, "cycle_line", line)
+    k, depth = 4, 6
+    pattern = tuple((SliceCounting(CPHASE, 2 * t, 2 * t + 1, (0, 1)),) for t in range(depth))
+    tail = ((SliceCounting(SWAP, 0, 1, None),), pattern[k + 1])
+    seen, cycles = [], iter(pattern)
+    routed, own = identity_mapping(2), Mapping((1, 0))
+    key = (depth, depth)
+    pool = [(key, seen, cycles, k, tail, routed), (key, seen, cycles, depth, (), own)]
+    c = _select(pool, linear(24))
+    shared = {id(x) for cyc in pattern[:k] for x in cyc}
+    assert sliced and not shared & {id(x) for x in sliced}
+    assert rendered == [k, k]
+    # "4: CPHASE(8,9)" sorts below "4: SWAP(0,1)"
+    assert c.init is own and c.cycles == pattern
+
+
+def test_a_routed_run_ties_with_its_pattern_up_to_its_prefix(monkeypatch):
+    # astar's pattern on this graph keeps 197 of its 198 cycles as ctag-h's
+    # prefix, and its routed run ties with it on key: the tie-break reads
+    # the 197 shared cycles without a line and renders only cycle 0, where
+    # the natural mapping's pattern drops out, and cycle 197
+    g, arch = random_graph(100, 0.9, 5090), linear(100)
+    real_select, real_line = ctagsched.scheduler._select, ctagsched.scheduler.cycle_line
+    pools, rendered = [], Counter()
+
+    def recording(pool, arch):
+        pools.append(list(pool))
+        return real_select(pool, arch)
+
+    def line(t, cyc):
+        rendered[t] += 1
+        return real_line(t, cyc)
+
+    monkeypatch.setattr(ctagsched.scheduler, "_select", recording)
+    monkeypatch.setattr(ctagsched.scheduler, "cycle_line", line)
+    c = schedule(g, arch)
+    [pool] = pools
+    [run] = [e for e in pool if e[3] < e[0][0]]
+    [own] = [e for e in pool if e[1] is run[1] and e is not run]
+    assert (run[0], run[3]) == (own[0], 197) == ((198, 9306), 197)
+    assert rendered == {0: 3, 197: 2}
+    assert verify(c, g, arch).ok
+    # captured before the tie-break skipped shared cycles
+    digest = "58c474e64a5344cb222746e53b98e21bd92928d095f7a7541b80ab7507198e79"
+    assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
+
+
 @st.composite
 def ctag_h_inputs(draw):
     spec = draw(

@@ -184,13 +184,17 @@ class SplitMix64:
 
 
 def _edge_count(n: int, dens) -> int:
-    # the range check comes first: it also turns away nan and inf, which
-    # Fraction would reject with a message about its own parser
-    if not 0 < dens <= 1:
-        raise ValueError(f"density must be in (0, 1], got {dens}")
     # only random_graph needs exact decimals, so a schedule never loads them
     from fractions import Fraction
 
+    # the type check comes first: a str, None or a complex would fail the
+    # range check with a TypeError, and True would pass for 1
+    if type(dens) is bool or not isinstance(dens, (int, float, Fraction)):
+        raise ValueError(f"density must be an int, a float or a Fraction, got {dens!r}")
+    # the range check comes next: it also turns away nan and inf, which
+    # Fraction would reject with a message about its own parser
+    if not 0 < dens <= 1:
+        raise ValueError(f"density must be in (0, 1], got {dens}")
     # Exact decimal arithmetic: float 0.3 * 1225 rounds down to 367,
     # while the intended value of round(0.3 * 1225) is 368 (half-up).
     d = Fraction(str(dens)) if not isinstance(dens, Fraction) else dens
@@ -202,10 +206,16 @@ def _edge_count(n: int, dens) -> int:
 def random_graph(n: int, dens, seed: int) -> ProblemGraph:
     """Seeded uniform random graph with m = round(density * n(n-1)/2) edges.
 
-    m is computed by round-half-up on the exact decimal value of the density,
-    and the m edges are a uniform sample (Floyd's algorithm over the
-    lexicographic edge enumeration) driven by SplitMix64.
+    n is a plain int, the density an int, a float or a Fraction in (0, 1]
+    and the seed a plain int; any other value raises ValueError before the
+    first draw.  m is computed by round-half-up on the exact decimal value
+    of the density, and the m edges are a uniform sample (Floyd's algorithm
+    over the lexicographic edge enumeration) driven by SplitMix64, one draw
+    per step.  When m is every edge, Floyd's algorithm picks every rank
+    whatever it draws, so the result is clique(n), built without drawing.
     """
+    if type(n) is not int:
+        raise ValueError(f"random_graph needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError(f"random_graph needs n >= 2, got {n}")
     if n > MAX_SITES:
@@ -215,7 +225,9 @@ def random_graph(n: int, dens, seed: int) -> ProblemGraph:
     m = _edge_count(n, dens)
     if m == 0:
         raise ValueError(f"density {dens} rounds to zero edges for n={n}")
-    rng = SplitMix64(seed)
+    rng = SplitMix64(seed)  # checks the seed, also for a complete graph
+    if m == total:
+        return clique(n)
     chosen: set[int] = set()
     for j in range(total - m, total):
         t = rng.below(j + 1)

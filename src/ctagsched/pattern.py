@@ -164,16 +164,18 @@ def prune_pattern(
 
 @lru_cache(maxsize=None)
 def _meet_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # occ[position] = start position of the qubit now there
+    # occ[position] = start position of the qubit now there; a layer's
+    # pairs are read as two slices of occ, as _pattern_cycles reads them
     table = [[-1] * n for _ in range(n)]
     occ = list(range(n))
     for c, (kind, pairs) in enumerate(_layer_stream(n)):
-        for a, b in pairs:
-            if kind == SWAP:
-                occ[a], occ[b] = occ[b], occ[a]
-            else:
-                u, v = occ[a], occ[b]
-                table[u][v] = table[v][u] = c
+        a, b = (pairs[0][0], pairs[-1][1] + 1) if pairs else (0, 0)
+        left, right = occ[a:b:2], occ[a + 1 : b : 2]
+        if kind == SWAP:
+            occ[a:b:2], occ[a + 1 : b : 2] = right, left
+            continue
+        for u, v in zip(left, right):
+            table[u][v] = table[v][u] = c
     return tuple(tuple(row) for row in table)
 
 

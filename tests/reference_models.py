@@ -4,11 +4,11 @@ The closed-form position model of the clique pattern (where a qubit is after
 t outer loops, and which cyclic ranks it meets in loop t), a brute-force
 optimal-depth search for tiny instances, and earlier, plainer versions of
 package functions: the pattern built in full and then pruned, the pattern
-walk that moves one pair at a time, the pattern's relabelling onto a chain,
-the recursive chain search and shortest-path walk, a routed start replayed
-gate by gate, ctag-h's uncapped candidate pool, built whole, with its
-whole-text tie-break, and the beam search that scores every level by
-reading meet rows.  Nothing in the package calls them; the tests compare
+walk and the meet-table builder that move one pair at a time, the
+pattern's relabelling onto a chain, the recursive chain search and
+shortest-path walk, a routed start replayed gate by gate, ctag-h's uncapped
+candidate pool, built whole, with its whole-text tie-break, and the beam
+search that scores every level by reading meet rows.  Nothing in the package calls them; the tests compare
 them with the layer stream, the meet table and the package's outputs.
 """
 from __future__ import annotations
@@ -264,6 +264,21 @@ def ref_pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain
             if pair in edges:
                 gates.append(Gate(CPHASE, *link[a], pair))
         yield tuple(gates)
+
+
+def ref_meet_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """pattern._meet_table as it was before it read layers by slices: every
+    pair of every layer swapped or recorded one at a time."""
+    table = [[-1] * n for _ in range(n)]
+    occ = list(range(n))  # occ[position] = start position of the qubit now there
+    for c, (kind, pairs) in enumerate(_layer_stream(n)):
+        for a, b in pairs:
+            if kind == SWAP:
+                occ[a], occ[b] = occ[b], occ[a]
+            else:
+                u, v = occ[a], occ[b]
+                table[u][v] = table[v][u] = c
+    return tuple(tuple(row) for row in table)
 
 
 def ref_relabel(circ: ScheduledCircuit, order, arch: Architecture) -> ScheduledCircuit:

@@ -1,6 +1,8 @@
 """Problem graphs, architectures, mappings, and their file formats."""
 
 import pickle
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -139,7 +141,9 @@ class TestRandomGraph:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 60),
-        st.floats(0, 1, exclude_min=True) | st.sampled_from([1.0, 0.5, 0.1, 0.3]),
+        # 0.95 and up round to every edge at small n, e.g. n = 5 at 0.95
+        st.floats(0, 1, exclude_min=True)
+        | st.sampled_from([1.0, 0.5, 0.1, 0.3, 0.95, 0.99, 0.999]),
         st.integers(0, 2**64),
     )
     def test_matches_the_per_rank_decode(self, n, dens, seed):
@@ -149,7 +153,41 @@ class TestRandomGraph:
             with pytest.raises(ValueError):
                 random_graph(n, dens, seed)
             return
-        assert random_graph(n, dens, seed) == expected
+        g = random_graph(n, dens, seed)
+        assert g == expected
+        # the iteration order the meet counts, the routed start and the
+        # round engine read
+        assert list(g.edges) == list(expected.edges)
+
+    @pytest.mark.parametrize(("n", "dens"), [(100, 1.0), (200, 1.0), (196, 0.9)])
+    def test_large_graphs_match_the_per_rank_decode(self, n, dens):
+        g = random_graph(n, dens, 1)
+        assert list(g.edges) == list(ref_random_graph(n, dens, 1).edges)
+
+    @pytest.mark.parametrize("n", [3, 5, 12, 45])
+    def test_every_edge_is_built_without_drawing(self, n, monkeypatch):
+        # the density that rounds half-up to exactly every edge, and 1: the
+        # complete graph, in clique's edge order; one below the boundary
+        # still draws
+        total = n * (n - 1) // 2
+        boundary = 1 - Fraction(1, 2 * total)
+
+        def no_draw(self):
+            raise AssertionError("drew a number for a complete graph")
+
+        monkeypatch.setattr(SplitMix64, "next64", no_draw)
+        for dens in (boundary, 1, 1.0):
+            g = random_graph(n, dens, 3)
+            assert list(g.edges) == list(clique(n).edges)
+        monkeypatch.undo()
+        below = boundary - Fraction(1, 4 * total)
+        g = random_graph(n, below, 3)
+        assert g.m == total - 1
+        assert list(g.edges) == list(ref_random_graph(n, below, 3).edges)
+
+    def test_density_may_be_an_int_a_float_or_a_fraction(self):
+        assert random_graph(6, Fraction(1, 2), 4) == random_graph(6, 0.5, 4)
+        assert random_graph(6, 1, 4) == clique(6)
 
     def test_rejects_bad_density(self):
         with pytest.raises(ValueError):
@@ -355,11 +393,39 @@ class TestMapping:
 @pytest.mark.parametrize("seed", [1.5, "1", None, True], ids=repr)
 def test_seed_that_is_no_plain_int_is_rejected(seed):
     # both seeded helpers reach SplitMix64, which takes a plain int only, as
-    # a beam is checked: True would pass for 1
+    # a beam is checked: True would pass for 1.  A complete graph draws
+    # nothing, but its seed is checked all the same
     with pytest.raises(ValueError, match="seed must be an integer"):
         random_graph(8, 0.5, seed)
     with pytest.raises(ValueError, match="seed must be an integer"):
+        random_graph(7, 1.0, seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
         random_initial_mapping(8, seed)
+
+
+@pytest.mark.parametrize(
+    ("n", "dens", "message"),
+    [
+        (6.0, 0.5, "random_graph needs an integer n, got 6.0"),
+        ("6", 0.5, "random_graph needs an integer n, got '6'"),
+        (True, 0.5, "random_graph needs an integer n, got True"),
+        (6, True, "density must be an int, a float or a Fraction, got True"),
+        (6, "0.5", "density must be an int, a float or a Fraction, got '0.5'"),
+        (6, None, "density must be an int, a float or a Fraction, got None"),
+        (6, 0.5 + 0j, "density must be an int, a float or a Fraction, got (0.5+0j)"),
+    ],
+    ids=repr,
+)
+def test_random_graph_argument_of_a_bad_type_is_rejected(n, dens, message, monkeypatch):
+    # a ValueError that names the value, before any draw; unchecked, these
+    # would raise TypeError from a comparison or from range(), and a True
+    # density would reach Fraction's parser
+    def no_draw(self):
+        raise AssertionError("drew a number for a rejected argument")
+
+    monkeypatch.setattr(SplitMix64, "next64", no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        random_graph(n, dens, 1)
 
 
 def test_records_are_read_only_values():

@@ -24,6 +24,7 @@ from ctagsched.pattern import (
     Gate,
     ScheduledCircuit,
     _layer_stream,
+    _meet_table,
     _pattern_cycles,
     from_json_dict,
     generate_2xn_pattern,
@@ -38,6 +39,7 @@ from reference_models import (
     cyclic_rank_shift,
     interaction_ranks,
     position_at,
+    ref_meet_table,
     ref_pattern_cycles,
     ref_prune_pattern,
 )
@@ -328,6 +330,12 @@ class TestMeetCycle:
                 if g.kind == CPHASE:
                     u, v = g.logical
                     assert meet_cycle(n, u, v) == cyc_idx
+
+    @pytest.mark.parametrize("n", [*range(2, 61), 200])
+    def test_table_equals_the_pairwise_builder(self, n):
+        # the slice walk records and swaps the same pairs as the walk that
+        # takes one pair at a time; n = 2 has an empty E1 layer
+        assert _meet_table(n) == ref_meet_table(n)
 
     def test_validation(self):
         with pytest.raises(ValueError):

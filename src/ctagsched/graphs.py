@@ -5,9 +5,9 @@ from functools import cached_property
 
 Edge = tuple[int, int]
 
-# The most sites a device may have.  Architecture.dist is all-pairs, so a
-# device past this costs memory no compile here can use; the largest device
-# any workload runs has 200 sites.
+# The most sites a device may have.  Architecture.dist builds a row only
+# when one is read, but a compile may still read up to q rows of q hop
+# counts; the largest device any workload runs has 200 sites.
 MAX_SITES = 4096
 
 
@@ -49,6 +49,20 @@ def _bfs(adj: dict[int, tuple[int, ...]], s: int) -> tuple[list[int], list[int]]
                 hops[y] = h
                 order.append(y)
     return order, hops
+
+
+class _Row:
+    """Stand-in for row s of arch.dist until that row is read: the first
+    index through it builds the row with arch.row(s), which puts the tuple
+    in the stand-in's slot, so every later dist[s][t] indexes the tuple."""
+
+    __slots__ = ("arch", "s")
+
+    def __init__(self, arch: Architecture, s: int):
+        self.arch, self.s = arch, s
+
+    def __getitem__(self, t):
+        return self.arch.row(self.s)[t]
 
 
 class _Record:
@@ -265,10 +279,23 @@ class Architecture(_Record):
         return _adjacency(self.q, self.couplings)
 
     @cached_property
-    def dist(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs hop distances: row s is the hop counts of the
-        breadth-first walk from site s, all rows built on first read."""
-        return tuple(tuple(_bfs(self.adj, s)[1]) for s in range(self.q))
+    def dist(self) -> list:
+        """Hop distances: dist[s][t] is the hop count from site s to site t.
+
+        Row s is built the first time it is read, by one breadth-first walk
+        from s in O(q + couplings), and kept for the life of the device; an
+        unread row is a _Row stand-in, a read one a tuple.  A reader that
+        keeps a row in a local variable takes it through row(s)."""
+        return [_Row(self, s) for s in range(self.q)]
+
+    def row(self, s: int) -> tuple[int, ...]:
+        """Row s of dist as a tuple, built and put in its slot if no read
+        has yet."""
+        rows = self.dist
+        row = rows[s]
+        if type(row) is not tuple:
+            row = rows[s] = tuple(_bfs(self.adj, s)[1])
+        return row
 
     def coupled(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in self.couplings
@@ -284,7 +311,8 @@ class Architecture(_Record):
 
 
 def shortest_dist(arch: Architecture, a: int, b: int) -> int:
-    """Hop distance between two physical qubits."""
+    """Hop distance between two physical qubits; builds row a of arch.dist
+    if no read has yet."""
     return arch.dist[a][b]
 
 

@@ -110,9 +110,10 @@ class _Toward(dict):
     of arch.adj[s] sites one hop closer to site t, in adj order, and () at
     t itself.
 
-    Row t is built the first time it is read, in O(q + couplings).  A site
-    has few distinct closer sets, so equal tuples are interned and a row
-    holds one pointer per site, as a row of arch.dist does.
+    Row t is built the first time it is read, in O(q + couplings), from
+    arch.row(t), which builds that distance row too if no read has yet.  A
+    site has few distinct closer sets, so equal tuples are interned and a
+    row holds one pointer per site, as the distance row it is read from.
     """
 
     __slots__ = ("arch", "interned")
@@ -123,7 +124,7 @@ class _Toward(dict):
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __missing__(self, t: int) -> tuple[tuple[int, ...], ...]:
-        dt, adj = self.arch.dist[t], self.arch.adj
+        dt, adj = self.arch.row(t), self.arch.adj
         intern = self.interned.setdefault
         hops = (tuple([q for q in nbrs if dt[q] == dt[s] - 1]) for s, nbrs in adj.items())
         row = self[t] = tuple(intern(h, h) for h in hops)

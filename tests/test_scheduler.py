@@ -1438,7 +1438,7 @@ def test_file_devices_verify_or_find_no_chain(tmp_path_factory, drawn):
 
 def ref_all_pairs(arch):
     # Floyd-Warshall over the couplings: the hop distances that
-    # Architecture.dist reads from one breadth-first walk per site
+    # Architecture.dist builds from one breadth-first walk per row read
     inf = arch.q
     d = [[0 if a == b else inf for b in range(arch.q)] for a in range(arch.q)]
     for a, b in arch.couplings:
@@ -1478,14 +1478,73 @@ def ref_bfs_order(arch):
 @example((None, make_architecture("ibm27")))
 def test_one_walk_gives_connectivity_distances_and_placement(drawn):
     _, arch = drawn
-    assert type(arch.dist) is tuple and all(type(row) is tuple for row in arch.dist)
-    assert [list(row) for row in arch.dist] == ref_all_pairs(arch)
+    # each row is built when it is read: a read row is a tuple, and every
+    # row equals Floyd-Warshall's
+    assert type(arch.dist) is list and len(arch.dist) == arch.q
+    for s, expect in enumerate(ref_all_pairs(arch)):
+        assert arch.dist[s][s] == 0  # the first read builds row s
+        assert type(arch.dist[s]) is tuple and list(arch.dist[s]) == expect
     assert _bfs_placement(arch, arch.q).pi == tuple(ref_bfs_order(arch))
     # cutting every coupling of one site leaves it unreachable from site 0,
     # or site 0 unable to reach the rest
     for v in range(arch.q if arch.q > 1 else 0):
         with pytest.raises(ValueError, match="is not connected"):
             Architecture(arch.q, frozenset(c for c in arch.couplings if v not in c))
+
+
+def built_rows(arch):
+    # the sites whose row of arch.dist has been read, so built
+    return {s for s, row in enumerate(arch.dist) if type(row) is tuple}
+
+
+def test_a_distance_read_builds_its_row_and_no_other():
+    arch = make_architecture("grid:6x6")
+    assert built_rows(arch) == set()
+    kept = arch.dist[7]  # a stand-in, read after its row is built
+    assert arch.dist[7][35] == 8 and built_rows(arch) == {7}
+    assert [kept[t] for t in range(36)] == ref_all_pairs(arch)[7]
+    assert arch.row(7) is arch.dist[7] and built_rows(arch) == {7}
+    assert arch.row(20) == tuple(ref_all_pairs(arch)[20]) and built_rows(arch) == {7, 20}
+    assert arch.row(20) is arch.dist[20]
+
+
+@pytest.mark.parametrize("strategy", ["pattern-only", "ctag-i-astar"])
+def test_line_strategies_build_no_distance_row(strategy):
+    g, arch = random_graph(200, 0.3, 1), linear(200)
+    c = schedule(g, arch, SchedulerConfig(strategy=strategy))
+    assert verify(c, g, arch).ok and built_rows(arch) == set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_devices(), st.data())
+def test_distance_rows_read_in_any_order_equal_floyd_warshall(drawn, data):
+    _, arch = drawn
+    ref = ref_all_pairs(arch)
+    site = st.integers(0, arch.q - 1)
+    reads = data.draw(st.lists(st.tuples(site, site), max_size=3 * arch.q))
+    for s, t in reads:
+        assert arch.dist[s][t] == ref[s][t]
+    assert built_rows(arch) == {s for s, _ in reads}
+    for s in range(arch.q):
+        assert list(arch.row(s)) == ref[s]
+
+
+# sha256 of to_text and depth of ctag-h on random_graph(12, 0.5, 1) over
+# 4096-site devices, captured while Architecture.dist still built all q
+# rows on its first read
+LARGE_DEVICE_DIGESTS = [
+    ("linear:4096", 18, "26fa388f917cc00ae40ac82931c8ce0a9afa46bcddfdf1a343fa55e5dce6d0be"),
+    ("grid:64x64", 17, "5f434bf4de89ff87ad7c36287f34c9ad606def7d103b0c4f381ee7f4cbece08e"),
+]
+
+
+@pytest.mark.parametrize("spec,depth,digest", LARGE_DEVICE_DIGESTS, ids=["linear", "grid"])
+def test_large_device_reads_few_distance_rows(spec, depth, digest):
+    g, arch = random_graph(12, 0.5, 1), make_architecture(spec)
+    c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
+    assert verify(c, g, arch).ok and c.depth == depth
+    assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
+    assert len(built_rows(arch)) < 100
 
 
 @st.composite

@@ -24,7 +24,7 @@ from itertools import islice
 from operator import itemgetter, or_
 
 from ctagsched.graphs import Mapping, ProblemGraph, _check_seed, random_initial_mapping
-from ctagsched.pattern import SWAP, _layer_stream, _meet_table
+from ctagsched.pattern import _meet_table, _meets
 
 __all__ = [
     "ISO_NODE_BUDGET",
@@ -254,16 +254,9 @@ class _MeetMasks:
         self.who = [None] * n
         self.blank = array(code, [n]) * (2 * n - 1)
         # pairs[c]: the start positions on the pairs of cycle c in chain
-        # order, so consecutive entries meet at c; empty at a SWAP cycle
-        self.pairs = []
-        occ = list(range(n))  # occ[chain position] = start position
-        for kind, layer in _layer_stream(n):
-            a, b = (layer[0][0], layer[-1][1] + 1) if layer else (0, 0)
-            if kind == SWAP:
-                occ[a:b:2], occ[a + 1 : b : 2] = occ[a + 1 : b : 2], occ[a:b:2]
-                self.pairs.append(array(code))
-            else:
-                self.pairs.append(array(code, occ[a:b]))
+        # order, so consecutive entries meet at c (empty at a SWAP cycle),
+        # from the one walk of the pattern's layers that fills the meet table
+        self.pairs = [array(code, met) for met in _meets(n)]
         # start from whichever end of the cycles lies closer to T: past the
         # top no pair meets, and before cycle 0 every pair does
         if T > self.top // 2:

@@ -2,16 +2,20 @@
 
 The clique pattern alternates two CPHASE layers with two SWAP layers so that
 every qubit pair becomes adjacent, and executes, exactly once within 2n-2
-cycles.  _layer_stream yields those layers over chain positions 0..n-1;
-_pattern_cycles walks the stream once, lays it on a chain of a device's
-sites and keeps only the CPHASEs of an input graph under an initial
-mapping, and prune_pattern trims what it yields to a circuit.  The full
-pattern is the pruning of the clique onto linear(n) under the natural
-mapping.  The meet table (the cycle at which any two start positions
-execute) gives a pruned pattern's depth, gates and state after k cycles
-without building it.  The 2xN grid variant folds the full pattern laid on a
-two-row snake chain: each S0 cycle, which only swaps the two sites of every
-column, becomes a relabelling of the rows.
+cycles.  _layer_stream yields those layers over chain positions 0..n-1 as
+(kind, a, b): the pairs (a, a + 1), (a + 2, a + 3), ... below b.  _walk is
+the one walk of the layers: it moves a caller's occupancy list across each
+SWAP layer.  _pattern_cycles walks it with logical qubits, lays the pattern
+on a chain of a device's sites and keeps only the CPHASEs of an input graph
+under an initial mapping, and prune_pattern trims what it yields to a
+circuit.  The full pattern is the pruning of the clique onto linear(n)
+under the natural mapping.  _meets walks it with start positions; the meet
+table (the cycle at which any two start positions execute) and
+initial_mapping's bit masks are read from it, and the table gives a pruned
+pattern's depth, gates and state after k cycles without building it.  The
+2xN grid variant folds the full pattern laid on a two-row snake chain: each
+S0 cycle, which only swaps the two sites of every column, becomes a
+relabelling of the rows.
 """
 from __future__ import annotations
 
@@ -64,22 +68,42 @@ class ScheduledCircuit(NamedTuple):
         return sum(1 for cyc in self.cycles for g in cyc if g.kind == SWAP)
 
 
-def _pairs(start: int, n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((p, p + 1) for p in range(start, n - 1, 2))
-
-
 def _layer_stream(n: int):
-    """Untrimmed (kind, pairs) stream of the clique pattern.
+    """Untrimmed (kind, a, b) stream of the clique pattern.
 
-    2n-2 layers that cycle E0 E1 S1 S0.  For odd n the last layer, an S0,
-    is E0 instead: a trailing S0 would only permute within the pairs that E0
-    executes, so the same pairs meet without it and the 2n-2 bound still
-    holds.
+    A layer pairs each chain position from a to b - 1 with the next, that
+    is the pairs (a, a + 1), (a + 2, a + 3), ..., (b - 2, b - 1); a is 0 for
+    E0 and S0 and 1 for E1 and S1, and b - a is even.  2n-2 layers that
+    cycle E0 E1 S1 S0.  For odd n the last layer, an S0, is E0 instead: a
+    trailing S0 would only permute within the pairs that E0 executes, so the
+    same pairs meet without it and the 2n-2 bound still holds.
     """
-    e0, e1 = _pairs(0, n), _pairs(1, n)
-    loop = ((CPHASE, e0), (CPHASE, e1), (SWAP, e1), (SWAP, e0))
+    e0, e1 = (0, n - n % 2), (1, n - (n - 1) % 2)
+    loop = ((CPHASE, *e0), (CPHASE, *e1), (SWAP, *e1), (SWAP, *e0))
     for t in range(2 * n - 2):
-        yield (CPHASE, e0) if n % 2 and t == 2 * n - 3 else loop[t % 4]
+        yield (CPHASE, *e0) if n % 2 and t == 2 * n - 3 else loop[t % 4]
+
+
+def _walk(n: int, occ: list):
+    """_layer_stream(n), moving the caller's occupancy list along.
+
+    occ[p] is whatever sits on chain position p.  A SWAP layer exchanges
+    the even and the odd positions of its span, occ[a:b:2] and
+    occ[a + 1:b:2], before it is yielded, so a reader sees occ as it stands
+    during each CPHASE layer and after each SWAP layer.
+    """
+    for kind, a, b in _layer_stream(n):
+        if kind == SWAP:
+            occ[a:b:2], occ[a + 1 : b : 2] = occ[a + 1 : b : 2], occ[a:b:2]
+        yield kind, a, b
+
+
+def _meets(n: int):
+    # each cycle's start positions in chain order, so consecutive entries
+    # (the 2i-th and the 2i+1-th) meet at that cycle; empty at a SWAP cycle
+    occ = list(range(n))  # occ[position] = start position of the qubit now there
+    for kind, a, b in _walk(n, occ):
+        yield occ[a:b] if kind == CPHASE else []
 
 
 def generate_clique_pattern(n: int) -> ScheduledCircuit:
@@ -108,13 +132,11 @@ def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
     none trimmed, built only as far as the reader takes it.
 
     init places each logical qubit on a chain position 0..n-1, and position
-    p is site chain[p].  Every layer of the stream pairs each position with
-    the next from one start position a to the end b of its last pair, so the
-    walk reads a layer's qubits as two slices of occ (the even and the odd
-    positions from a) and moves them across a SWAP layer with one slice
-    assignment.  SWAP layers are kept whole (the two distinct ones, keyed by
-    a, are built once and shared), and a CPHASE is kept only when the
-    logical pair on its two positions is an edge of g.
+    p is site chain[p].  _walk moves the logical qubits of occ across the
+    SWAP layers, and a CPHASE layer's qubits are two slices of occ (the even
+    and the odd positions from a).  SWAP layers are kept whole (the two
+    distinct ones, keyed by a, are built once and shared), and a CPHASE is
+    kept only when the logical pair on its two positions is an edge of g.
     """
     n = g.n
     if len(chain) != n or not arch.is_chain(chain):
@@ -129,9 +151,7 @@ def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
     # handling
     new = tuple.__new__
     swap_layers: dict[int, tuple[Gate, ...]] = {}
-    for kind, pairs in _layer_stream(n):
-        a, b = (pairs[0][0], pairs[-1][1] + 1) if pairs else (0, 0)
-        left, right = occ[a:b:2], occ[a + 1 : b : 2]
+    for kind, a, b in _walk(n, occ):
         if kind == SWAP:
             layer = swap_layers.get(a)
             if layer is None:
@@ -139,10 +159,9 @@ def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
                     new(Gate, (SWAP, x, y, None)) for x, y in link[a:b:2]
                 )
             yield layer
-            occ[a:b:2], occ[a + 1 : b : 2] = right, left
             continue
         gates = []
-        for la, lb, (x, y) in zip(left, right, link[a:b:2]):
+        for la, lb, (x, y) in zip(occ[a:b:2], occ[a + 1 : b : 2], link[a:b:2]):
             pair = (la, lb) if la < lb else (lb, la)
             if pair in edges:
                 gates.append(new(Gate, (CPHASE, x, y, pair)))
@@ -164,17 +183,12 @@ def prune_pattern(
 
 @lru_cache(maxsize=None)
 def _meet_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # occ[position] = start position of the qubit now there; a layer's
-    # pairs are read as two slices of occ, as _pattern_cycles reads them
+    # table[u][v]: the cycle at which start positions u and v meet, read
+    # off the one walk of the pattern's layers through _meets
     table = [[-1] * n for _ in range(n)]
-    occ = list(range(n))
-    for c, (kind, pairs) in enumerate(_layer_stream(n)):
-        a, b = (pairs[0][0], pairs[-1][1] + 1) if pairs else (0, 0)
-        left, right = occ[a:b:2], occ[a + 1 : b : 2]
-        if kind == SWAP:
-            occ[a:b:2], occ[a + 1 : b : 2] = right, left
-            continue
-        for u, v in zip(left, right):
+    for c, met in enumerate(_meets(n)):
+        it = iter(met)
+        for u, v in zip(it, it):
             table[u][v] = table[v][u] = c
     return tuple(tuple(row) for row in table)
 
@@ -190,7 +204,7 @@ def meet_cycle(n: int, pos_a: int, pos_b: int) -> int:
 
 def _swaps_before(n: int, t: int) -> int:
     # SWAPs in the pattern's first t cycles: pruning keeps every SWAP layer
-    return sum(len(pairs) for kind, pairs in islice(_layer_stream(n), t) if kind == SWAP)
+    return sum((b - a) // 2 for kind, a, b in islice(_layer_stream(n), t) if kind == SWAP)
 
 
 @lru_cache(maxsize=1)
@@ -231,17 +245,14 @@ def _same_pattern(g: ProblemGraph, m1: Mapping, m2: Mapping) -> bool:
 
 def _routed_start(g: ProblemGraph, m0: Mapping, chain, k: int) -> tuple[Mapping, set[Edge], int]:
     # the pattern on `chain` under m0 after its first k cycles: each qubit's
-    # site, from a walk of the SWAP layers alone, the edges it has not run
+    # site, from a walk of its first k layers, the edges it has not run
     # (those whose meet cycle is k or later) and the gates it has run
     n, pi, table = g.n, m0.pi, _meet_table(g.n)
     occ = sorted(range(n), key=pi.__getitem__)  # occ[position] = logical qubit
-    for kind, pairs in islice(_layer_stream(n), k):
-        if kind == SWAP:
-            for a, b in pairs:
-                occ[a], occ[b] = occ[b], occ[a]
+    swaps = sum((b - a) // 2 for kind, a, b in islice(_walk(n, occ), k) if kind == SWAP)
     sites = Mapping(tuple(chain[p] for p in sorted(range(n), key=occ.__getitem__)))
     remaining = {(u, v) for u, v in g.edges if table[pi[u]][pi[v]] >= k}
-    return sites, remaining, len(g.edges) - len(remaining) + _swaps_before(n, k)
+    return sites, remaining, len(g.edges) - len(remaining) + swaps
 
 
 def generate_2xn_pattern(n: int) -> ScheduledCircuit:
@@ -267,8 +278,8 @@ def generate_2xn_pattern(n: int) -> ScheduledCircuit:
     # rows[o][p]: the site of chain position p after o row swaps (mod 2)
     rows = (snake, tuple((s + cols) % (2 * cols) for s in snake))
     o, pending, cycles = 0, [], []
-    for cyc, (kind, pairs) in zip(line.cycles, _layer_stream(n)):
-        if kind == SWAP and pairs[0] == (0, 1):  # an S0 cycle: swap the rows
+    for cyc, (kind, start, _) in zip(line.cycles, _layer_stream(n)):
+        if kind == SWAP and start == 0:  # an S0 cycle: swap the rows
             if n % 2:
                 pending = [Gate(SWAP, rows[o][n - 1], rows[o ^ 1][n - 1])]
             o ^= 1

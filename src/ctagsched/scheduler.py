@@ -208,7 +208,7 @@ def partial_pattern_cycles(g: ProblemGraph, mapping: Mapping, threshold: float) 
     bar = threshold * (n // 2)
     fired = _meet_counts(g, mapping)
     k = 0
-    for t, (kind, _) in enumerate(_layer_stream(n)):
+    for t, (kind, _, _) in enumerate(_layer_stream(n)):
         if kind == SWAP:
             continue
         if fired[t] < bar:

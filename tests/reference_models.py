@@ -201,7 +201,8 @@ def ref_prune_pattern(g, init, n):
     before it walked the layer stream itself."""
     occ = list(range(n))
     full = []
-    for kind, pairs in _layer_stream(n):
+    for kind, start, end in _layer_stream(n):
+        pairs = [(p, p + 1) for p in range(start, end, 2)]
         gates = []
         for a, b in pairs:
             if kind == CPHASE:
@@ -241,18 +242,19 @@ def ref_prune_pattern(g, init, n):
 def ref_pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
     """pattern._pattern_cycles as it was before it walked by slices: every
     layer read and every SWAP applied one pair at a time, each gate built
-    through Gate(), and the two shared SWAP layers keyed by the identity of
-    the stream's pairs objects."""
+    through Gate(), and the two shared SWAP layers keyed by their first
+    position."""
     n = g.n
     occ = sorted(range(n), key=init.pi.__getitem__)  # occ[position] = logical qubit
     edges = g.edges
     link = [(a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])]
     swap_layers: dict[int, tuple[Gate, ...]] = {}
-    for kind, pairs in _layer_stream(n):
+    for kind, start, end in _layer_stream(n):
+        pairs = [(p, p + 1) for p in range(start, end, 2)]
         if kind == SWAP:
-            layer = swap_layers.get(id(pairs))
+            layer = swap_layers.get(start)
             if layer is None:
-                layer = swap_layers[id(pairs)] = tuple(Gate(SWAP, *link[a]) for a, _ in pairs)
+                layer = swap_layers[start] = tuple(Gate(SWAP, *link[a]) for a, _ in pairs)
             yield layer
             for a, b in pairs:
                 occ[a], occ[b] = occ[b], occ[a]
@@ -271,8 +273,8 @@ def ref_meet_table(n: int) -> tuple[tuple[int, ...], ...]:
     pair of every layer swapped or recorded one at a time."""
     table = [[-1] * n for _ in range(n)]
     occ = list(range(n))  # occ[position] = start position of the qubit now there
-    for c, (kind, pairs) in enumerate(_layer_stream(n)):
-        for a, b in pairs:
+    for c, (kind, start, end) in enumerate(_layer_stream(n)):
+        for a, b in [(p, p + 1) for p in range(start, end, 2)]:
             if kind == SWAP:
                 occ[a], occ[b] = occ[b], occ[a]
             else:

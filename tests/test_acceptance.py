@@ -22,7 +22,6 @@ from ctagsched.initial_mapping import astar_initial_mapping
 from ctagsched.pattern import (
     CPHASE,
     _layer_stream,
-    _pairs,
     generate_2xn_pattern,
     generate_clique_pattern,
     meet_cycle,
@@ -198,7 +197,8 @@ def test_acceptance_11_stream_model_equivalence():
     ok = True
     # closed-form positions vs direct replay of the two SWAP layers per loop
     for n in range(2, 33):
-        s1, s0 = list(_pairs(1, n)), list(_pairs(0, n))
+        s1 = [(p, p + 1) for p in range(1, n - 1, 2)]
+        s0 = [(p, p + 1) for p in range(0, n - 1, 2)]
         pos = list(range(n))
         occ = list(range(n))  # occ[site] = start position
         for t in range(0, n + 1):
@@ -216,7 +216,7 @@ def test_acceptance_11_stream_model_equivalence():
     for n in range(2, 17):
         rank_of = _rank_of_start(n)
         c = generate_clique_pattern(n)
-        stream = [kind for kind, _ in _layer_stream(n)]
+        stream = [kind for kind, _, _ in _layer_stream(n)]
         harvested: dict[tuple[int, int], set[int]] = {}
         full_loops = set()
         for idx, cyc in enumerate(c.cycles):

@@ -421,6 +421,17 @@ class TestVerify:
         assert "ok: false" in stdout
         assert "init places 3 qubits, graph has 6" in stdout
 
+    def test_off_device_init_site_exits_1(self, k6_file, tmp_path, capsys):
+        # a site the device lacks is a verification failure, not a format error
+        p = tmp_path / "off.sched.json"
+        p.write_text('{"init": [0, 1, 2, 3, 4, 9], "cycles": []}')
+        code, stdout, _ = run(
+            capsys, "verify", "--schedule", str(p), "--graph", k6_file,
+            "--arch", "linear:6",
+        )
+        assert code == 1
+        assert "init(5,9): mapped to missing qubit" in stdout
+
     def test_unknown_gate_kind_exits_2(self, k6_file, tmp_path, capsys):
         sched = self.schedule_k6(k6_file, tmp_path, capsys)
         doc = json.loads(Path(sched).read_text())
@@ -457,9 +468,10 @@ class TestVerify:
             (b'{"init": ["3", 1, 2, 0, 4, 5], "cycles": []}', "site '3' is not an integer"),
             (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "swap", "a": true, "b": 2}]]}',
              "site True is not an integer"),
+            (b'{"init": [0, 0, 1, 2, 3, 4], "cycles": []}', "mapping is not injective"),
         ],
         ids=["not-utf8", "not-utf8-after-bom", "deep-nesting", "overflowing-site",
-             "fractional-site", "string-site", "boolean-site"],
+             "fractional-site", "string-site", "boolean-site", "repeated-init-site"],
     )
     def test_malformed_schedule_file_exits_2(self, k6_file, tmp_path, capsys, body, message):
         # only JSON integers are sites, and no schedule file ends in a traceback

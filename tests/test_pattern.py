@@ -26,6 +26,7 @@ from ctagsched.pattern import (
     _layer_stream,
     _meet_table,
     _pattern_cycles,
+    _walk,
     from_json_dict,
     generate_2xn_pattern,
     generate_clique_pattern,
@@ -243,9 +244,9 @@ class TestPatternWalkMatchesReference:
         assert all(type(x) is Gate for cyc in got for x in cyc)
         # every SWAP layer that starts at one position is one tuple
         shared = {}
-        for cyc, (kind, pairs) in zip(got, _layer_stream(g.n)):
+        for cyc, (kind, a, _) in zip(got, _layer_stream(g.n)):
             if kind == SWAP:
-                assert shared.setdefault(pairs[0][0], cyc) is cyc
+                assert shared.setdefault(a, cyc) is cyc
         assert len(shared) == (0 if g.n == 2 else 1 if g.n == 3 else 2)
 
     @settings(max_examples=200, deadline=None)
@@ -303,6 +304,26 @@ class TestPositionAlgebra:
             occ = snaps[4 * t - 1]
             for site, logical in occ.items():
                 assert position_at(n, logical, t) == site
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_walk_moves_the_occupancy_as_the_position_model(n):
+    # occ[p] = start position of the qubit on p; after the S0 layer that
+    # closes loop t, each start position s sits on position_at(n, s, t)
+    occ, loops, kinds = list(range(n)), 0, []
+    before = list(occ)
+    for kind, a, b in _walk(n, occ):
+        assert 0 <= a <= b <= n and (b - a) % 2 == 0
+        if kind == CPHASE:
+            assert occ == before
+        elif a == 0:
+            loops += 1
+            assert all(occ[position_at(n, s, loops)] == s for s in range(n))
+        before = list(occ)
+        kinds.append((kind, a))
+    assert len(kinds) == 2 * n - 2 and loops == n // 2 - 1
+    if n % 2:
+        assert kinds[-1] == (CPHASE, 0)
 
 
 class TestMeetCycle:

@@ -131,7 +131,8 @@ def ref_partial_pattern_cycles(g, mapping, threshold):
     for l, p in enumerate(mapping.pi):
         occ[p] = l
     k = 0
-    for t, (kind, pairs) in enumerate(_layer_stream(n)):
+    for t, (kind, start, end) in enumerate(_layer_stream(n)):
+        pairs = [(p, p + 1) for p in range(start, end, 2)]
         if kind == SWAP:
             for a, b in pairs:
                 occ[a], occ[b] = occ[b], occ[a]

@@ -65,6 +65,33 @@ class _Row:
         return self.arch.row(self.s)[t]
 
 
+class _Toward(dict):
+    """Closer-hop table of one device, arch.toward: toward[t][s] is the
+    tuple of arch.adj[s] sites one hop closer to site t, in adj order, and
+    () at t itself.
+
+    Row t is built the first time it is read, in O(q + couplings), from
+    arch.row(t), which builds that distance row too if no read has yet, and
+    kept for the life of the device.  A site has few distinct closer sets,
+    so equal tuples are interned and a row holds one pointer per site, as
+    the distance row it is read from.
+    """
+
+    __slots__ = ("arch", "interned")
+
+    def __init__(self, arch: Architecture):
+        super().__init__()
+        self.arch = arch
+        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def __missing__(self, t: int) -> tuple[tuple[int, ...], ...]:
+        dt, adj = self.arch.row(t), self.arch.adj
+        intern = self.interned.setdefault
+        hops = (tuple([q for q in nbrs if dt[q] == dt[s] - 1]) for s, nbrs in adj.items())
+        row = self[t] = tuple(intern(h, h) for h in hops)
+        return row
+
+
 class _Record:
     """Read-only value record over the fields named in _fields.
 
@@ -259,7 +286,15 @@ def random_graph(n: int, dens, seed: int) -> ProblemGraph:
 
 
 class Architecture(_Record):
-    """Hardware coupling graph: q physical qubits, undirected couplings."""
+    """Hardware coupling graph: q physical qubits, undirected couplings.
+
+    Besides its fields a device keeps what the scheduler reads of it alone,
+    each part built on first read and kept across compiles: at most q
+    distance rows (dist), at most q closer-hop rows (toward), and one tuple
+    of chains per (n, seed, count) the scheduler asked for (chains).  They
+    belong to this instance, not to its value: an equal device built
+    separately builds its own.
+    """
 
     _fields = ("q", "couplings", "name")
 
@@ -287,6 +322,18 @@ class Architecture(_Record):
         unread row is a _Row stand-in, a read one a tuple.  A reader that
         keeps a row in a local variable takes it through row(s)."""
         return [_Row(self, s) for s in range(self.q)]
+
+    @cached_property
+    def toward(self) -> _Toward:
+        """Closer-hop rows (see _Toward), each built on first read."""
+        return _Toward(self)
+
+    @cached_property
+    def chains(self) -> dict[tuple[int, int, int], tuple[tuple[int, ...], ...]]:
+        """Chains of this device, filled by scheduler._line_orders:
+        (n, seed, count) -> up to count chains of n sites, best first, and
+        () where the search found none."""
+        return {}
 
     def row(self, s: int) -> tuple[int, ...]:
         """Row s of dist as a tuple, built and put in its slot if no read

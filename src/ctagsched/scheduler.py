@@ -105,32 +105,6 @@ def _check_threshold(threshold) -> None:
         raise ValueError(f"threshold {threshold} not in [0, 1]")
 
 
-class _Toward(dict):
-    """Closer-hop table of one schedule() call: toward[t][s] is the tuple
-    of arch.adj[s] sites one hop closer to site t, in adj order, and () at
-    t itself.
-
-    Row t is built the first time it is read, in O(q + couplings), from
-    arch.row(t), which builds that distance row too if no read has yet.  A
-    site has few distinct closer sets, so equal tuples are interned and a
-    row holds one pointer per site, as the distance row it is read from.
-    """
-
-    __slots__ = ("arch", "interned")
-
-    def __init__(self, arch: Architecture):
-        super().__init__()
-        self.arch = arch
-        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def __missing__(self, t: int) -> tuple[tuple[int, ...], ...]:
-        dt, adj = self.arch.row(t), self.arch.adj
-        intern = self.interned.setdefault
-        hops = (tuple([q for q in nbrs if dt[q] == dt[s] - 1]) for s, nbrs in adj.items())
-        row = self[t] = tuple(intern(h, h) for h in hops)
-        return row
-
-
 class SchedulerState:
     """Mutable context threaded through the heuristic rounds.
 
@@ -143,26 +117,18 @@ class SchedulerState:
     partners[x] costs x's remaining degree, which shrinks over the run.
     blocked holds the sites the current cycle's SWAPs may not touch: those
     of the executable edges, of the SWAPs already chosen and of the
-    endpoints parked this round; _route refills it every round.  toward is
-    the closer-hop table (_Toward) of arch; schedule() passes one table to
-    every run of its call, and a state built without one makes its own.
-    paths memoises _shortest_paths by its two end sites for the life of
-    one run.
+    endpoints parked this round; _route refills it every round.  The
+    closer-hop table is the device's own, arch.toward, which every run on
+    arch shares.  paths memoises _shortest_paths by its two end sites for
+    the life of one run only: its lists grow with the pairs a run routes,
+    and kept with the device they would raise peak memory.
     """
 
-    def __init__(
-        self,
-        g: ProblemGraph,
-        arch: Architecture,
-        init: Mapping,
-        remaining: set[Edge],
-        toward: _Toward | None = None,
-    ):
+    def __init__(self, g: ProblemGraph, arch: Architecture, init: Mapping, remaining: set[Edge]):
         self.g = g
         self.arch = arch
         self.remaining = remaining
         self.blocked: set[int] = set()
-        self.toward = _Toward(arch) if toward is None else toward
         self.pi = list(init.pi)
         self.inv = init.inverse()
         self.partners = partners = [set() for _ in range(g.n)]
@@ -296,7 +262,7 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
     only one endpoint moves.  path[1] and path[-2] step one hop closer to the
     other endpoint, so before reading any path a call returns [] unless a
     free endpoint has such a neighbour unblocked, read from the closer-hop
-    table state.toward.  Then it builds only the feasible strategies, in
+    table state.arch.toward.  Then it builds only the feasible strategies, in
     path order and then by d1, from the first MAX_PATHS shortest paths
     memoised in `state`.  A call costs O(deg) when no first hop is free
     (one C-level superset test per free endpoint) and O(MAX_PATHS * dist)
@@ -307,7 +273,7 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
     dist = state.arch.dist[pu][pv]
     if dist < 2:
         raise ValueError("edge is already executable")
-    blocked, toward = state.blocked, state.toward
+    blocked, toward = state.blocked, state.arch.toward
     pu_free, pv_free = pu not in blocked, pv not in blocked
     if not (
         (pu_free and not blocked.issuperset(toward[pv][pu]))
@@ -414,7 +380,7 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
     """
     n, dist = state.g.n, state.arch.dist
     nn = n * n
-    pi, blocked, remaining, toward = state.pi, state.blocked, state.remaining, state.toward
+    pi, blocked, remaining, toward = state.pi, state.blocked, state.remaining, state.arch.toward
     cycles = []
     while remaining:
         if cap is not None and len(cycles) >= cap:
@@ -479,11 +445,17 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
 
 def _line_orders(
     arch: Architecture, n: int, seed: int, count: int = CHAINS
-) -> list[tuple[int, ...]]:
+) -> tuple[tuple[int, ...], ...]:
     """Up to `count` chains of n coupled sites to lay the pattern on, best
     first: the built-in chain of the device's name where arch couples it (a
     coupling file may carry a built-in name such as ibm20 or grid:4x5), then
-    a search for `count` chains, which runs only if it is still needed."""
+    a search for `count` chains, which runs only if it is still needed.
+
+    Found once per device: the result, () included, is kept in arch.chains
+    under (n, seed, count), and a later call with the same key returns it."""
+    key = (n, seed, count)
+    if key in arch.chains:
+        return arch.chains[key]
     chain = ()
     if arch.name.startswith("linear:"):
         chain = tuple(range(arch.q))
@@ -498,14 +470,15 @@ def _line_orders(
     elif arch.name in ("ibm20", "ibm27"):
         chain = device_embedding(arch.name)
     out = [chain[:n]] if len(chain) >= n and arch.is_chain(chain[:n]) else []
-    if out and arch.q == n and len(arch.couplings) == n - 1:
-        return out  # a path of n sites has no chain but it and its reverse
-    if len(out) < count:
+    # a path of n sites has no chain but it and its reverse
+    is_path = out and arch.q == n and len(arch.couplings) == n - 1
+    if len(out) < count and not is_path:
         # the searched chains are distinct, but one may be the built-in one
         known = {canonical(c) for c in out}
         found = multi_embeddings(arch, count, seed=seed, length=n)
         out += [c for c in found if canonical(c) not in known]
-    return out[:count]
+    arch.chains[key] = out = tuple(out[:count])
+    return out
 
 
 def _select(pool: list, arch: Architecture) -> ScheduledCircuit:
@@ -574,12 +547,13 @@ def schedule(
         # nothing to execute, and the line pattern needs two sites
         return ScheduledCircuit((), Mapping((0,)), arch)
     routed = cfg.strategy == "ctag-h"
+    # the device keeps its chains and closer-hop rows across calls, so a
+    # sweep on one device searches for its chains once
     chains = _line_orders(arch, n, cfg.seed, CHAINS if routed else 1)
     if not chains:
         if not routed:
             raise ValueError(f"no chain of {n} coupled sites in {arch.name}")
         init = _bfs_placement(arch, n)
-        # one run, so the table its state makes is the call's
         return ScheduledCircuit(_route(SchedulerState(g, arch, init, set(g.edges))), init, arch)
 
     if cfg.strategy == "pattern-only":
@@ -607,7 +581,6 @@ def schedule(
     # could not win; the pool keeps each routed run ahead of its pattern,
     # and both read the (chain, mapping) pattern's cycles from one generator
     cap = min(key for _, key, _, _ in keyed)[0]
-    toward = _Toward(arch)  # every routed run reads one closer-hop table
     pool = []  # (key, seen, cycles, k, tail, init), as _select reads them
     for chain in chains:
         for m0, key, k, twin in keyed:
@@ -619,7 +592,7 @@ def schedule(
             init = Mapping(tuple(chain[p] for p in m0.pi))
             if routes:
                 start, remaining, gates = _routed_start(g, m0, chain, k)
-                tail = _route(SchedulerState(g, arch, start, remaining, toward=toward), cap - k)
+                tail = _route(SchedulerState(g, arch, start, remaining), cap - k)
                 if tail is not None:
                     cap = k + len(tail)
                     pool.append(((cap, gates + sum(map(len, tail))), seen, cycles, k, tail, init))

@@ -15,6 +15,7 @@ import ctagsched.scheduler
 from ctagsched.graphs import (
     Architecture,
     Mapping,
+    _Toward,
     clique,
     grid,
     identity_mapping,
@@ -35,6 +36,7 @@ from ctagsched.pattern import (
     _routed_start,
     generate_clique_pattern,
     prune_pattern,
+    to_json_dict,
     to_text,
 )
 from ctagsched.scheduler import (
@@ -44,7 +46,6 @@ from ctagsched.scheduler import (
     SchedulerConfig,
     SchedulerState,
     SwapStrategy,
-    _Toward,
     _apply_swaps,
     _bfs_placement,
     _bystander_delta,
@@ -943,7 +944,7 @@ def test_a_line_strategy_searches_for_one_chain(monkeypatch, device, strategy):
     c = schedule(g, arch, SchedulerConfig(strategy=strategy))
     assert verify(c, g, arch).ok
     assert calls == [CHAINS if strategy == "ctag-h" else 1]
-    assert _line_orders(arch, 12, 0, 1) == real(arch, CHAINS, seed=0, length=12)[:1]
+    assert _line_orders(arch, 12, 0, 1) == tuple(real(arch, CHAINS, seed=0, length=12)[:1])
 
 
 def test_ctag_i_iso_searches_under_the_configured_beam_and_seed(monkeypatch):
@@ -1546,6 +1547,123 @@ def test_large_device_reads_few_distance_rows(spec, depth, digest):
     assert verify(c, g, arch).ok and c.depth == depth
     assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
     assert len(built_rows(arch)) < 100
+
+
+def fresh_copy(arch):
+    # an equal device that shares none of what arch has kept
+    return Architecture(arch.q, arch.couplings, arch.name)
+
+
+def schedule_or_error(g, arch, cfg):
+    try:
+        return to_json_dict(schedule(g, arch, cfg))
+    except ValueError as exc:  # a line strategy on a device with no chain
+        return str(exc)
+
+
+@st.composite
+def shared_device_sweeps(draw):
+    # a device and a sweep of (graph, config) pairs over two sizes, all five
+    # strategies and seeds 0 and 3: a random connected device, ibm27 at
+    # n = 22-25 (it has no chain that long), or ibm20's couplings under a
+    # name with no built-in chain
+    kind = draw(st.sampled_from(["random", "ibm27", "ibm20-copy"]))
+    if kind == "random":
+        _, arch = draw(connected_devices())
+        size = st.integers(2, arch.q)
+    elif kind == "ibm27":
+        arch, size = make_architecture("ibm27"), st.integers(22, 25)
+    else:
+        arch = Architecture(20, make_architecture("ibm20").couplings, "ibm20-copy")
+        size = st.integers(2, 20)
+    sizes = (draw(size), draw(size))
+    runs = draw(st.lists(st.tuples(
+        st.sampled_from(sizes), st.integers(0, 99), st.sampled_from(STRATEGIES),
+        st.sampled_from([0, 3]),
+    ), min_size=1, max_size=6))
+    sweep = [
+        (random_graph(n, 0.3 if n >= 4 else 1.0, gseed), SchedulerConfig(strategy, seed=seed))
+        for n, gseed, strategy, seed in runs
+    ]
+    return arch, sweep
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_device_sweeps())
+def test_reusing_a_device_never_changes_a_result(drawn):
+    # what a device keeps (chains and closer-hop rows) is read back only
+    # for the (n, seed, count) it was found for
+    arch, sweep = drawn
+    for g, cfg in sweep:
+        assert schedule_or_error(g, arch, cfg) == schedule_or_error(g, fresh_copy(arch), cfg)
+
+
+def count_chain_searches(monkeypatch):
+    # calls per name to the three chain sources the scheduler reads through
+    # its module globals
+    calls = Counter()
+    for name in ("multi_embeddings", "device_embedding", "hilbert_embedding"):
+        real = getattr(ctagsched.scheduler, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ctagsched.scheduler, name, counted)
+    return calls
+
+
+def test_a_device_searches_for_its_chains_once(monkeypatch):
+    calls = count_chain_searches(monkeypatch)
+    arch = make_architecture("ibm20")
+    for gseed in (1, 2, 3):
+        g = random_graph(20, 0.3, gseed)
+        assert verify(schedule(g, arch), g, arch).ok
+    assert calls == {"device_embedding": 1, "multi_embeddings": 1}
+    # a new seed or a new n is a new key, so it searches again
+    schedule(random_graph(20, 0.3, 4), arch, SchedulerConfig(seed=5))
+    schedule(random_graph(16, 0.3, 4), arch)
+    assert calls == {"device_embedding": 3, "multi_embeddings": 3}
+    assert sorted(arch.chains) == [(16, 0, CHAINS), (20, 0, CHAINS), (20, 5, CHAINS)]
+    # what a device keeps is the instance's: an equal device searches again
+    other = make_architecture("ibm20")
+    assert other == arch
+    schedule(random_graph(20, 0.3, 1), other)
+    assert calls == {"device_embedding": 4, "multi_embeddings": 4}
+
+
+def test_a_device_with_no_chain_exhausts_its_search_once(monkeypatch):
+    # ibm27 has no 25-site chain: the search that proves it runs on the
+    # first compile only, and every compile routes from the breadth-first
+    # placement
+    calls = count_chain_searches(monkeypatch)
+    arch = make_architecture("ibm27")
+    for gseed in (1, 2, 3):
+        g = random_graph(25, 0.3, gseed)
+        c = schedule(g, arch)
+        assert verify(c, g, arch).ok and c.init == _bfs_placement(arch, 25)
+    assert calls == {"device_embedding": 1, "multi_embeddings": 1}
+    assert arch.chains == {(25, 0, CHAINS): ()}
+
+
+def test_a_device_builds_each_closer_hop_row_once(monkeypatch):
+    built = []
+    real = _Toward.__missing__
+
+    def missing(self, t):
+        built.append((id(self), t))
+        return real(self, t)
+
+    monkeypatch.setattr(_Toward, "__missing__", missing)
+    arch = make_architecture("grid:5x5")
+    for seed in (0, 1, 2):
+        for gseed in (1, 2):
+            g = random_graph(25, 0.3, gseed)
+            assert verify(schedule(g, arch, SchedulerConfig(seed=seed)), g, arch).ok
+    assert built and len(set(built)) == len(built)
+    assert {table for table, _ in built} == {id(arch.toward)}
+    assert len(arch.chains) == 3
+    assert len(arch.toward) <= arch.q and len(built_rows(arch)) <= arch.q
 
 
 @st.composite

@@ -144,6 +144,15 @@ class ProblemGraph(_Record):
                 raise ValueError(f"edge ({u}, {v}) not normalized")
         self.__dict__.update(n=n, edges=edges)
 
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset[Edge]) -> ProblemGraph:
+        # a graph whose builder already checked n and normalized its edges,
+        # as clique, random_graph and _parse_edge_list do: the loop above
+        # would only repeat that, at up to n(n-1)/2 edges
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges)
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -171,7 +180,7 @@ def clique(n: int) -> ProblemGraph:
     """Complete graph on n vertices (density-1 workload)."""
     if n < 2:
         raise ValueError(f"clique needs n >= 2, got {n}")
-    return ProblemGraph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    return ProblemGraph._trusted(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def density(g: ProblemGraph) -> float:
@@ -282,7 +291,7 @@ def random_graph(n: int, dens, seed: int) -> ProblemGraph:
             base += n - 1 - u
             u += 1
         edges.append((u, u + 1 + r - base))
-    return ProblemGraph(n, frozenset(edges))
+    return ProblemGraph._trusted(n, frozenset(edges))
 
 
 class Architecture(_Record):
@@ -511,7 +520,7 @@ def make_architecture(spec: str) -> Architecture:
 def load_problem_graph(path: str) -> ProblemGraph:
     """Read the 'n m' + edge-list format; raises GraphFormatError with a line number."""
     n, edges = _parse_edge_list(_read_utf8(path), "graph")
-    return ProblemGraph(n, frozenset(edges))
+    return ProblemGraph._trusted(n, frozenset(edges))
 
 
 def save_problem_graph(g: ProblemGraph, path: str) -> None:

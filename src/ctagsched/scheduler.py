@@ -197,7 +197,9 @@ def maximal_matching(edges, mapping: Mapping | list[int]) -> list[Edge]:
         deg[v] = deg.get(v, 0) + 1
     used: set[int] = set()
     out = []
-    for u, v in sorted(es, key=lambda e: (-max(deg[e[0]], deg[e[1]]), e)):
+    # es is in edge order and the sort is stable, so equal degrees keep it
+    es.sort(key=lambda e: -max(deg[e[0]], deg[e[1]]))
+    for u, v in es:
         if mapping[u] in used or mapping[v] in used:
             continue
         used.add(mapping[u])
@@ -284,11 +286,13 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
     if paths is None:
         paths = state.paths[pu, pv] = _shortest_paths(toward[pv], pu, pv, MAX_PATHS)
     closer = dist - 1
+    new = tuple.__new__  # a record straight from its fields, as in _route
     out = []
     for path in paths:
         lo = 0 if pv_free and path[-2] not in blocked else closer
         hi = dist if pu_free and path[1] not in blocked else 1
-        out += [SwapStrategy(edge, path, d1) for d1 in range(lo, hi)]
+        for d1 in range(lo, hi):
+            out.append(new(SwapStrategy, (edge, path, d1)))
     return out
 
 
@@ -341,10 +345,14 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
     for x, px in moved.items():
         row, row0 = dist[px], dist[pi[x]]
         for y in partners[x]:
-            if y == u or y == v or (y in moved and y < x):
-                continue  # an edge between two moved qubits counts once
-            py0 = pi[y]
-            delta += row[moved.get(y, py0)] - row0[py0]
+            if y == u or y == v:
+                continue
+            py = moved.get(y)
+            if py is None:
+                py = pi[y]
+                delta += row[py] - row0[py]
+            elif y > x:  # an edge between two moved qubits counts once
+                delta += row[py] - row0[pi[y]]
     return delta
 
 
@@ -381,6 +389,11 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
     n, dist = state.g.n, state.arch.dist
     nn = n * n
     pi, blocked, remaining, toward = state.pi, state.blocked, state.remaining, state.arch.toward
+    add = blocked.add
+    # a decision runs thousands of times per compile: records are built
+    # straight from their fields, without NamedTuple's argument handling,
+    # and plain loops make the calls in order without a frame of their own
+    new = tuple.__new__
     cycles = []
     while remaining:
         if cap is not None and len(cycles) >= cap:
@@ -395,47 +408,60 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
         matching = maximal_matching(re, pi)
         cycle: list[Gate] = []
         blocked.clear()
-        blocked.update(pi[x] for e in re for x in e)
-        for u, v in matching:
-            a, b = pi[u], pi[v]
-            cycle.append(Gate(CPHASE, min(a, b), max(a, b), (u, v)))
+        for u, v in re:
+            add(pi[u])
+            add(pi[v])
+        for e in matching:
+            a, b = pi[e[0]], pi[e[1]]
+            cycle.append(new(Gate, (CPHASE, a, b, e) if a < b else (CPHASE, b, a, e)))
         state.execute(matching)
         for k in keys[split:]:
-            e = divmod(k % nn, n)
-            pu, pv = pi[e[0]], pi[e[1]]
-            if dist[pu][pv] < 2:
-                continue  # earlier swaps this round already parked it adjacent
+            u, v = divmod(k % nn, n)
+            pu, pv = pi[u], pi[v]
+            # no first hop is free until the constraints reset; that holds
+            # too for an edge that earlier SWAPs this round parked adjacent:
+            # a moved qubit sits on a blocked site, the other's one closer hop
             if (pu in blocked or blocked.issuperset(toward[pv][pu])) and (
                 pv in blocked or blocked.issuperset(toward[pu][pv])
             ):
-                continue  # no first hop is free until the constraints reset
-            strategies = enumerate_swap_strategies(e, state)
+                continue
+            strategies = enumerate_swap_strategies((u, v), state)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
-            if len(strategies) == 1:
-                best = strategies[0]
-            else:
-                scores = [score_strategy(ss, state) for ss in strategies]
-                low = min(scores)
-                tied = [ss for ss, sc in zip(strategies, scores) if sc == low]
+            best = strategies[0]
+            if len(strategies) > 1:
+                tied = []
+                for ss in strategies:
+                    score = score_strategy(ss, state)
+                    if not tied or score < low:
+                        low, tied = score, [ss]
+                    elif score == low:
+                        tied.append(ss)
+                best = tied[0]
                 # the bystander delta only breaks score ties, so only ties
-                # pay for it; then the hops, d1 and each endpoint's own path
-                best = tied[0] if len(tied) == 1 else min(
-                    tied,
-                    key=lambda ss: (
-                        _bystander_delta(ss, state),
-                        _first_hops(ss),
-                        ss.d1,
-                        ss.path[: ss.d1 + 1],
-                        ss.path[: ss.d1 : -1],
-                    ),
-                )
+                # pay for it; then the hops, d1 and each endpoint's own
+                # path, the first of least key winning
+                if len(tied) > 1:
+                    least = None
+                    for ss in tied:
+                        path, d1 = ss.path, ss.d1
+                        key = (
+                            _bystander_delta(ss, state),
+                            _first_hops(ss),
+                            d1,
+                            path[: d1 + 1],
+                            path[:d1:-1],
+                        )
+                        if least is None or key < least:
+                            best, least = ss, key
             hops = _first_hops(best)
             for a, b in hops:
-                cycle.append(Gate(SWAP, a, b))
-                blocked.update((a, b))
+                cycle.append(new(Gate, (SWAP, a, b, None)))
+                add(a)
+                add(b)
             _apply_swaps(state, hops)
-            blocked.update((pi[e[0]], pi[e[1]]))
+            add(pi[u])
+            add(pi[v])
         if not cycle:
             # no gate and no SWAP: every later round would be the same
             raise RuntimeError("scheduler round made no progress")

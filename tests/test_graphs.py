@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,37 @@ class TestProblemGraph:
 
     def test_density_empty(self):
         assert density(make_problem_graph(5, [])) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 30),
+        st.floats(0.01, 1.0),
+        st.integers(0, 2**64 - 1),
+        st.randoms(use_true_random=False),
+    )
+    def test_builders_equal_the_checked_construction(self, n, dens, seed, rng):
+        # clique, random_graph and load_problem_graph skip the constructor's
+        # edge checks, which their own checks cover: each graph is the one
+        # ProblemGraph builds, checks included, from its fields
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < dens]
+        rng.shuffle(pairs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/g.graph"
+            with open(path, "w") as fh:
+                fh.write(f"{n} {len(pairs)}\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+            built = [clique(n), load_problem_graph(path)]
+        assert built[1] == make_problem_graph(n, pairs)
+        try:
+            built.append(random_graph(n, dens, seed))
+        except ValueError:  # the density rounds to zero edges
+            pass
+        for g in built:
+            checked = ProblemGraph(g.n, g.edges)
+            assert type(g) is ProblemGraph
+            assert g.__dict__ == checked.__dict__
+            assert g == checked
+            assert g.adj == checked.adj
 
 
 class TestRandomGraph:

@@ -413,7 +413,12 @@ class TestRoundEngineMatchesReference:
             if dist[state.pi[e[0]]][state.pi[e[1]]] < 2:
                 continue
             ref = ref_enumerate(e, state)
-            assert enumerate_swap_strategies(e, state) == ref
+            got = enumerate_swap_strategies(e, state)
+            assert got == ref
+            # == holds for any tuple of the same values: each must be the
+            # record itself
+            for ss in got:
+                assert type(ss) is SwapStrategy
             for ss in ref:
                 assert _first_hops(ss) == ref_first_hops(ss)
                 assert score_strategy(ss, state) == ref_score(ss, state)
@@ -568,6 +573,9 @@ class TestRouteMatchesReference:
         ref = ref_route(g, arch, init, prefix)
         assert got.init == ref.init
         assert to_text(got) == to_text(ref)
+        for cyc in got.cycles:
+            for x in cyc:
+                assert type(x) is Gate and len(x) == 4
 
 
 def assert_partners_follow_remaining(state):

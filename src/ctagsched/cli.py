@@ -49,11 +49,13 @@ CSV_COLUMNS = (
 
 
 def _compile(g, arch, cfg: SchedulerConfig):
-    """Run one strategy; returns (circuit, compile seconds), timing covers
-    scheduling only."""
+    """Schedule g on arch per cfg and check the result: returns the circuit,
+    the seconds schedule() took (verify and metrics not timed), its
+    verification report and its metrics as a dict."""
     t0 = perf_counter()
     c = schedule(g, arch, cfg)
-    return c, perf_counter() - t0
+    secs = perf_counter() - t0
+    return c, secs, verify(c, g, arch), metrics(c, g.n).to_json_dict()
 
 
 def cmd_schedule(
@@ -65,9 +67,7 @@ def cmd_schedule(
 ) -> int:
     g = load_problem_graph(graph_file)
     arch = make_architecture(arch_spec)
-    c, secs = _compile(g, arch, cfg)
-    report = verify(c, g, arch)
-    mx = metrics(c, g.n).to_json_dict()
+    c, secs, report, mx = _compile(g, arch, cfg)
 
     prefix = out if out is not None else os.path.splitext(graph_file)[0]
     text_path = prefix + ".sched.txt"
@@ -96,20 +96,11 @@ def cmd_schedule(
         print(f"compile_time_ms: {doc['compile_time_ms']}")
         print(f"verified: {'true' if report.ok else 'false'}")
     if not report.ok:
-        print(f"verification failed: {_report_summary(report)}", file=sys.stderr)
+        print(f"verification failed: {len(report.missing)} missing, "
+              f"{len(report.duplicated)} duplicated, {len(report.illegal_gates)} illegal",
+              file=sys.stderr)
         return 1
     return 0
-
-
-def _report_summary(report) -> str:
-    parts = []
-    if report.missing:
-        parts.append(f"{len(report.missing)} missing")
-    if report.duplicated:
-        parts.append(f"{len(report.duplicated)} duplicated")
-    if report.illegal_gates:
-        parts.append(f"{len(report.illegal_gates)} illegal")
-    return ", ".join(parts) if parts else "ok"
 
 
 def cmd_verify(schedule_file: str, graph_file: str, arch_spec: str, fmt: str) -> int:
@@ -155,15 +146,13 @@ def _bench_cell(cell) -> tuple[dict, str]:
     try:
         g = random_graph(n, dens, cfg.seed)
         arch = make_architecture(arch_spec)
-        c, secs = _compile(g, arch, cfg)
-        ok = verify(c, g, arch).ok
-        mx = metrics(c, g.n).to_json_dict()
+        _, secs, report, mx = _compile(g, arch, cfg)
     except Exception as exc:
         return record, f"{type(exc).__name__}: {exc}"
     record |= {k: v for k, v in mx.items() if k in record}
     record["compile_time_ms"] = f"{secs * 1000:.3f}"
-    record["verified"] = "true" if ok else "false"
-    return record, "" if ok else "verification failed"
+    record["verified"] = "true" if report.ok else "false"
+    return record, "" if report.ok else "verification failed"
 
 
 def _parse_list(text: str, conv, flag: str) -> list:

@@ -26,6 +26,35 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_int(value, what: str, low: int | None = None, none_ok: bool = False):
+    """value itself if it is a plain int of at least `low`, or None where
+    none_ok allows it; anything else raises ValueError naming `what`.
+
+    The one check of seeds, beams, budgets, device sizes and vertices: a
+    float or a str would otherwise fail later with a TypeError or a
+    KeyError, or pass unnoticed, and True would pass for 1.
+    """
+    if value is None and none_ok:
+        return value
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer{' or None' if none_ok else ''}, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def _int_pairs(pairs, what: str):
+    # each pair of a record's frozenset of (int, int) tuples, its ints passed
+    # through _check_int: a list of pairs or a pair that is a list is
+    # unhashable where the scheduler looks a pair up
+    if type(pairs) is not frozenset:
+        raise ValueError(f"{what} pairs must be a frozenset, got a {type(pairs).__name__}")
+    for e in pairs:
+        if type(e) is not tuple or len(e) != 2:
+            raise ValueError(f"{what} pair {e!r} is not a tuple of two")
+        yield _check_int(e[0], what), _check_int(e[1], what)
+
+
 def _adjacency(count: int, pairs) -> dict[int, tuple[int, ...]]:
     # sorted neighbour tuple of every vertex 0..count-1
     nbrs: dict[int, list[int]] = {v: [] for v in range(count)}
@@ -133,9 +162,8 @@ class ProblemGraph(_Record):
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: frozenset[Edge]):
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
-        for u, v in edges:
+        _check_int(n, "n", 1)
+        for u, v in _int_pairs(edges, "vertex"):
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -169,7 +197,7 @@ def make_problem_graph(n: int, edges) -> ProblemGraph:
     """Build a ProblemGraph from an iterable of (u, v) pairs."""
     norm = set()
     for u, v in edges:
-        e = _norm_edge(int(u), int(v))
+        e = _norm_edge(_check_int(u, "vertex"), _check_int(v, "vertex"))
         if e in norm:
             raise ValueError(f"duplicate edge {e}")
         norm.add(e)
@@ -189,13 +217,6 @@ def density(g: ProblemGraph) -> float:
     return g.m / total if total else 0.0
 
 
-def _check_seed(seed) -> None:
-    # a seed is a plain int, as a beam is: a float or a str would otherwise
-    # fail inside the generator with a TypeError, and True would pass for 1
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-
-
 class SplitMix64:
     """Portable integer-only PRNG (SplitMix64).
 
@@ -207,8 +228,7 @@ class SplitMix64:
     MASK = (1 << 64) - 1
 
     def __init__(self, seed: int):
-        _check_seed(seed)
-        self.state = seed & self.MASK
+        self.state = _check_int(seed, "seed") & self.MASK
 
     def next64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
@@ -309,7 +329,7 @@ class Architecture(_Record):
 
     def __init__(self, q: int, couplings: frozenset[Edge], name: str = "custom"):
         _check_sites(q, name)
-        for a, b in couplings:
+        for a, b in _int_pairs(couplings, "site"):
             if a == b or not (0 <= a < q and 0 <= b < q):
                 raise ValueError(f"bad coupling ({a}, {b}) for q={q}")
             if a > b:
@@ -328,8 +348,11 @@ class Architecture(_Record):
 
         Row s is built the first time it is read, by one breadth-first walk
         from s in O(q + couplings), and kept for the life of the device; an
-        unread row is a _Row stand-in, a read one a tuple.  A reader that
-        keeps a row in a local variable takes it through row(s)."""
+        unread row is a _Row stand-in, a read one a tuple.  A reader may
+        keep dist[s] in a local, as score_strategy and _bystander_delta do:
+        a stand-in kept that way still reads correctly, but each index
+        through it goes through row(s).  A reader that indexes one row many
+        times takes the tuple from row(s)."""
         return [_Row(self, s) for s in range(self.q)]
 
     @cached_property
@@ -373,22 +396,22 @@ def shortest_dist(arch: Architecture, a: int, b: int) -> int:
 
 
 def _check_sites(q: int, name: str) -> None:
+    _check_int(q, f"the site count of {name}")
     if q > MAX_SITES:
         raise ValueError(f"{name} has {q} sites, more than the {MAX_SITES} a device may have")
 
 
 def linear(n: int) -> Architecture:
     """Linear nearest-neighbor chain of n qubits."""
-    if n < 1:
-        raise ValueError("linear architecture needs n >= 1")
+    _check_int(n, "n", 1)
     _check_sites(n, f"linear:{n}")
     return Architecture(n, frozenset((i, i + 1) for i in range(n - 1)), f"linear:{n}")
 
 
 def grid(rows: int, cols: int) -> Architecture:
     """rows x cols lattice, row-major qubit ids."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid needs positive dimensions")
+    _check_int(rows, "rows", 1)
+    _check_int(cols, "cols", 1)
     _check_sites(rows * cols, f"grid:{rows}x{cols}")
     edges = set()
     for r in range(rows):
@@ -536,6 +559,8 @@ class Mapping(_Record):
     _fields = ("pi",)
 
     def __init__(self, pi: tuple[int, ...]):
+        if type(pi) is not tuple:
+            raise ValueError(f"a mapping's pi must be a tuple, got a {type(pi).__name__}")
         if len(set(pi)) != len(pi):
             raise ValueError("mapping is not injective")
         self.__dict__.update(pi=pi)

@@ -23,7 +23,7 @@ from heapq import heappush, heapreplace
 from itertools import islice
 from operator import itemgetter, or_
 
-from ctagsched.graphs import Mapping, ProblemGraph, _check_seed, random_initial_mapping
+from ctagsched.graphs import Mapping, ProblemGraph, _check_int, random_initial_mapping
 from ctagsched.pattern import _meet_table, _meets
 
 __all__ = [
@@ -48,28 +48,6 @@ ISO_NODE_BUDGET = 100_000
 # are wide.  The route-sparse and cli-cold graphs (n <= 49) have at most 13
 # placed neighbours per level, so they never take the mask path.
 WIDE_LEVEL = 24
-
-
-def _check_beam(beam) -> None:
-    # a beam is a plain int of at least 1, or None for no beam; a float beam
-    # never fills the heap, so its bar would never apply, and True would
-    # pass for 1
-    if beam is None:
-        return
-    if type(beam) is not int:
-        raise ValueError(f"beam must be an integer or None, got {beam!r}")
-    if beam < 1:
-        raise ValueError(f"beam must be at least 1, got {beam}")
-
-
-def _check_budget(budget) -> None:
-    # a budget is a plain int of at least 0: a str would fail at the first
-    # comparison with a TypeError, and a float or a negative count would
-    # pass unnoticed
-    if type(budget) is not int:
-        raise ValueError(f"budget must be an integer, got {budget!r}")
-    if budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
 
 
 def _search_order(g: ProblemGraph) -> tuple[list[int], list[list[int]]]:
@@ -146,8 +124,9 @@ def astar_initial_mapping(
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    _check_beam(beam)
-    _check_seed(tie_seed)
+    # a float beam would never fill the heap, so its bar would never apply
+    _check_int(beam, "beam", 1, none_ok=True)
+    _check_int(tie_seed, "seed")
     table = _meet_table(n)
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
@@ -377,7 +356,7 @@ def iso_initial_mapping(
     count, as astar_initial_mapping does.  A budget that is not an int of
     at least 0 is a ValueError, and so is a bad beam or tie_seed.
     """
-    _check_budget(budget)
+    _check_int(budget, "budget", 0)
     mapping, depth = astar_initial_mapping(g, beam, tie_seed)
     n = g.n
     table = _meet_table(n)

@@ -38,12 +38,12 @@ from ctagsched.graphs import (
     Mapping,
     ProblemGraph,
     _bfs,
-    _check_seed,
+    _check_int,
     _spec_ints,
     identity_mapping,
     random_initial_mapping,
 )
-from ctagsched.initial_mapping import _check_beam, astar_initial_mapping, iso_initial_mapping
+from ctagsched.initial_mapping import astar_initial_mapping, iso_initial_mapping
 from ctagsched.pattern import (
     CPHASE,
     SWAP,
@@ -564,8 +564,8 @@ def schedule(
         raise ValueError(f"unknown strategy {cfg.strategy!r}")
     # every knob is checked here, whether or not this strategy reads it
     _check_threshold(cfg.threshold)
-    _check_beam(cfg.beam)
-    _check_seed(cfg.seed)
+    _check_int(cfg.beam, "beam", 1, none_ok=True)
+    _check_int(cfg.seed, "seed")
     if arch.q < g.n:
         raise ValueError(f"{arch.name} has {arch.q} qubits, input needs {g.n}")
     n = g.n

@@ -446,14 +446,14 @@ def rows_astar_initial_mapping(g: ProblemGraph, beam=8, tie_seed=0):
     position, stopping a scan once the running cost passes the bar."""
     from heapq import heappush, heapreplace
 
-    from ctagsched.graphs import random_initial_mapping
-    from ctagsched.initial_mapping import _as_mapping, _check_beam, _search_order
+    from ctagsched.graphs import _check_int, random_initial_mapping
+    from ctagsched.initial_mapping import _as_mapping, _search_order
     from ctagsched.pattern import _meet_table
 
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    _check_beam(beam)
+    _check_int(beam, "beam", 1, none_ok=True)
     table = _meet_table(n)
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)

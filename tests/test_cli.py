@@ -333,6 +333,26 @@ class TestSchedule:
         assert code == 1
         assert "error:" in err
 
+    def test_unverified_schedule_exits_1(self, k6_file, tmp_path, monkeypatch, capsys):
+        # schedule() always returns a verified circuit, so a stand-in that
+        # drops the first CPHASE is what reaches the failure line
+        def drop_one_cphase(g, arch, cfg):
+            c = schedule(g, arch, cfg)
+            first = c.cycles[0]
+            return c._replace(cycles=(first[1:],) + c.cycles[1:])
+
+        monkeypatch.setattr(cli, "schedule", drop_one_cphase)
+        out = str(tmp_path / "k6run")
+        code, stdout, err = run(
+            capsys, "schedule", "--graph", k6_file, "--arch", "linear:6",
+            "--strategy", "pattern-only", "--out", out,
+        )
+        assert code == 1
+        assert "verified: false" in stdout
+        assert err == "verification failed: 1 missing, 0 duplicated, 0 illegal\n"
+        doc = json.loads((tmp_path / "k6run.metrics.json").read_text())
+        assert doc["verified"] is False and doc["cphase_count"] == 14
+
 
 class TestVerify:
     def schedule_k6(self, k6_file, tmp_path, capsys):
@@ -683,6 +703,14 @@ class TestBench:
         assert proc.returncode == 1
         assert proc.stderr == "error: --jobs must be at least 1\n"
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--n", "--density", "--seed", "--arch", "--strategy"])
+    def test_empty_list_exits_1(self, capsys, flag):
+        argv = {"--n": "6", "--density": "0.5", "--seed": "1", "--arch": "linear",
+                "--strategy": "ctag-h"} | {flag: ",,"}
+        code, stdout, err = run(capsys, "bench", *itertools.chain(*argv.items()))
+        assert code == 1 and stdout == ""
+        assert err == f"error: empty {flag} list\n"
 
     def test_unknown_strategy_errors(self, capsys):
         code, _, err = run(

@@ -33,7 +33,7 @@ from ctagsched.graphs import (
     shortest_dist,
 )
 from ctagsched.pattern import ScheduledCircuit
-from ctagsched.scheduler import SchedulerConfig, schedule
+from ctagsched.scheduler import SchedulerConfig, partial_pattern_cycles, schedule
 from ctagsched.verify import metrics
 
 BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
@@ -327,21 +327,26 @@ class TestMakeArchitecture:
         assert "line 3" in str(ei.value)
 
     @pytest.mark.parametrize(
-        "text, line",
+        "text, line, message",
         [
-            ("3 2\n0 1\n1 7\n", 3),  # site out of range
-            ("3 2\n0 1\n\n2 2\n", 4),  # self-coupling
-            ("3 2\n0 1\n1 0\n", 3),  # duplicate coupling
-            ("# dev\n3 3\n0 1\n1 2\n", 2),  # count short of the header
+            ("3 2\n0 1\n1 7\n", 3, "vertex out of range in '1 7'"),
+            ("3 2\n0 1\n\n2 2\n", 4, "self-loop on vertex 2"),
+            ("3 2\n0 1\n1 0\n", 3, "duplicate pair (0, 1)"),
+            ("# dev\n3 3\n0 1\n1 2\n", 2, "header promised 3 pairs, found 2"),
+            ("# dev\n3\n0 1\n", 2, "expected header 'count m'"),
+            ("\n3 two\n0 1\n", 2, "bad header '3 two'"),
+            ("0 0\n", 1, "need at least one vertex, got 0"),
         ],
-        ids=["out-of-range", "self-coupling", "duplicate", "short-count"],
+        ids=["out-of-range", "self-coupling", "duplicate", "short-count",
+             "one-field-header", "bad-header", "no-site"],
     )
-    def test_bad_coupling_is_a_format_error(self, tmp_path, text, line):
+    def test_bad_coupling_is_a_format_error(self, tmp_path, text, line, message):
         p = tmp_path / "dev.arch"
         p.write_text(text)
         with pytest.raises(GraphFormatError) as ei:
             make_architecture(f"file:{p}")
         assert ei.value.line == line
+        assert str(ei.value) == f"line {line}: {message}"
 
 
 class TestGraphIO:
@@ -458,6 +463,73 @@ def test_random_graph_argument_of_a_bad_type_is_rejected(n, dens, message, monke
     monkeypatch.setattr(SplitMix64, "next64", no_draw)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         random_graph(n, dens, 1)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1.7)], [(True, 2)], [("0", "2")], [(0, 2.0)]],
+    ids=repr,
+)
+def test_vertex_that_is_no_plain_int_is_rejected(edges):
+    # int() once turned each of these into another graph without an error:
+    # (0, 1.7) into (0, 1), (True, 2) into (1, 2), ("0", "2") into (0, 2)
+    with pytest.raises(ValueError, match="^vertex must be an integer, got "):
+        make_problem_graph(3, edges)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ProblemGraph(3, [(0, 1), (1, 2)]), "vertex pairs must be a frozenset, got a list"),
+        (lambda: ProblemGraph(3, {(0, 1)}), "vertex pairs must be a frozenset, got a set"),
+        (lambda: ProblemGraph(2.5, frozenset()), "n must be an integer, got 2.5"),
+        (lambda: ProblemGraph(True, frozenset()), "n must be an integer, got True"),
+        (lambda: ProblemGraph(3, frozenset({(0, 1.5)})), "vertex must be an integer, got 1.5"),
+        (lambda: ProblemGraph(3, frozenset({"01"})), "vertex pair '01' is not a tuple of two"),
+        (lambda: Architecture(3.0, frozenset({(0, 1), (1, 2)})),
+         "the site count of custom must be an integer, got 3.0"),
+        (lambda: Architecture(3, [(0, 1), (1, 2)]), "site pairs must be a frozenset, got a list"),
+        (lambda: Architecture(3, frozenset({(0, 1), (1, 2.0)})),
+         "site must be an integer, got 2.0"),
+        (lambda: linear(True), "n must be an integer, got True"),
+        (lambda: linear(2.5), "n must be an integer, got 2.5"),
+        (lambda: grid(True, 3), "rows must be an integer, got True"),
+        (lambda: grid(2, "3"), "cols must be an integer, got '3'"),
+        (lambda: Mapping([0, 1, 2]), "a mapping's pi must be a tuple, got a list"),
+        (lambda: partial_pattern_cycles(clique(3), Mapping([0, 1, 2]), 0.5),
+         "a mapping's pi must be a tuple, got a list"),
+    ],
+    ids=["graph-edge-list", "graph-edge-set", "graph-float-n", "graph-bool-n",
+         "graph-float-vertex", "graph-str-pair", "arch-float-q", "arch-coupling-list",
+         "arch-float-site", "linear-bool", "linear-float", "grid-bool", "grid-str",
+         "mapping-list", "prefix-of-list-mapping"],
+)
+def test_record_of_a_bad_type_is_rejected_when_built(build, message):
+    # a ValueError that names the value; each of these once raised a
+    # TypeError, or was built and failed later inside the library (a list
+    # of edges or a list mapping is unhashable in the scheduler, a float
+    # vertex is no key of the adjacency), or gave a device of q=True sites
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ProblemGraph(3, frozenset({(2, 1)})), "edge (2, 1) not normalized"),
+        (lambda: Architecture(3, frozenset({(0, 1), (1, 3)})), "bad coupling (1, 3) for q=3"),
+        (lambda: Architecture(3, frozenset({(0, 1), (2, 1)})), "coupling (2, 1) not normalized"),
+        (lambda: clique(1), "clique needs n >= 2, got 1"),
+        (lambda: grid(0, 3), "rows must be at least 1, got 0"),
+        (lambda: linear(0), "n must be at least 1, got 0"),
+        (lambda: SplitMix64(1).below(0), "bound must be positive"),
+    ],
+    ids=["graph-unnormalized", "arch-bad-coupling", "arch-unnormalized", "clique-1",
+         "grid-0x3", "linear-0", "below-0"],
+)
+def test_out_of_range_argument_is_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_records_are_read_only_values():

@@ -132,6 +132,11 @@ class TestAstar:
         _, depth = astar_initial_mapping(g, beam=None)
         assert depth == exhaustive_best(g)
 
+    def test_one_vertex_is_rejected(self):
+        # the pattern needs two positions; schedule() handles n = 1 itself
+        with pytest.raises(ValueError, match="^need at least 2 vertices$"):
+            astar_initial_mapping(make_problem_graph(1, []))
+
     @pytest.mark.parametrize("beam", [0, -1])
     def test_beam_below_one_is_rejected(self, beam):
         with pytest.raises(ValueError, match="beam must be at least 1"):

@@ -955,6 +955,24 @@ def test_a_line_strategy_searches_for_one_chain(monkeypatch, device, strategy):
     assert _line_orders(arch, 12, 0, 1) == tuple(real(arch, CHAINS, seed=0, length=12)[:1])
 
 
+@pytest.mark.parametrize("name", ["grid:3by4", "grid:3x4x1"])
+def test_a_grid_name_no_spec_parses_has_no_built_in_chain(monkeypatch, name):
+    # a coupling file may carry any name: one that starts "grid:" but is no
+    # grid spec lays no Hilbert chain, so the chain search runs
+    real = ctagsched.scheduler.multi_embeddings
+    arch = Architecture(12, grid(3, 4).couplings, name)
+    calls = []
+
+    def search(arch, k, **kwargs):
+        calls.append(k)
+        return real(arch, k, **kwargs)
+
+    monkeypatch.setattr(ctagsched.scheduler, "multi_embeddings", search)
+    chains = _line_orders(arch, 12, 0, 1)
+    assert calls == [1]
+    assert chains == tuple(real(arch, 1, seed=0, length=12)) and arch.is_chain(chains[0])
+
+
 def test_ctag_i_iso_searches_under_the_configured_beam_and_seed(monkeypatch):
     real = ctagsched.initial_mapping.astar_initial_mapping
     calls = []

@@ -91,6 +91,15 @@ class TestVerify:
         assert not r.ok
         assert r.illegal_gates[0][4] == "no logical qubit on site"
 
+    @pytest.mark.parametrize("a, b", [(1, 3), (-1, 0), (2, 2)])
+    def test_gate_off_the_device_is_illegal(self, a, b):
+        # a site the device lacks, or a gate on one site, is no qubit pair
+        g = make_problem_graph(3, [(0, 1)])
+        c = circuit([[cphase(a, b)], [cphase(0, 1)]], identity_mapping(3), linear(3))
+        r = verify(c, g, linear(3))
+        assert not r.ok and not r.missing
+        assert r.illegal_gates == ((0, CPHASE, a, b, "invalid qubit pair"),)
+
     def test_init_out_of_range(self):
         g = make_problem_graph(2, [(0, 1)])
         c = circuit([[cphase(0, 1)]], Mapping((0, 5)), linear(3))

@@ -24,6 +24,7 @@ from time import perf_counter
 
 from ctagsched.graphs import (
     GraphFormatError,
+    _check_int,
     _read_utf8,
     load_problem_graph,
     make_architecture,
@@ -171,8 +172,7 @@ def _parse_list(text: str, conv, flag: str) -> list:
 
 
 def cmd_bench(args) -> int:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
+    _check_int(args.jobs, "--jobs", 1)
     ns = _parse_list(args.n, int, "--n")
     densities = _parse_list(args.density, float, "--density")
     seeds = _parse_list(args.seed, int, "--seed")

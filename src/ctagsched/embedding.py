@@ -6,7 +6,7 @@ search for Hamiltonian (sub)paths.
 """
 from __future__ import annotations
 
-from ctagsched.graphs import Architecture, _packaged, random_initial_mapping
+from ctagsched.graphs import Architecture, _check_int, _packaged, random_initial_mapping
 
 
 class EmbeddingBudgetExceeded(RuntimeError):
@@ -71,10 +71,10 @@ def hilbert_embedding(rows: int, cols: int) -> tuple[int, ...]:
     The rectangle-splitting recursion covers any grid with an even side with
     unit steps; an odd-by-odd grid gets its first row peeled off and walked
     left to right, with the recursion covering the even remainder from the
-    cell below the row's end.
+    cell below the row's end.  rows and cols are plain ints of at least 2.
     """
-    if rows < 2 or cols < 2:
-        raise ValueError("need at least a 2x2 grid")
+    _check_int(rows, "rows", 2)
+    _check_int(cols, "cols", 2)
 
     def run(w, h):
         # the recursion only guarantees unit steps when the major axis is
@@ -105,8 +105,10 @@ def find_line_embedding(
 ) -> tuple[int, ...] | None:
     """Backtracking search for a chain of `length` distinct coupled qubits.
 
-    length defaults to arch.q (a full Hamiltonian path).  Neighbors are tried
-    fewest-onward-moves first (Warnsdorff); the seed only perturbs tie order.
+    length is a plain int from 1 to arch.q, or None for arch.q (a full
+    Hamiltonian path), and budget a plain int of at least 0; anything else
+    raises ValueError.  Neighbors are tried fewest-onward-moves first
+    (Warnsdorff); the seed only perturbs tie order.
     Returns None when the exhausted search proves no such chain exists; raises
     EmbeddingBudgetExceeded after `budget` node expansions, which is an
     "unknown" outcome rather than a proof.  The depth-first search keeps one
@@ -114,7 +116,8 @@ def find_line_embedding(
     longer than the interpreter's recursion limit.
     """
     q = arch.q
-    target = q if length is None else length
+    _check_int(budget, "budget", 0)
+    target = q if length is None else _check_int(length, "length")
     if not 1 <= target <= q:
         raise ValueError(f"length {target} out of range for {q} qubits")
     if target == 1:
@@ -178,8 +181,7 @@ def multi_embeddings(
 
     The searches stop at the first one that proves no chain exists or
     exhausts its budget; the chains found before it are returned."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_int(k, "k", 1)
     found: list[tuple[int, ...]] = []
     seen = set()
     for attempt in range(8 * k + 16):

@@ -30,9 +30,14 @@ def _check_int(value, what: str, low: int | None = None, none_ok: bool = False):
     """value itself if it is a plain int of at least `low`, or None where
     none_ok allows it; anything else raises ValueError naming `what`.
 
-    The one check of seeds, beams, budgets, device sizes and vertices: a
-    float or a str would otherwise fail later with a TypeError or a
-    KeyError, or pass unnoticed, and True would pass for 1.
+    The one check of the library's integer arguments: seeds, beams,
+    budgets, sizes, lengths, positions, vertices, sites and mapping
+    entries.  A float (3.0, nan and inf too), a str or None would otherwise
+    fail later with a TypeError, an IndexError or a KeyError, or pass
+    unnoticed, and a bool is refused because True would pass for 1.
+    SplitMix64.below, called once per draw with a bound its caller
+    computed, and the edge-list parser, which reports line numbers, keep
+    their own checks.
     """
     if value is None and none_ok:
         return value
@@ -43,16 +48,21 @@ def _check_int(value, what: str, low: int | None = None, none_ok: bool = False):
     return value
 
 
-def _int_pairs(pairs, what: str):
-    # each pair of a record's frozenset of (int, int) tuples, its ints passed
-    # through _check_int: a list of pairs or a pair that is a list is
+def _check_pairs(pairs, what: str, count: int) -> None:
+    # the pairs of a ProblemGraph (vertices) or an Architecture (sites): a
+    # frozenset of (int, int) tuples, each of two distinct values below
+    # count, smaller first; a list of pairs or a pair that is a list is
     # unhashable where the scheduler looks a pair up
     if type(pairs) is not frozenset:
         raise ValueError(f"{what} pairs must be a frozenset, got a {type(pairs).__name__}")
     for e in pairs:
         if type(e) is not tuple or len(e) != 2:
             raise ValueError(f"{what} pair {e!r} is not a tuple of two")
-        yield _check_int(e[0], what), _check_int(e[1], what)
+        a, b = _check_int(e[0], what), _check_int(e[1], what)
+        if a == b or not (0 <= a < count and 0 <= b < count):
+            raise ValueError(f"{what} pair {e} is not two distinct {what}s below {count}")
+        if a > b:
+            raise ValueError(f"{what} pair {e} is not normalized")
 
 
 def _adjacency(count: int, pairs) -> dict[int, tuple[int, ...]]:
@@ -162,14 +172,7 @@ class ProblemGraph(_Record):
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: frozenset[Edge]):
-        _check_int(n, "n", 1)
-        for u, v in _int_pairs(edges, "vertex"):
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u > v:
-                raise ValueError(f"edge ({u}, {v}) not normalized")
+        _check_pairs(edges, "vertex", _check_int(n, "n", 1))
         self.__dict__.update(n=n, edges=edges)
 
     @classmethod
@@ -205,9 +208,9 @@ def make_problem_graph(n: int, edges) -> ProblemGraph:
 
 
 def clique(n: int) -> ProblemGraph:
-    """Complete graph on n vertices (density-1 workload)."""
-    if n < 2:
-        raise ValueError(f"clique needs n >= 2, got {n}")
+    """Complete graph on n vertices (density-1 workload), n a plain int of
+    at least 2."""
+    _check_int(n, "n", 2)
     return ProblemGraph._trusted(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
@@ -284,11 +287,7 @@ def random_graph(n: int, dens, seed: int) -> ProblemGraph:
     per step.  When m is every edge, Floyd's algorithm picks every rank
     whatever it draws, so the result is clique(n), built without drawing.
     """
-    if type(n) is not int:
-        raise ValueError(f"random_graph needs an integer n, got {n!r}")
-    if n < 2:
-        raise ValueError(f"random_graph needs n >= 2, got {n}")
-    if n > MAX_SITES:
+    if _check_int(n, "n", 2) > MAX_SITES:
         # no device could host it, and the edge sample could exhaust memory
         raise ValueError(f"random_graph needs n <= MAX_SITES = {MAX_SITES}, got {n}")
     total = n * (n - 1) // 2
@@ -329,11 +328,7 @@ class Architecture(_Record):
 
     def __init__(self, q: int, couplings: frozenset[Edge], name: str = "custom"):
         _check_sites(q, name)
-        for a, b in _int_pairs(couplings, "site"):
-            if a == b or not (0 <= a < q and 0 <= b < q):
-                raise ValueError(f"bad coupling ({a}, {b}) for q={q}")
-            if a > b:
-                raise ValueError(f"coupling ({a}, {b}) not normalized")
+        _check_pairs(couplings, "site", q)
         self.__dict__.update(q=q, couplings=couplings, name=name)
         if q > 1 and len(_bfs(self.adj, 0)[0]) < q:
             raise ValueError(f"architecture {name!r} is not connected")
@@ -380,23 +375,27 @@ class Architecture(_Record):
         return _norm_edge(a, b) in self.couplings
 
     def is_chain(self, sites) -> bool:
-        """True when `sites` are distinct sites of this device and each one
-        is coupled to the next."""
+        """True when `sites` are distinct sites of this device, each a plain
+        int, and each one is coupled to the next."""
         return (
             len(set(sites)) == len(sites)
-            and all(0 <= s < self.q for s in sites)
+            and all(type(s) is int and 0 <= s < self.q for s in sites)
             and all(self.coupled(a, b) for a, b in zip(sites, sites[1:]))
         )
 
 
 def shortest_dist(arch: Architecture, a: int, b: int) -> int:
-    """Hop distance between two physical qubits; builds row a of arch.dist
-    if no read has yet."""
+    """Hop distance between sites a and b of arch, each a plain int below
+    arch.q (anything else raises ValueError); builds row a of arch.dist if
+    no read has yet."""
+    for what, s in (("a", a), ("b", b)):
+        if _check_int(s, what, 0) >= arch.q:
+            raise ValueError(f"{what} must be below {arch.q}, got {s}")
     return arch.dist[a][b]
 
 
 def _check_sites(q: int, name: str) -> None:
-    _check_int(q, f"the site count of {name}")
+    _check_int(q, f"the site count of {name}", 1)
     if q > MAX_SITES:
         raise ValueError(f"{name} has {q} sites, more than the {MAX_SITES} a device may have")
 
@@ -554,13 +553,18 @@ def save_problem_graph(g: ProblemGraph, path: str) -> None:
 
 
 class Mapping(_Record):
-    """Injective placement of logical qubits onto physical qubits: pi[logical] = physical."""
+    """Injective placement of logical qubits onto physical qubits: pi[logical] = physical.
+
+    pi is a tuple of plain ints; a negative entry is allowed here, and
+    verify reports it as a site the device does not have."""
 
     _fields = ("pi",)
 
     def __init__(self, pi: tuple[int, ...]):
         if type(pi) is not tuple:
             raise ValueError(f"a mapping's pi must be a tuple, got a {type(pi).__name__}")
+        for p in pi:
+            _check_int(p, "a mapping's site")
         if len(set(pi)) != len(pi):
             raise ValueError("mapping is not injective")
         self.__dict__.update(pi=pi)
@@ -577,11 +581,11 @@ class Mapping(_Record):
 
 
 def identity_mapping(n: int) -> Mapping:
-    return Mapping(tuple(range(n)))
+    return Mapping(tuple(range(_check_int(n, "n", 0))))
 
 
 def random_initial_mapping(n: int, seed: int) -> Mapping:
     """Uniform random permutation of n positions from the seeded portable PRNG."""
-    perm = list(range(n))
+    perm = list(range(_check_int(n, "n", 0)))
     SplitMix64(seed).shuffle(perm)
     return Mapping(tuple(perm))

@@ -126,7 +126,7 @@ def astar_initial_mapping(
         raise ValueError("need at least 2 vertices")
     # a float beam would never fill the heap, so its bar would never apply
     _check_int(beam, "beam", 1, none_ok=True)
-    _check_int(tie_seed, "seed")
+    _check_int(tie_seed, "tie_seed")
     table = _meet_table(n)
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)

@@ -29,6 +29,7 @@ from ctagsched.graphs import (
     Edge,
     Mapping,
     ProblemGraph,
+    _check_int,
     clique,
     grid,
     identity_mapping,
@@ -109,11 +110,10 @@ def _meets(n: int):
 def generate_clique_pattern(n: int) -> ScheduledCircuit:
     """Clique schedule on linear(n) with the natural-order initial mapping.
 
-    Abstract depth is 2n-2 for n >= 3 and 1 for n=2; every unordered pair
-    executes exactly once.
+    n is a plain int of at least 2, which clique(n) checks.  Abstract depth
+    is 2n-2 for n >= 3 and 1 for n=2; every unordered pair executes exactly
+    once.
     """
-    if n < 2:
-        raise ValueError(f"pattern needs n >= 2, got {n}")
     return prune_pattern(clique(n), identity_mapping(n), linear(n), range(n))
 
 
@@ -194,8 +194,12 @@ def _meet_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def meet_cycle(n: int, pos_a: int, pos_b: int) -> int:
-    """0-based cycle at which the qubits starting at pos_a and pos_b execute."""
-    if pos_a == pos_b:
+    """0-based cycle at which the qubits starting at pos_a and pos_b execute.
+
+    n is a plain int of at least 2 and the positions two distinct plain
+    ints below n; anything else raises ValueError."""
+    _check_int(n, "n", 2)
+    if _check_int(pos_a, "pos_a") == _check_int(pos_b, "pos_b"):
         raise ValueError("positions must differ")
     if not (0 <= pos_a < n and 0 <= pos_b < n):
         raise ValueError(f"positions out of range for n={n}")
@@ -265,10 +269,10 @@ def generate_2xn_pattern(n: int) -> ScheduledCircuit:
     order.  Odd n keeps one grid site empty (the last column's second) and
     pays one real SWAP per dropped cycle to carry the lone last-column qubit
     across; that SWAP shares a cycle with the next CPHASE layer, which never
-    touches the last column, so the depth is 3(n-1)/2+1.
+    touches the last column, so the depth is 3(n-1)/2+1.  n is a plain int
+    of at least 4.
     """
-    if n < 4:
-        raise ValueError(f"2xN pattern needs n >= 4, got {n}")
+    _check_int(n, "n", 4)
     cols = (n + 1) // 2
     arch = grid(2, cols)
     # snake[p]: row (p & 1) ^ (p // 2 & 1) of column p // 2
@@ -319,22 +323,17 @@ def to_json_dict(circ: ScheduledCircuit) -> dict:
     }
 
 
-def _site(x) -> int:
-    # a JSON integer; json reads 1e400 as inf and true as a bool
-    if type(x) is not int:
-        raise ValueError(f"site {x!r} is not an integer")
-    return x
-
-
 def from_json_dict(doc: dict, arch: Architecture) -> ScheduledCircuit:
+    # a site is a JSON integer: json reads 1e400 as inf and true as a bool,
+    # and Mapping checks the sites of init
     try:
-        init = Mapping(tuple(_site(p) for p in doc["init"]))
+        init = Mapping(tuple(doc["init"]))
         cycles = tuple(
             tuple(
                 Gate(
                     str(g["kind"]),
-                    _site(g["a"]),
-                    _site(g["b"]),
+                    _check_int(g["a"], "site"),
+                    _check_int(g["b"], "site"),
                     tuple(g["logical"]) if g.get("logical") else None,
                 )
                 for g in cyc

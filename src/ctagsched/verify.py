@@ -49,6 +49,7 @@ def verify(c: ScheduledCircuit, g: ProblemGraph, arch: Architecture) -> Verifica
     """Replay c and check it executes exactly the edges of g on arch.
 
     Structural violations (an init that does not place exactly g.n qubits,
+    a gate whose sites are not two distinct plain ints below arch.q,
     non-coupled gates, qubit conflicts within a cycle, gates on sites holding
     no logical qubit) are collected in illegal_gates; an illegal gate is
     skipped rather than applied.  ok holds iff the executed multiset equals
@@ -70,7 +71,7 @@ def verify(c: ScheduledCircuit, g: ProblemGraph, arch: Architecture) -> Verifica
         used: set[int] = set()
         for gate in cyc:
             a, b = gate.a, gate.b
-            if not (0 <= a < arch.q and 0 <= b < arch.q) or a == b:
+            if not (type(a) is type(b) is int and 0 <= a < arch.q and 0 <= b < arch.q) or a == b:
                 illegal.append((t, gate.kind, a, b, "invalid qubit pair"))
                 continue
             if not arch.coupled(a, b):

@@ -482,12 +482,13 @@ class TestVerify:
              "line 2: byte 0xff is not UTF-8 text"),
             (b"[" * 200000, "not valid JSON: nested too deeply"),
             (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "cphase", "a": 0, "b": 1e400}]]}',
-             "site inf is not an integer"),
+             "site must be an integer, got inf"),
             (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "cphase", "a": 0.9, "b": 1}]]}',
-             "site 0.9 is not an integer"),
-            (b'{"init": ["3", 1, 2, 0, 4, 5], "cycles": []}', "site '3' is not an integer"),
+             "site must be an integer, got 0.9"),
+            (b'{"init": ["3", 1, 2, 0, 4, 5], "cycles": []}',
+             "a mapping's site must be an integer, got '3'"),
             (b'{"init": [0, 1, 2, 3, 4, 5], "cycles": [[{"kind": "swap", "a": true, "b": 2}]]}',
-             "site True is not an integer"),
+             "site must be an integer, got True"),
             (b'{"init": [0, 0, 1, 2, 3, 4], "cycles": []}', "mapping is not injective"),
         ],
         ids=["not-utf8", "not-utf8-after-bom", "deep-nesting", "overflowing-site",
@@ -701,7 +702,7 @@ class TestBench:
             timeout=60,
         )
         assert proc.returncode == 1
-        assert proc.stderr == "error: --jobs must be at least 1\n"
+        assert proc.stderr == f"error: --jobs must be at least 1, got {jobs}\n"
         assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--n", "--density", "--seed", "--arch", "--strategy"])

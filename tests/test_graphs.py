@@ -1,14 +1,17 @@
 """Problem graphs, architectures, mappings, and their file formats."""
 
+import os
 import pickle
 import re
 import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ctagsched import cli
+from ctagsched.embedding import find_line_embedding, hilbert_embedding, multi_embeddings
 from ctagsched.graphs import (
     MAX_SITES,
     Architecture,
@@ -32,7 +35,14 @@ from ctagsched.graphs import (
     save_problem_graph,
     shortest_dist,
 )
-from ctagsched.pattern import ScheduledCircuit
+from ctagsched.initial_mapping import astar_initial_mapping
+from ctagsched.pattern import (
+    ScheduledCircuit,
+    generate_2xn_pattern,
+    generate_clique_pattern,
+    meet_cycle,
+    prune_pattern,
+)
 from ctagsched.scheduler import SchedulerConfig, partial_pattern_cycles, schedule
 from ctagsched.verify import metrics
 
@@ -262,6 +272,32 @@ class TestArchitecture:
         assert shortest_dist(a, 4, 4) == 0
         assert shortest_dist(a, 0, 1) == 1
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (-1, 0, "a must be at least 0, got -1"),
+            (0, -2, "b must be at least 0, got -2"),
+            (5, 0, "a must be below 5, got 5"),
+            (0, 5, "b must be below 5, got 5"),
+            (0, 1.0, "b must be an integer, got 1.0"),
+            (True, 0, "a must be an integer, got True"),
+        ],
+    )
+    def test_shortest_dist_refuses_a_site_the_device_lacks(self, a, b, message):
+        # a negative site once read the row from the end (-1 gave 4 on
+        # linear:5), and a site past the last raised IndexError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            shortest_dist(linear(5), a, b)
+
+    @pytest.mark.parametrize("chain", [(0, 1.0, 2), (0, True, 2), (0.0, 1, 2)])
+    def test_chain_of_sites_that_are_no_plain_ints(self, chain):
+        # equal to (0, 1, 2), but no chain of sites: prune_pattern once laid
+        # a gate on site 1.0, which verify took and the CLI then refused
+        arch = linear(3)
+        assert arch.is_chain((0, 1, 2)) and not arch.is_chain(chain)
+        with pytest.raises(ValueError, match="^chain must be 3 distinct coupled sites"):
+            prune_pattern(clique(3), identity_mapping(3), arch, chain)
+
     def test_disconnected_raises(self):
         with pytest.raises(ValueError):
             Architecture(4, frozenset({(0, 1), (2, 3)}), "bad")
@@ -443,9 +479,9 @@ def test_seed_that_is_no_plain_int_is_rejected(seed):
 @pytest.mark.parametrize(
     ("n", "dens", "message"),
     [
-        (6.0, 0.5, "random_graph needs an integer n, got 6.0"),
-        ("6", 0.5, "random_graph needs an integer n, got '6'"),
-        (True, 0.5, "random_graph needs an integer n, got True"),
+        (6.0, 0.5, "n must be an integer, got 6.0"),
+        ("6", 0.5, "n must be an integer, got '6'"),
+        (True, 0.5, "n must be an integer, got True"),
         (6, True, "density must be an int, a float or a Fraction, got True"),
         (6, "0.5", "density must be an int, a float or a Fraction, got '0.5'"),
         (6, None, "density must be an int, a float or a Fraction, got None"),
@@ -516,10 +552,11 @@ def test_record_of_a_bad_type_is_rejected_when_built(build, message):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: ProblemGraph(3, frozenset({(2, 1)})), "edge (2, 1) not normalized"),
-        (lambda: Architecture(3, frozenset({(0, 1), (1, 3)})), "bad coupling (1, 3) for q=3"),
-        (lambda: Architecture(3, frozenset({(0, 1), (2, 1)})), "coupling (2, 1) not normalized"),
-        (lambda: clique(1), "clique needs n >= 2, got 1"),
+        (lambda: ProblemGraph(3, frozenset({(2, 1)})), "vertex pair (2, 1) is not normalized"),
+        (lambda: Architecture(3, frozenset({(0, 1), (1, 3)})),
+         "site pair (1, 3) is not two distinct sites below 3"),
+        (lambda: Architecture(3, frozenset({(0, 1), (2, 1)})), "site pair (2, 1) is not normalized"),
+        (lambda: clique(1), "n must be at least 2, got 1"),
         (lambda: grid(0, 3), "rows must be at least 1, got 0"),
         (lambda: linear(0), "n must be at least 1, got 0"),
         (lambda: SplitMix64(1).below(0), "bound must be positive"),
@@ -530,6 +567,87 @@ def test_record_of_a_bad_type_is_rejected_when_built(build, message):
 def test_out_of_range_argument_is_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def _bench_with_jobs(jobs):
+    args = cli._build_parser().parse_args(
+        ["bench", "--n", "4", "--density", "1", "--arch", "linear",
+         "--strategy", "pattern-only", "--out", os.devnull]
+    )
+    args.jobs = jobs
+    return cli.cmd_bench(args)
+
+
+# each public integer parameter: a call that passes the value to it, the
+# name its message starts with, its smallest valid value (or a valid one,
+# where there is no least) and whether one below that is refused
+INT_PARAMETERS = {
+    "ProblemGraph n": (lambda v: ProblemGraph(v, frozenset()), "n", 1, True),
+    "ProblemGraph vertex": (lambda v: ProblemGraph(2, frozenset({(0, v)})), "vertex", 1, True),
+    "Architecture q": (lambda v: Architecture(v, frozenset()), "the site count of custom", 1, True),
+    "Architecture site": (lambda v: Architecture(2, frozenset({(0, v)})), "site", 1, True),
+    "linear n": (linear, "n", 1, True),
+    "grid rows": (lambda v: grid(v, 2), "rows", 1, True),
+    "grid cols": (lambda v: grid(2, v), "cols", 1, True),
+    "clique n": (clique, "n", 2, True),
+    "random_graph n": (lambda v: random_graph(v, 1.0, 0), "n", 2, True),
+    "random_graph seed": (lambda v: random_graph(4, 0.5, v), "seed", -1, False),
+    "identity_mapping n": (identity_mapping, "n", 0, True),
+    "random_initial_mapping n": (lambda v: random_initial_mapping(v, 1), "n", 0, True),
+    "random_initial_mapping seed": (lambda v: random_initial_mapping(3, v), "seed", -1, False),
+    # a negative entry stays legal: verify reports it as a missing site
+    "Mapping site": (lambda v: Mapping((0, v, 2)), "a mapping's site", -1, False),
+    "astar tie_seed": (lambda v: astar_initial_mapping(clique(3), tie_seed=v), "tie_seed", -1,
+                       False),
+    "generate_clique_pattern n": (generate_clique_pattern, "n", 2, True),
+    "generate_2xn_pattern n": (generate_2xn_pattern, "n", 4, True),
+    "hilbert_embedding rows": (lambda v: hilbert_embedding(v, 3), "rows", 2, True),
+    "hilbert_embedding cols": (lambda v: hilbert_embedding(3, v), "cols", 2, True),
+    "multi_embeddings k": (lambda v: multi_embeddings(linear(6), v), "k", 1, True),
+    "find_line_embedding length": (lambda v: find_line_embedding(linear(6), length=v), "length",
+                                   1, True),
+    "find_line_embedding budget": (lambda v: find_line_embedding(linear(1), budget=v), "budget",
+                                   0, True),
+    "meet_cycle n": (lambda v: meet_cycle(v, 0, 1), "n", 2, True),
+    "meet_cycle pos_a": (lambda v: meet_cycle(6, v, 2), "pos_a", 0, True),
+    "meet_cycle pos_b": (lambda v: meet_cycle(6, 2, v), "pos_b", 0, True),
+    "shortest_dist a": (lambda v: shortest_dist(linear(5), v, 0), "a", 0, True),
+    "shortest_dist b": (lambda v: shortest_dist(linear(5), 0, v), "b", 0, True),
+    "bench --jobs": (_bench_with_jobs, "--jobs", 1, True),
+}
+
+BAD_INTS = st.one_of(
+    st.floats(),  # nan and inf included
+    st.integers(-3, 8).map(float),  # integral floats such as 3.0
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(sorted(INT_PARAMETERS)), bad=BAD_INTS)
+@example(case="find_line_embedding length", bad=2.5)
+@example(case="find_line_embedding length", bad=True)
+@example(case="clique n", bad=2.5)
+@example(case="identity_mapping n", bad="3")
+@example(case="Mapping site", bad=1.5)
+@example(case="meet_cycle pos_a", bad=1.0)
+@example(case="hilbert_embedding rows", bad=2.0)
+@example(case="multi_embeddings k", bad=1.5)
+def test_integer_parameter_refuses_every_other_value(case, bad):
+    # a float, a bool, a str or None is a ValueError that names the
+    # parameter, never a TypeError, a KeyError, an IndexError or a result;
+    # None is find_line_embedding's default length
+    call, name, smallest, bounded = INT_PARAMETERS[case]
+    assume(not (bad is None and case == "find_line_embedding length"))
+    with pytest.raises(ValueError) as ei:
+        call(bad)
+    assert str(ei.value) == f"{name} must be an integer, got {bad!r}"
+    call(smallest)
+    if bounded:
+        with pytest.raises(ValueError):
+            call(smallest - 1)
 
 
 def test_records_are_read_only_values():

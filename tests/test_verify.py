@@ -18,8 +18,10 @@ from ctagsched.pattern import (
     SWAP,
     Gate,
     ScheduledCircuit,
+    from_json_dict,
     generate_clique_pattern,
     prune_pattern,
+    to_json_dict,
 )
 from ctagsched.scheduler import STRATEGIES, SchedulerConfig, schedule
 from ctagsched.verify import QAIM_IC_REFERENCE, metrics, verify
@@ -99,6 +101,19 @@ class TestVerify:
         r = verify(c, g, linear(3))
         assert not r.ok and not r.missing
         assert r.illegal_gates == ((0, CPHASE, a, b, "invalid qubit pair"),)
+
+    @pytest.mark.parametrize("b", [1.0, True, "1"])
+    def test_gate_on_a_site_that_is_no_plain_int_is_illegal(self, b):
+        # a site equal to 1 is no site: the library once passed CPHASE(0,
+        # 1.0), while the CLI refused the same circuit's JSON; now both do
+        g = make_problem_graph(3, [(0, 1)])
+        c = circuit([[Gate(CPHASE, 0, b, (0, 1))], [cphase(0, 1)]], identity_mapping(3),
+                    linear(3))
+        r = verify(c, g, linear(3))
+        assert not r.ok and not r.missing
+        assert r.illegal_gates == ((0, CPHASE, 0, b, "invalid qubit pair"),)
+        with pytest.raises(ValueError, match="^malformed schedule document: site must be an"):
+            from_json_dict(to_json_dict(c), linear(3))
 
     def test_init_out_of_range(self):
         g = make_problem_graph(2, [(0, 1)])

@@ -105,10 +105,10 @@ def find_line_embedding(
 ) -> tuple[int, ...] | None:
     """Backtracking search for a chain of `length` distinct coupled qubits.
 
-    length is a plain int from 1 to arch.q, or None for arch.q (a full
-    Hamiltonian path), and budget a plain int of at least 0; anything else
-    raises ValueError.  Neighbors are tried fewest-onward-moves first
-    (Warnsdorff); the seed only perturbs tie order.
+    seed is a plain int, length a plain int from 1 to arch.q, or None for
+    arch.q (a full Hamiltonian path), and budget a plain int of at least 0;
+    anything else raises ValueError.  Neighbors are tried fewest-onward-moves
+    first (Warnsdorff); the seed only perturbs tie order.
     Returns None when the exhausted search proves no such chain exists; raises
     EmbeddingBudgetExceeded after `budget` node expansions, which is an
     "unknown" outcome rather than a proof.  The depth-first search keeps one
@@ -116,6 +116,7 @@ def find_line_embedding(
     longer than the interpreter's recursion limit.
     """
     q = arch.q
+    _check_int(seed, "seed")
     _check_int(budget, "budget", 0)
     target = q if length is None else _check_int(length, "length")
     if not 1 <= target <= q:
@@ -180,7 +181,9 @@ def multi_embeddings(
     """Up to k distinct chains from re-seeded searches (reverses dedup).
 
     The searches stop at the first one that proves no chain exists or
-    exhausts its budget; the chains found before it are returned."""
+    exhausts its budget; the chains found before it are returned.  k is a
+    plain int of at least 1 and seed a plain int."""
+    _check_int(seed, "seed")
     _check_int(k, "k", 1)
     found: list[tuple[int, ...]] = []
     seen = set()

@@ -119,9 +119,10 @@ class SchedulerState:
     of the executable edges, of the SWAPs already chosen and of the
     endpoints parked this round; _route refills it every round.  The
     closer-hop table is the device's own, arch.toward, which every run on
-    arch shares.  paths memoises _shortest_paths by its two end sites for
-    the life of one run only: its lists grow with the pairs a run routes,
-    and kept with the device they would raise peak memory.
+    arch shares.  paths memoises _shortest_paths for the life of one run
+    only, keyed by the int pu * arch.q + pv of its two end sites, so a
+    lookup builds no tuple: its lists grow with the pairs a run routes, and
+    kept with the device they would raise peak memory.
     """
 
     def __init__(self, g: ProblemGraph, arch: Architecture, init: Mapping, remaining: set[Edge]):
@@ -135,7 +136,7 @@ class SchedulerState:
         for u, v in remaining:
             partners[u].add(v)
             partners[v].add(u)
-        self.paths: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self.paths: dict[int, list[tuple[int, ...]]] = {}
 
     def execute(self, edges) -> None:
         """Run `edges`: each leaves `remaining` and its endpoints' partners."""
@@ -213,24 +214,35 @@ def _shortest_paths(
 ) -> list[tuple[int, ...]]:
     # first `limit` shortest paths from s to a distinct t, in lexicographic
     # order (row is toward[t]: row[q] holds the sites one hop closer to t
-    # than q, in sorted arch.adj order), by a depth-first walk on an explicit
-    # stack that no path length limits; every step is closer, so t ends it
+    # than q, in sorted arch.adj order).  Every hop is closer, so every walk
+    # ends at t and no dead end is met.  The first path takes each site's
+    # first hop, noting in forks the positions whose site has more; each
+    # later path takes, at the deepest fork, the hop after the one the path
+    # took there, then first hops again, rewriting the tail of the one list
+    # `path`.  A fork leaves forks once its last hop is taken.  No iterator
+    # per hop, and no path length limits the walk
     out: list[tuple[int, ...]] = []
-    path = [s]
-    stack = [iter(row[s])]
-    while stack:
-        q = next(stack[-1], None)
-        if q is None:
-            stack.pop()
-            path.pop()
-        elif q != t:
+    path: list[int] = []
+    forks: list[int] = []  # positions in path with a hop left, deepest last
+    q = s
+    while True:
+        while q != t:
+            hops = row[q]
+            if len(hops) > 1:
+                forks.append(len(path))
             path.append(q)
-            stack.append(iter(row[q]))
-        else:
-            out.append((*path, t))
-            if len(out) == limit:
-                break
-    return out
+            q = hops[0]
+        path.append(t)
+        out.append(tuple(path))
+        if len(out) == limit or not forks:
+            return out
+        k = forks[-1]
+        hops = row[path[k]]
+        i = hops.index(path[k + 1]) + 1  # a site has a few closer hops at most
+        if i + 1 == len(hops):
+            forks.pop()
+        del path[k + 1 :]
+        q = hops[i]
 
 
 def _first_hops(ss: SwapStrategy) -> tuple[tuple[int, int], ...]:
@@ -265,10 +277,11 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
     other endpoint, so before reading any path a call returns [] unless a
     free endpoint has such a neighbour unblocked, read from the closer-hop
     table state.arch.toward.  Then it builds only the feasible strategies, in
-    path order and then by d1, from the first MAX_PATHS shortest paths
-    memoised in `state`.  A call costs O(deg) when no first hop is free
-    (one C-level superset test per free endpoint) and O(MAX_PATHS * dist)
-    otherwise.
+    path order and then by d1, from the first MAX_PATHS shortest paths,
+    memoised in state.paths under the int pu * arch.q + pv.  A call costs
+    O(deg) when no first hop is free (one C-level superset test per free
+    endpoint) and O(MAX_PATHS * dist) otherwise; a memo miss adds one walk
+    of O(MAX_PATHS * dist) list writes.
     """
     u, v = edge
     pu, pv = state.pi[u], state.pi[v]
@@ -282,9 +295,10 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
         or (pv_free and not blocked.issuperset(toward[pu][pv]))
     ):
         return []
-    paths = state.paths.get((pu, pv))
+    key = pu * state.arch.q + pv
+    paths = state.paths.get(key)
     if paths is None:
-        paths = state.paths[pu, pv] = _shortest_paths(toward[pv], pu, pv, MAX_PATHS)
+        paths = state.paths[key] = _shortest_paths(toward[pv], pu, pv, MAX_PATHS)
     closer = dist - 1
     new = tuple.__new__  # a record straight from its fields, as in _route
     out = []
@@ -382,9 +396,9 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
     free endpoint has a free neighbour one hop closer to the other endpoint
     (the closer-hop table makes that one C-level superset test per free
     endpoint, so a dead edge is still visited but builds nothing), a lone
-    strategy is not scored, and a lone lowest score skips the
-    bystander-delta tie-break.  A round that adds no gate raises
-    RuntimeError rather than loop.
+    strategy is not scored, a lone lowest score skips the bystander-delta
+    tie-break, and a lone least delta skips the hop keys.  A round that
+    adds no gate raises RuntimeError rather than loop.
     """
     n, dist = state.g.n, state.arch.dist
     nn = n * n
@@ -440,20 +454,24 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
                 best = tied[0]
                 # the bystander delta only breaks score ties, so only ties
                 # pay for it; then the hops, d1 and each endpoint's own
-                # path, the first of least key winning
+                # path, the first of least key winning.  Those keys are
+                # built only for the strategies tied on the least delta
                 if len(tied) > 1:
-                    least = None
+                    calm = []  # the tied strategies of least delta, in order
                     for ss in tied:
-                        path, d1 = ss.path, ss.d1
-                        key = (
-                            _bystander_delta(ss, state),
-                            _first_hops(ss),
-                            d1,
-                            path[: d1 + 1],
-                            path[:d1:-1],
-                        )
-                        if least is None or key < least:
-                            best, least = ss, key
+                        delta = _bystander_delta(ss, state)
+                        if not calm or delta < low:
+                            low, calm = delta, [ss]
+                        elif delta == low:
+                            calm.append(ss)
+                    best = calm[0]
+                    if len(calm) > 1:
+                        least = None
+                        for ss in calm:
+                            path, d1 = ss.path, ss.d1
+                            key = (_first_hops(ss), d1, path[: d1 + 1], path[:d1:-1])
+                            if least is None or key < least:
+                                best, least = ss, key
             hops = _first_hops(best)
             for a, b in hops:
                 cycle.append(new(Gate, (SWAP, a, b, None)))

@@ -608,6 +608,9 @@ INT_PARAMETERS = {
                                    1, True),
     "find_line_embedding budget": (lambda v: find_line_embedding(linear(1), budget=v), "budget",
                                    0, True),
+    "find_line_embedding seed": (lambda v: find_line_embedding(linear(1), seed=v), "seed", -1,
+                                 False),
+    "multi_embeddings seed": (lambda v: multi_embeddings(linear(6), 1, seed=v), "seed", -1, False),
     "meet_cycle n": (lambda v: meet_cycle(v, 0, 1), "n", 2, True),
     "meet_cycle pos_a": (lambda v: meet_cycle(6, v, 2), "pos_a", 0, True),
     "meet_cycle pos_b": (lambda v: meet_cycle(6, 2, v), "pos_b", 0, True),

@@ -799,11 +799,15 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
     # each against the choice it serves: no enumeration for an edge unless
     # a free endpoint has an unblocked neighbour one hop closer to the other
     # endpoint, no score for a lone strategy, no bystander delta unless two
-    # or more strategies tie on the lowest score
+    # or more strategies tie on the lowest score, and no first hops but the
+    # chosen strategy's and, where two or more of those ties also tie on
+    # the least delta, theirs
     S = ctagsched.scheduler
     real_enumerate, real_score = S.enumerate_swap_strategies, S.score_strategy
     real_delta, real_paths = S._bystander_delta, S._shortest_paths
+    real_hops = S._first_hops
     found = {}  # edge -> the strategies its latest enumeration returned
+    keyed = {}  # edge -> those its decision may build hop keys for
     calls = Counter()
 
     def enumerate_(edge, state):
@@ -816,6 +820,17 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
             for a, b in ((pu, pv), (pv, pu))
         )
         found[edge] = real_enumerate(edge, state)
+        if found[edge]:
+            # one decision follows: its chosen strategy's first hops, plus
+            # a key per strategy tied on the least score and least delta
+            scores = [real_score(x, state) for x in found[edge]]
+            tied = [x for x, sc in zip(found[edge], scores) if sc == min(scores)]
+            deltas = [real_delta(x, state) for x in tied]
+            calm = [x for x, d in zip(tied, deltas) if d == min(deltas)]
+            keyed[edge] = calm if len(calm) > 1 else calm[:1]
+            calls["expected hops"] += 1 + len(calm) * (len(calm) > 1)
+            if len(tied) > 1:  # the hop keys the least delta made needless
+                calls["spared hops"] += len(tied) - len(calm) * (len(calm) > 1)
         return found[edge]
 
     def score(ss, state):
@@ -834,10 +849,16 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
         calls["paths"] += 1
         return real_paths(*args)
 
+    def hops(ss):
+        calls["hops"] += 1
+        assert ss in keyed[ss.edge]
+        return real_hops(ss)
+
     monkeypatch.setattr(S, "enumerate_swap_strategies", enumerate_)
     monkeypatch.setattr(S, "score_strategy", score)
     monkeypatch.setattr(S, "_bystander_delta", delta)
     monkeypatch.setattr(S, "_shortest_paths", paths)
+    monkeypatch.setattr(S, "_first_hops", hops)
     g = random_graph(20, 0.3, 5)
     arch = make_architecture("grid:4x5")
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
@@ -846,6 +867,8 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
     assert 0 < calls["score"] <= 436  # the parent made 436
     assert 0 < calls["delta"] <= 198  # the parent made 198
     assert 0 < calls["paths"] <= 275  # the parent made 275
+    assert calls["hops"] == calls["expected hops"]
+    assert calls["spared hops"] > 0  # the least delta narrows some ties
 
 
 def test_round_without_progress_raises(monkeypatch):
@@ -1773,6 +1796,15 @@ def test_closer_hop_rows_equal_the_filtered_adjacency_on_devices(spec):
 
 @settings(max_examples=100, deadline=None)
 @given(connected_devices(), st.integers(1, 6))
+# the corner-to-corner pair 0 -> 15 of grid(4, 4) has 20 shortest paths;
+# its second to seventh leave the one before at sites 2, 6, 10, 1, 6 and
+# 10, one to four hops from the start.  ibm27's two shortest paths from 10
+# to 26 share their first hop and fork at site 12 (49 of its ordered pairs
+# fork after the first hop)
+@example((make_problem_graph(1, []), grid(4, 4)), 1)
+@example((make_problem_graph(1, []), grid(4, 4)), 4)
+@example((make_problem_graph(1, []), grid(4, 4)), 7)
+@example((make_problem_graph(1, []), make_architecture("ibm27")), 2)
 def test_shortest_paths_match_the_recursive_walk(drawn, limit):
     _, arch = drawn
     toward = _Toward(arch)

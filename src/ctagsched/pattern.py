@@ -126,6 +126,13 @@ def _trim(cycles) -> tuple[tuple[Gate, ...], ...]:
     return tuple(cycles[: last + 1])
 
 
+def _check_positions(g: ProblemGraph, m: Mapping, name: str) -> None:
+    # a pattern's mapping places each of g's vertices on a chain position
+    n = g.n
+    if m.n != n or any(not 0 <= p < n for p in m.pi):
+        raise ValueError(f"{name} must place g's vertices onto positions 0..n-1")
+
+
 def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
     """Each cycle of the clique pattern laid on `chain` in arch and
     restricted to g's edges under init, one per layer of the stream and
@@ -141,8 +148,7 @@ def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
     n = g.n
     if len(chain) != n or not arch.is_chain(chain):
         raise ValueError(f"chain must be {n} distinct coupled sites of {arch.name}")
-    if init.n != n or any(not 0 <= p < n for p in init.pi):
-        raise ValueError("init must map g's vertices onto positions 0..n-1")
+    _check_positions(g, init, "init")
     occ = sorted(range(n), key=init.pi.__getitem__)  # occ[position] = logical qubit
     edges = g.edges
     # link[p]: the sites of chain positions p and p + 1, smaller first

@@ -49,6 +49,7 @@ from ctagsched.pattern import (
     SWAP,
     Gate,
     ScheduledCircuit,
+    _check_positions,
     _layer_stream,
     _meet_counts,
     _pattern_cycles,
@@ -169,9 +170,8 @@ def partial_pattern_cycles(g: ProblemGraph, mapping: Mapping, threshold: float) 
     first layer gives 0.
     """
     _check_threshold(threshold)
+    _check_positions(g, mapping, "mapping")
     n = g.n
-    if mapping.n != n or any(not 0 <= p < n for p in mapping.pi):
-        raise ValueError("mapping must place g's vertices onto positions 0..n-1")
     bar = threshold * (n // 2)
     fired = _meet_counts(g, mapping)
     k = 0
@@ -273,32 +273,24 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
     So only four sites can block a strategy: the first endpoint's site pu and
     path[1] when it moves (d1 > 0), the second's pv and path[-2] when it moves
     (d1 < dist - 1).  The two first hops never share a site: at distance 2
-    only one endpoint moves.  path[1] and path[-2] step one hop closer to the
-    other endpoint, so before reading any path a call returns [] unless a
-    free endpoint has such a neighbour unblocked, read from the closer-hop
-    table state.arch.toward.  Then it builds only the feasible strategies, in
-    path order and then by d1, from the first MAX_PATHS shortest paths,
-    memoised in state.paths under the int pu * arch.q + pv.  A call costs
-    O(deg) when no first hop is free (one C-level superset test per free
-    endpoint) and O(MAX_PATHS * dist) otherwise; a memo miss adds one walk
-    of O(MAX_PATHS * dist) list writes.
+    only one endpoint moves.  The call builds only the feasible strategies,
+    in path order and then by d1, from the first MAX_PATHS shortest paths,
+    memoised in state.paths under the int pu * arch.q + pv, so it costs
+    O(MAX_PATHS * dist); a memo miss adds one walk of O(MAX_PATHS * dist)
+    list writes.  An edge with no free first hop gets [] at that cost: _route
+    tests for one before it calls, and a direct caller pays the memoised walk.
     """
     u, v = edge
     pu, pv = state.pi[u], state.pi[v]
     dist = state.arch.dist[pu][pv]
     if dist < 2:
         raise ValueError("edge is already executable")
-    blocked, toward = state.blocked, state.arch.toward
+    blocked = state.blocked
     pu_free, pv_free = pu not in blocked, pv not in blocked
-    if not (
-        (pu_free and not blocked.issuperset(toward[pv][pu]))
-        or (pv_free and not blocked.issuperset(toward[pu][pv]))
-    ):
-        return []
     key = pu * state.arch.q + pv
     paths = state.paths.get(key)
     if paths is None:
-        paths = state.paths[key] = _shortest_paths(toward[pv], pu, pv, MAX_PATHS)
+        paths = state.paths[key] = _shortest_paths(state.arch.toward[pv], pu, pv, MAX_PATHS)
     closer = dist - 1
     new = tuple.__new__  # a record straight from its fields, as in _route
     out = []
@@ -370,6 +362,13 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
     return delta
 
 
+def _hop_key(ss: SwapStrategy, state: SchedulerState) -> tuple:
+    # the last tie-break: the first hops, d1, then each endpoint's own
+    # path; state is unused, taken to share the signature of the other costs
+    path, d1 = ss.path, ss.d1
+    return (_first_hops(ss), d1, path[: d1 + 1], path[:d1:-1])
+
+
 def _apply_swaps(state: SchedulerState, hops) -> None:
     # move the qubits on each hop's sites, keeping state.inv in step
     pi, inv = state.pi, state.inv
@@ -392,13 +391,16 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
     round starts state.blocked from the executable edges' sites and adds
     each chosen strategy's SWAP sites and its parked endpoints' sites.
 
-    Only open choices are paid for: a far edge is not enumerated unless a
-    free endpoint has a free neighbour one hop closer to the other endpoint
-    (the closer-hop table makes that one C-level superset test per free
-    endpoint, so a dead edge is still visited but builds nothing), a lone
-    strategy is not scored, a lone lowest score skips the bystander-delta
-    tie-break, and a lone least delta skips the hop keys.  A round that
-    adds no gate raises RuntimeError rather than loop.
+    Only open choices are paid for.  A far edge is enumerated only if a free
+    endpoint has a free neighbour one hop closer to the other endpoint: this
+    is the one place that test is made, one C-level superset test on the
+    closer-hop table per free endpoint, so a dead edge is still visited but
+    builds nothing and walks no path.  The best strategy is the first of
+    least (score, bystander delta, hop key), and each cost is computed only
+    for the strategies tied on all before it: a lone strategy is not
+    scored, a lone lowest score skips the delta, and a lone least delta
+    skips the hop keys.  A round that adds no gate raises RuntimeError
+    rather than loop.
     """
     n, dist = state.g.n, state.arch.dist
     nn = n * n
@@ -442,36 +444,22 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
             strategies = enumerate_swap_strategies((u, v), state)
             if not strategies:
                 continue  # deferred; constraints reset next cycle
-            best = strategies[0]
-            if len(strategies) > 1:
+            # the first of least (score, bystander delta, hop key): each cost
+            # is paid only by the strategies tied on every cost before it,
+            # and by none once one is left.  The tuple is built here, not
+            # once, so a rebound module name is the one called
+            for cost in (score_strategy, _bystander_delta, _hop_key):
+                if len(strategies) == 1:
+                    break
                 tied = []
                 for ss in strategies:
-                    score = score_strategy(ss, state)
-                    if not tied or score < low:
-                        low, tied = score, [ss]
-                    elif score == low:
+                    c = cost(ss, state)
+                    if not tied or c < low:
+                        low, tied = c, [ss]
+                    elif c == low:
                         tied.append(ss)
-                best = tied[0]
-                # the bystander delta only breaks score ties, so only ties
-                # pay for it; then the hops, d1 and each endpoint's own
-                # path, the first of least key winning.  Those keys are
-                # built only for the strategies tied on the least delta
-                if len(tied) > 1:
-                    calm = []  # the tied strategies of least delta, in order
-                    for ss in tied:
-                        delta = _bystander_delta(ss, state)
-                        if not calm or delta < low:
-                            low, calm = delta, [ss]
-                        elif delta == low:
-                            calm.append(ss)
-                    best = calm[0]
-                    if len(calm) > 1:
-                        least = None
-                        for ss in calm:
-                            path, d1 = ss.path, ss.d1
-                            key = (_first_hops(ss), d1, path[: d1 + 1], path[:d1:-1])
-                            if least is None or key < least:
-                                best, least = ss, key
+                strategies = tied
+            best = strategies[0]
             hops = _first_hops(best)
             for a, b in hops:
                 cycle.append(new(Gate, (SWAP, a, b, None)))
@@ -492,8 +480,9 @@ def _line_orders(
 ) -> tuple[tuple[int, ...], ...]:
     """Up to `count` chains of n coupled sites to lay the pattern on, best
     first: the built-in chain of the device's name where arch couples it (a
-    coupling file may carry a built-in name such as ibm20 or grid:4x5), then
-    a search for `count` chains, which runs only if it is still needed.
+    coupling file may carry a built-in name such as ibm20 or grid:4x5; a
+    grid:RxC name has one only when R * C is arch.q), then a search for
+    `count` chains, which runs only if it is still needed.
 
     Found once per device: the result, () included, is kept in arch.chains
     under (n, seed, count), and a later call with the same key returns it."""
@@ -509,8 +498,10 @@ def _line_orders(
         except ValueError:
             pass  # a name no grid spec parses to has no built-in chain
         else:
-            # a 1xN grid is already a line
-            chain = hilbert_embedding(*shape) if min(shape) >= 2 else tuple(range(arch.q))
+            # only a grid of arch's own size has its chain built, so a name
+            # of another size costs no curve; a 1xN grid is already a line
+            if shape[0] * shape[1] == arch.q:
+                chain = hilbert_embedding(*shape) if min(shape) >= 2 else tuple(range(arch.q))
     elif arch.name in ("ibm20", "ibm27"):
         chain = device_embedding(arch.name)
     out = [chain[:n]] if len(chain) >= n and arch.is_chain(chain[:n]) else []

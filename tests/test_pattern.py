@@ -152,7 +152,7 @@ class TestPrunePattern:
         assert prune_pattern(g, identity_mapping(7), linear(7), range(7)).depth <= 12
 
     def test_rejects_non_surjective_init(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="init must place g's vertices onto positions 0..n-1"):
             prune_pattern(clique(2), Mapping((0, 2)), linear(2), range(2))
 
     @pytest.mark.parametrize(

@@ -119,7 +119,7 @@ class TestPartialPatternCycles:
     def test_mapping_validation(self):
         from ctagsched.graphs import Mapping
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mapping must place g's vertices onto positions 0..n-1"):
             partial_pattern_cycles(clique(3), Mapping((0, 1, 5)), 0.5)
 
 
@@ -246,18 +246,17 @@ class TestSwapStrategies:
 
     def test_blocked_first_hops_skip_the_path_walk(self):
         # corners 0 and 8 of a 3x3 grid are free, but each one's two
-        # neighbours toward the other are blocked: no strategy can start,
-        # and the shortest paths are never walked
+        # neighbours toward the other are blocked: no strategy can start.
+        # The path walk is skipped by _route's first-hop test, not here
+        # (test_round_engine_pays_only_for_open_choices holds _route to it)
         arch = grid(3, 3)
         g = make_problem_graph(9, [(0, 8)])
         st = SchedulerState(g, arch, identity_mapping(9), set(g.edges))
         st.blocked.update({1, 5})
         st.blocked.update({3, 7})
         assert enumerate_swap_strategies((0, 8), st) == []
-        assert st.paths == {}
         st.blocked.discard(7)
         assert enumerate_swap_strategies((0, 8), st) != []
-        assert st.paths != {}
 
 
 class TestScoreStrategy:
@@ -610,6 +609,48 @@ class TestPartnerSets:
         assert not any(state.partners)
         assert len(rounds) == len(tail)
         assert sum(rounds) == len(g.edges) - len(ran)
+
+
+@st.composite
+def blocked_route_states(draw):
+    # a route_inputs state after its prefix, with a drawn share of the
+    # device's sites blocked
+    g, arch, init, prefix = draw(route_inputs())
+    state = SchedulerState(g, arch, *replay_start(g, init, prefix))
+    share, rng = draw(st.floats(0.0, 1.0)), draw(st.randoms(use_true_random=False))
+    state.blocked = {p for p in range(arch.q) if rng.random() < share}
+    return state
+
+
+def dead_corners():
+    # corners 0 and 8 of a 3x3 grid, each one's neighbours toward the other
+    # blocked
+    g = make_problem_graph(9, [(0, 8)])
+    state = SchedulerState(g, grid(3, 3), identity_mapping(9), set(g.edges))
+    state.blocked = {1, 3, 5, 7}
+    return state
+
+
+class TestDeadEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_route_states())
+    @example(dead_corners())
+    def test_an_edge_with_no_free_first_hop_has_no_strategy(self, state):
+        # _route enumerates a far edge only if a free endpoint has a free
+        # neighbour one hop closer to the other endpoint, and
+        # enumerate_swap_strategies makes no such test of its own: on an
+        # edge that fails it, every path's first hops are blocked
+        dist, adj, blocked = state.arch.dist, state.arch.adj, state.blocked
+        for u, v in sorted(state.remaining):
+            pu, pv = state.pi[u], state.pi[v]
+            if dist[pu][pv] < 2:
+                continue
+            if not any(
+                a not in blocked
+                and any(dist[b][x] == dist[b][a] - 1 and x not in blocked for x in adj[a])
+                for a, b in ((pu, pv), (pv, pu))
+            ):
+                assert enumerate_swap_strategies((u, v), state) == []
 
 
 class TestScheduleEndToEnd:
@@ -994,6 +1035,23 @@ def test_a_grid_name_no_spec_parses_has_no_built_in_chain(monkeypatch, name):
     chains = _line_orders(arch, 12, 0, 1)
     assert calls == [1]
     assert chains == tuple(real(arch, 1, seed=0, length=12)) and arch.is_chain(chains[0])
+
+
+@pytest.mark.parametrize("name", ["grid:1500x1500", "grid:3x3", "grid:1x5"])
+def test_a_grid_name_of_another_size_builds_no_curve(monkeypatch, name):
+    # a name whose R x C is not the device's site count names no built-in
+    # chain: no Hilbert curve is built for it, and the device schedules as
+    # one with a name of no meaning does
+    def curve(*shape):
+        raise AssertionError(f"hilbert_embedding{shape} called")
+
+    monkeypatch.setattr(ctagsched.scheduler, "hilbert_embedding", curve)
+    couplings = grid(2, 3).couplings
+    arch, custom = Architecture(6, couplings, name), Architecture(6, couplings, "custom")
+    g = random_graph(6, 0.5, 1)
+    assert _line_orders(arch, 6, 0) == _line_orders(custom, 6, 0)
+    c, ref = schedule(g, arch), schedule(g, custom)
+    assert (c.cycles, c.init) == (ref.cycles, ref.init)
 
 
 def test_ctag_i_iso_searches_under_the_configured_beam_and_seed(monkeypatch):

@@ -109,21 +109,20 @@ def _check_threshold(threshold) -> None:
 class SchedulerState:
     """Mutable context threaded through the heuristic rounds.
 
-    Built from the starting Mapping `init` and the edges still to run.
-    pi[logical] is the site each qubit is on now and inv its site -> logical
-    inverse; _apply_swaps moves both in place.  partners[x] holds the qubits
-    x still shares a remaining edge with, built from `remaining` once, so
-    it costs O(n + len(remaining)); execute() is the one place an edge runs
+    Built from the starting Mapping `init`, which must place g's n qubits
+    on sites of arch (else ValueError), and the edges still to run.
+    pi[logical] is the site each qubit is on now, and inv is a list of
+    arch.q slots: inv[s] is the qubit on site s, or None.  _apply_swaps
+    moves both in place.  partners[x] holds the qubits x still shares a
+    remaining edge with, built from `remaining` once, so it costs
+    O(q + n + len(remaining)); execute() is the one place an edge runs
     and drops it from `remaining` and both partner sets, so a walk over
     partners[x] costs x's remaining degree, which shrinks over the run.
     blocked holds the sites the current cycle's SWAPs may not touch: those
     of the executable edges, of the SWAPs already chosen and of the
     endpoints parked this round; _route refills it every round.  The
     closer-hop table is the device's own, arch.toward, which every run on
-    arch shares.  paths memoises _shortest_paths for the life of one run
-    only, keyed by the int pu * arch.q + pv of its two end sites, so a
-    lookup builds no tuple: its lists grow with the pairs a run routes, and
-    kept with the device they would raise peak memory.
+    arch shares.
     """
 
     def __init__(self, g: ProblemGraph, arch: Architecture, init: Mapping, remaining: set[Edge]):
@@ -131,13 +130,16 @@ class SchedulerState:
         self.arch = arch
         self.remaining = remaining
         self.blocked: set[int] = set()
-        self.pi = list(init.pi)
-        self.inv = init.inverse()
+        if init.n != g.n or not all(0 <= p < arch.q for p in init.pi):
+            raise ValueError(f"init must place {g.n} qubits on sites 0..{arch.q - 1} of {arch.name}")
+        self.pi = pi = list(init.pi)
+        self.inv = inv = [None] * arch.q
+        for l, p in enumerate(pi):
+            inv[p] = l
         self.partners = partners = [set() for _ in range(g.n)]
         for u, v in remaining:
             partners[u].add(v)
             partners[v].add(u)
-        self.paths: dict[int, list[tuple[int, ...]]] = {}
 
     def execute(self, edges) -> None:
         """Run `edges`: each leaves `remaining` and its endpoints' partners."""
@@ -275,10 +277,9 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
     (d1 < dist - 1).  The two first hops never share a site: at distance 2
     only one endpoint moves.  The call builds only the feasible strategies,
     in path order and then by d1, from the first MAX_PATHS shortest paths,
-    memoised in state.paths under the int pu * arch.q + pv, so it costs
-    O(MAX_PATHS * dist); a memo miss adds one walk of O(MAX_PATHS * dist)
-    list writes.  An edge with no free first hop gets [] at that cost: _route
-    tests for one before it calls, and a direct caller pays the memoised walk.
+    which each call walks afresh, so it costs O(MAX_PATHS * dist).  An edge
+    with no free first hop gets [] at that cost: _route tests for one before
+    it calls, and a direct caller pays the walk.
     """
     u, v = edge
     pu, pv = state.pi[u], state.pi[v]
@@ -287,14 +288,10 @@ def enumerate_swap_strategies(edge: Edge, state: SchedulerState) -> list[SwapStr
         raise ValueError("edge is already executable")
     blocked = state.blocked
     pu_free, pv_free = pu not in blocked, pv not in blocked
-    key = pu * state.arch.q + pv
-    paths = state.paths.get(key)
-    if paths is None:
-        paths = state.paths[key] = _shortest_paths(state.arch.toward[pv], pu, pv, MAX_PATHS)
     closer = dist - 1
     new = tuple.__new__  # a record straight from its fields, as in _route
     out = []
-    for path in paths:
+    for path in _shortest_paths(state.arch.toward[pv], pu, pv, MAX_PATHS):
         lo = 0 if pv_free and path[-2] not in blocked else closer
         hi = dist if pu_free and path[1] not in blocked else 1
         for d1 in range(lo, hi):
@@ -330,8 +327,8 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
 
     Breaks score ties toward strategies that park bystanders closer to their
     own partners.  Edges touching the routed edge's endpoints do not count.
-    Walks the partner sets of the moved qubits and reads the maintained
-    inverse map, so a call costs O(dist) plus the moved qubits' remaining
+    Walks the partner sets of the moved qubits and reads the site list
+    state.inv, so a call costs O(dist) plus the moved qubits' remaining
     degrees, O(dist * deg) at most.
     """
     u, v = ss.edge
@@ -340,7 +337,7 @@ def _bystander_delta(ss: SwapStrategy, state: SchedulerState) -> int:
     # each SWAP carries the qubit it meets one hop against its endpoint's way
     moved: dict[int, int] = {}
     for k in range(1, len(path) - 1):
-        l = inv.get(path[k])
+        l = inv[path[k]]
         if l is not None:
             moved[l] = path[k - 1] if k <= d1 else path[k + 1]
     if not moved:
@@ -370,16 +367,15 @@ def _hop_key(ss: SwapStrategy, state: SchedulerState) -> tuple:
 
 
 def _apply_swaps(state: SchedulerState, hops) -> None:
-    # move the qubits on each hop's sites, keeping state.inv in step
+    # exchange the qubits on each hop's two sites, keeping state.pi in step
     pi, inv = state.pi, state.inv
     for a, b in hops:
-        la, lb = inv.pop(a, None), inv.pop(b, None)
+        la, lb = inv[a], inv[b]
+        inv[a], inv[b] = lb, la
         if la is not None:
             pi[la] = b
-            inv[b] = la
         if lb is not None:
             pi[lb] = a
-            inv[a] = lb
 
 
 def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, ...], ...] | None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from ctagsched.graphs import Architecture, Mapping, ProblemGraph
+from ctagsched.graphs import Architecture, Mapping, ProblemGraph, _check_int
 from ctagsched.pattern import CPHASE, SWAP, ScheduledCircuit
 
 # Baseline compile time (seconds) and decomposed depth reported for QAIM_IC
@@ -131,7 +131,9 @@ def metrics(c: ScheduledCircuit, n: int) -> Metrics:
 
     CPHASE and SWAP each decompose to 3 cycles / 3 elementary gates; the +2
     covers the Hadamard layer and the RX rotation layer, the +2n their gates.
+    n is the qubit count, a plain int of at least 1.
     """
+    _check_int(n, "n", 1)
     cp = c.cphase_count
     sw = c.swap_count
     d = len(c.cycles)

@@ -617,6 +617,7 @@ INT_PARAMETERS = {
     "shortest_dist a": (lambda v: shortest_dist(linear(5), v, 0), "a", 0, True),
     "shortest_dist b": (lambda v: shortest_dist(linear(5), 0, v), "b", 0, True),
     "bench --jobs": (_bench_with_jobs, "--jobs", 1, True),
+    "metrics n": (lambda v: metrics(generate_clique_pattern(6), v), "n", 1, True),
 }
 
 BAD_INTS = st.one_of(
@@ -638,6 +639,8 @@ BAD_INTS = st.one_of(
 @example(case="meet_cycle pos_a", bad=1.0)
 @example(case="hilbert_embedding rows", bad=2.0)
 @example(case="multi_embeddings k", bad=1.5)
+@example(case="metrics n", bad=2.5)
+@example(case="metrics n", bad=True)
 def test_integer_parameter_refuses_every_other_value(case, bad):
     # a float, a bool, a str or None is a ValueError that names the
     # parameter, never a TypeError, a KeyError, an IndexError or a result;

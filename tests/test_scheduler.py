@@ -422,7 +422,7 @@ class TestRoundEngineMatchesReference:
                 assert _first_hops(ss) == ref_first_hops(ss)
                 assert score_strategy(ss, state) == ref_score(ss, state)
                 assert _bystander_delta(ss, state) == ref_bystander_delta(ss, state)
-            # cached paths give the same list on a second call
+            # a second call walks the paths again and gives the same list
             assert enumerate_swap_strategies(e, state) == ref
 
     @settings(max_examples=100, deadline=None)
@@ -459,7 +459,8 @@ class TestRoundEngineMatchesReference:
             expect = ref_apply_swaps(Mapping(tuple(state.pi)), hops)
             _apply_swaps(state, hops)
             assert Mapping(tuple(state.pi)) == expect
-            assert state.inv == expect.inverse()
+            inverse = expect.inverse()
+            assert state.inv == [inverse.get(s) for s in range(state.arch.q)]
 
 
 def ref_run_rounds(state):
@@ -585,6 +586,15 @@ def assert_partners_follow_remaining(state):
     assert state.partners == adj
 
 
+def assert_inv_follows_pi(state):
+    # inv[s] is the qubit on site s for every one of the device's sites,
+    # None where no qubit is
+    inv = [None] * state.arch.q
+    for x, p in enumerate(state.pi):
+        inv[p] = x
+    assert state.inv == inv
+
+
 class TestPartnerSets:
     @settings(max_examples=120, deadline=None)
     @given(route_inputs())
@@ -600,15 +610,27 @@ class TestPartnerSets:
             def execute(self, edges):
                 super().execute(edges)
                 assert_partners_follow_remaining(self)
+                assert_inv_follows_pi(self)
                 rounds.append(len(edges))
 
         state = Checked(g, arch, *replay_start(g, init, prefix))
         assert state.remaining == set(g.edges) - ran
         assert_partners_follow_remaining(state)
+        assert_inv_follows_pi(state)
         tail = _route(state)
         assert not any(state.partners)
+        assert_inv_follows_pi(state)
         assert len(rounds) == len(tail)
         assert sum(rounds) == len(g.edges) - len(ran)
+
+
+@pytest.mark.parametrize("pi", [(0, -1, 2), (0, 7, 2), (0, 1)])
+def test_state_refuses_an_init_off_the_device(pi):
+    # a negative site would fill the last site's slot of inv, a site past
+    # the device or a qubit left unplaced would fail inside _route
+    g = make_problem_graph(3, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(ValueError, match=r"^init must place 3 qubits on sites 0\.\.4 of linear:5$"):
+        SchedulerState(g, linear(5), Mapping(pi), set(g.edges))
 
 
 @st.composite
@@ -904,10 +926,12 @@ def test_round_engine_pays_only_for_open_choices(monkeypatch):
     arch = make_architecture("grid:4x5")
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
     assert verify(c, g, arch).ok
-    assert 0 < calls["enumerate"] <= 337  # the parent made 809
+    assert 0 < calls["enumerate"] <= 337  # the parent made 337
     assert 0 < calls["score"] <= 436  # the parent made 436
     assert 0 < calls["delta"] <= 198  # the parent made 198
-    assert 0 < calls["paths"] <= 275  # the parent made 275
+    # one path walk per enumeration, so none for a dead edge (the parent,
+    # which kept a memo per run, made 275)
+    assert calls["paths"] == calls["enumerate"]
     assert calls["hops"] == calls["expected hops"]
     assert calls["spared hops"] > 0  # the least delta narrows some ties
 

@@ -76,9 +76,10 @@ def cmd_schedule(
     metrics_path = prefix + ".metrics.json"
     with open(text_path, "w") as fh:
         fh.write(to_text(c))
+    # one write of the whole document: json.dump under indent hands the file
+    # each of its many small chunks on its own
     with open(json_path, "w") as fh:
-        json.dump(to_json_dict(c), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(to_json_dict(c), indent=2) + "\n")
     doc = mx | {
         "strategy": cfg.strategy,
         "compile_time_ms": round(secs * 1000, 3),

@@ -12,16 +12,21 @@ reads those neighbours' meet rows for every free position.  A wide level
 rejects positions with bit operations instead: _MeetMasks holds, for a
 working cycle T, the positions that each position meets after T, so one OR
 over the neighbours' masks drops every position that would cost more than
-T, and only the rest are scored exactly.  Once every parent of a level
-costs the pattern's last cycle, the search is settled and stops scoring
-(see astar_initial_mapping).
+T, and only the rest are scored exactly, by a walk down a partner row.
+The masks follow one search's T and are its only per-search cost; the
+pair arrays that move T and the partner rows are facts of n alone, built
+whole once per n (_mask_tables) at the first wide level that needs them
+and shared by every later search.  Once every parent of a level costs the
+pattern's last cycle, the search is settled and stops scoring (see
+astar_initial_mapping).
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heappush, heapreplace
 from itertools import islice
 from operator import itemgetter, or_
+from typing import NamedTuple
 
 from ctagsched.graphs import Mapping, ProblemGraph, _check_int, random_initial_mapping
 from ctagsched.pattern import _meet_table, _meets
@@ -40,14 +45,16 @@ __all__ = [
 ISO_NODE_BUDGET = 100_000
 
 # Placed neighbours from which a level of astar_initial_mapping takes the
-# mask path.  On one x86-64 core (Python 3.11), over the graphs on which the
-# line-dense benchmark runs astar (n = 100-200, density 0.3-1.0), a cutoff
-# of 16 ran 3% faster than 24 and one of 32 5% slower; but at 16,
-# random_graph(200, 0.1) ran 14% slower than on rows alone, against 1% at
-# 24, as building the masks costs about n*n steps and few of its levels
-# are wide.  The route-sparse and cli-cold graphs (n <= 49) have at most 13
-# placed neighbours per level, so they never take the mask path.
-WIDE_LEVEL = 24
+# mask path.  A wide level pays a flip per pair of each cycle that T
+# crosses and a partner walk per survivor, where a narrow one reads a meet
+# row per neighbour for every free position, so the masks gain as the
+# neighbours grow.  On one x86-64 core (Python 3.11), summing the min of 7
+# calls over the astar calls schedule() makes on the line-dense benchmark's
+# graphs (seeds 1-2, n = 100-200), a cutoff of 8 ran 15-17% faster than 24,
+# and 4 and 1 only 4-6% and 6-7% faster than 8; on the route-sparse
+# graphs (n <= 49, at most 13 placed neighbours per level) 8 ran within
+# 1.5% of 24, where 6, 4 and 1 ran 3-4%, 9% and 15-16% slower than 8.
+WIDE_LEVEL = 8
 
 
 def _search_order(g: ProblemGraph) -> tuple[list[int], list[list[int]]]:
@@ -108,7 +115,7 @@ def astar_initial_mapping(
     - A wide level guesses a cycle T: the lowest parent cost plus the last
       level's slack, from that level's lowest parent cost to its worst kept
       child.  Masks drop every child that would cost more than T; the rest
-      are scored exactly through _MeetMasks.partners.  If the heap ends
+      are scored exactly by a walk down their partner rows.  If the heap ends
       short of `beam` while T dropped a child, T rises and the level adds
       the children it now admits.
 
@@ -152,8 +159,9 @@ def astar_initial_mapping(
             # is at least every parent's cost
             guess = low + max(node[1] for node in parents) - last_low
             if masks is None:
-                masks = _MeetMasks(table, bits, guess)
-            heap = _masked_children(parents, nbrs[k], masks, salt, beam, guess)
+                tables = _mask_tables(n)
+                masks = _MeetMasks(tables.pairs, bits, guess)
+            heap = _masked_children(parents, nbrs[k], tables, masks, bits, salt, beam, guess)
         else:
             heap = _scanned_children(parents, nbrs[k], table, salt, cap)
         last_low = low
@@ -210,47 +218,76 @@ def _scanned_children(parents: list[_Node], nbrs: list[int], table, salt, cap) -
     return heap
 
 
-class _MeetMasks:
-    """The meet table as bit masks over start positions, at a working cycle T.
+def _frozen(values, n: int):
+    # entries are positions 0..n: bytes while they fit, else a read-only
+    # view of 16-bit entries, so a shared table cannot be written
+    if n < 256:
+        return bytes(values)
+    from array import array  # only a search at n >= 256 needs it
 
-    above[q] holds the positions that meet q after cycle T, and bits[p] is
-    the bit of position p.  A qubit meets one partner per cycle, so each
-    row of the table has distinct values, and moving T by one cycle flips
-    only the pairs that meet at that cycle.  Everything is built per search
-    and kept compact: pairs as arrays of positions, and partner rows as
-    arrays filled for a position the first time its exact cost is needed.
+    return memoryview(array("H", values)).toreadonly()
+
+
+class _MaskTables(NamedTuple):
+    """The facts of n that the mask path reads, built whole by _mask_tables
+    at the first wide level of a search on n and shared, never written, by
+    every later search and thread.
+
+    table is _meet_table(n).  pairs[c] holds the start positions on the
+    pairs of cycle c in chain order, so consecutive entries meet at c
+    (empty at a SWAP cycle), from the one walk of the pattern's layers that
+    fills the meet table.  who[p] is p's partner at each cycle, n where it
+    meets no one; its last entry, past the top, is p itself.
     """
 
-    def __init__(self, table, bits: list[int], T: int):
-        from array import array  # only a search with a wide level needs it
+    table: tuple[tuple[int, ...], ...]
+    pairs: tuple
+    who: tuple
 
-        n = len(table)
-        self.table, self.bits = table, bits
-        self.top = 2 * n - 3  # the last cycle of the pattern
-        # entries are positions 0..n, in one byte each while they fit
-        code = "B" if n < 256 else "H"
-        # who[p]: partners(p) once filled; every row starts as `blank`
-        self.who = [None] * n
-        self.blank = array(code, [n]) * (2 * n - 1)
-        # pairs[c]: the start positions on the pairs of cycle c in chain
-        # order, so consecutive entries meet at c (empty at a SWAP cycle),
-        # from the one walk of the pattern's layers that fills the meet table
-        self.pairs = [array(code, met) for met in _meets(n)]
+
+@lru_cache(maxsize=None)
+def _mask_tables(n: int) -> _MaskTables:
+    table = _meet_table(n)
+    pairs = tuple(_frozen(met, n) for met in _meets(n))
+    who = []
+    for p, row in enumerate(table):
+        w = [n] * (2 * n - 1)
+        for q, c in enumerate(row):
+            w[c] = q  # c = -1 on the diagonal, which lands in the last slot
+        who.append(_frozen(w, n))
+    return _MaskTables(table, pairs, tuple(who))
+
+
+class _MeetMasks:
+    """One search's meet table as bit masks over start positions, at a
+    working cycle T.
+
+    above[q] holds the positions that meet q after cycle T.  A qubit meets
+    one partner per cycle, so each row of the table has distinct values,
+    and moving T by one cycle flips only the pairs that meet at that cycle,
+    read from the shared _MaskTables.pairs.  The masks follow one search's
+    T, so only they are built per search.
+    """
+
+    __slots__ = ("above", "T")
+
+    def __init__(self, pairs, bits: list[int], T: int):
         # start from whichever end of the cycles lies closer to T: past the
         # top no pair meets, and before cycle 0 every pair does
-        if T > self.top // 2:
-            self.T, self.above = self.top, [0] * n
+        top = len(pairs) - 1
+        if T > top // 2:
+            self.T, self.above = top, [0] * len(bits)
         else:
-            full = (1 << n) - 1
+            full = (1 << len(bits)) - 1
             self.T, self.above = -1, [full ^ bit for bit in bits]
-        self.move(T)
+        self.move(T, pairs, bits)
 
-    def move(self, T: int) -> int:
+    def move(self, T: int, pairs, bits: list[int]) -> int:
         """Set the working cycle to T, at most the top, and return it."""
-        T = min(T, self.top)
-        above, bits = self.above, self.bits
+        T = min(T, len(pairs) - 1)
+        above = self.above
         lo, hi = sorted((self.T, T))
-        for chain in self.pairs[lo + 1 : hi + 1]:
+        for chain in pairs[lo + 1 : hi + 1]:
             it = iter(chain)
             for a, b in zip(it, it):
                 above[a] ^= bits[b]
@@ -258,19 +295,16 @@ class _MeetMasks:
         self.T = T
         return T
 
-    def partners(self, p: int):
-        """p's partner at each cycle, n where it meets no one; the last
-        entry, past the top, is p itself."""
-        w = self.who[p]
-        if w is None:
-            w = self.who[p] = self.blank[:]
-            for q, c in enumerate(self.table[p]):
-                w[c] = q  # c = -1 on the diagonal, which lands in the last slot
-        return w
-
 
 def _masked_children(
-    parents: list[_Node], nbrs: list[int], masks: _MeetMasks, salt, cap: int, T: int
+    parents: list[_Node],
+    nbrs: list[int],
+    tables: _MaskTables,
+    masks: _MeetMasks,
+    bits: list[int],
+    salt,
+    cap: int,
+    T: int,
 ) -> _Heap:
     # one wide level: the heap _scanned_children would build.  A pass at
     # cycle T takes the children of cost at most T: a free position
@@ -280,7 +314,7 @@ def _masked_children(
     # rising T, each adding only the positions it newly admits.  T starts
     # at or above every parent's cost (see astar_initial_mapping), so no
     # parent is dropped whole.
-    table, who = masks.table, masks.who
+    table, pairs, who = tables
     n = len(table)
     full = (1 << n) - 1
     # the positions of a parent's placed neighbours, always as a tuple
@@ -289,8 +323,8 @@ def _masked_children(
     seen: dict[int, tuple] = {}  # rank: (neighbours, membership test, positions scored)
     step = 1
     while True:
-        T = masks.move(T)
-        # partners(p)[T] is the entry `skip` places from the end
+        T = masks.move(T, pairs, bits)
+        # who[p][T] is the entry `skip` places from the end
         above, skip = masks.above, 2 * n - 2 - T
         lim = 2 * n
         cut = False
@@ -316,8 +350,7 @@ def _masked_children(
                 low = fresh & -fresh
                 fresh ^= low
                 p = low.bit_length() - 1
-                w = who[p] or masks.partners(p)
-                c = table[p][next(filter(is_near, islice(reversed(w), skip, None)))]
+                c = table[p][next(filter(is_near, islice(reversed(who[p]), skip, None)))]
                 if c < cost:
                     c = cost
                 elif c > lim:

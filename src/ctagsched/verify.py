@@ -131,9 +131,12 @@ def metrics(c: ScheduledCircuit, n: int) -> Metrics:
 
     CPHASE and SWAP each decompose to 3 cycles / 3 elementary gates; the +2
     covers the Hadamard layer and the RX rotation layer, the +2n their gates.
-    n is the qubit count, a plain int of at least 1.
+    n is the qubit count, a plain int of at least 1 that equals the
+    circuit's (c.init.n); any other n is a ValueError.
     """
     _check_int(n, "n", 1)
+    if n != c.init.n:
+        raise ValueError(f"n must be the circuit's qubit count {c.init.n}, got {n}")
     cp = c.cphase_count
     sw = c.swap_count
     d = len(c.cycles)

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 import ctagsched
 from ctagsched import cli
 from ctagsched.cli import CSV_COLUMNS, main
-from ctagsched.graphs import clique, linear, make_problem_graph, random_graph, save_problem_graph
+from ctagsched.graphs import (
+    clique,
+    linear,
+    make_architecture,
+    make_problem_graph,
+    random_graph,
+    save_problem_graph,
+)
 from ctagsched.pattern import to_json_dict
 from ctagsched.scheduler import STRATEGIES, SchedulerConfig, schedule
 
@@ -173,6 +180,25 @@ class TestSchedule:
         doc = json.loads(stdout)
         assert doc["verified"] is True
         assert len(doc["files"]) == 3
+
+    # ibm27 has no 24-site chain, so every schedule of rg24 on it is routed
+    @pytest.mark.parametrize(
+        "g, arch", [(clique(12), "linear:12"), (random_graph(24, 0.2, 1), "ibm27")],
+        ids=["K12", "routed"],
+    )
+    def test_sched_json_bytes_are_json_dump_s(self, g, arch, tmp_path, capsys):
+        # the file is written in one piece, byte for byte what json.dump
+        # into the file wrote
+        graph = tmp_path / "g.graph"
+        save_problem_graph(g, graph)
+        out = str(tmp_path / "run")
+        code, _, _ = run(capsys, "schedule", "--graph", str(graph), "--arch", arch, "--out", out)
+        assert code == 0
+        c = schedule(g, make_architecture(arch), SchedulerConfig())
+        want = io.StringIO()
+        json.dump(to_json_dict(c), want, indent=2)
+        want.write("\n")
+        assert Path(out + ".sched.json").read_bytes() == want.getvalue().encode()
 
     def test_ctag_strategy_is_rejected(self, fig_file, capsys):
         # the former "ctag" meta-strategy duplicated ctag-h's candidate pool

@@ -617,7 +617,10 @@ INT_PARAMETERS = {
     "shortest_dist a": (lambda v: shortest_dist(linear(5), v, 0), "a", 0, True),
     "shortest_dist b": (lambda v: shortest_dist(linear(5), 0, v), "b", 0, True),
     "bench --jobs": (_bench_with_jobs, "--jobs", 1, True),
-    "metrics n": (lambda v: metrics(generate_clique_pattern(6), v), "n", 1, True),
+    # on the one-qubit circuit, whose qubit count is the smallest valid n
+    "metrics n": (
+        lambda v: metrics(ScheduledCircuit((), Mapping((0,)), linear(1)), v), "n", 1, True
+    ),
 }
 
 BAD_INTS = st.one_of(

@@ -1,6 +1,9 @@
 """Initial-mapping search: beam search and its exact, budgeted refinement."""
 
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import permutations
 from unittest import mock
@@ -18,8 +21,13 @@ from ctagsched.graphs import (
     random_initial_mapping,
 )
 import ctagsched.initial_mapping
-from ctagsched.initial_mapping import astar_initial_mapping, iso_initial_mapping
-from ctagsched.pattern import _meet_table, meet_cycle, prune_pattern
+from ctagsched.initial_mapping import (
+    WIDE_LEVEL,
+    _mask_tables,
+    astar_initial_mapping,
+    iso_initial_mapping,
+)
+from ctagsched.pattern import _meet_table, _meets, meet_cycle, prune_pattern
 from reference_models import rows_astar_initial_mapping
 
 
@@ -382,6 +390,67 @@ class TestMaskedLevels:
         # from n = 256 the mask tables hold positions in two bytes
         g = random_graph(260, 0.9, 1)
         assert astar_initial_mapping(g, 1, 3) == rows_astar_initial_mapping(g, 1, 3)
+
+
+class TestMaskTables:
+    """The mask path's per-n tables are built once per n and shared, read
+    only, by every later search and thread."""
+
+    @pytest.mark.parametrize("n", [*range(2, 41), 256, 260])
+    def test_tables_are_the_meets_and_the_inverted_meet_rows(self, n):
+        # from n = 256 the entries take two bytes
+        tables = _mask_tables(n)
+        assert tables.table is _meet_table(n)
+        assert [list(chain) for chain in tables.pairs] == [list(met) for met in _meets(n)]
+        assert len(tables.pairs) == 2 * n - 2  # cycles 0 to the last, 2n-3
+        for p, row in enumerate(tables.table):
+            who = tables.who[p]
+            # the row's cycle c holds the position p meets then, the last
+            # entry p itself (its diagonal cycle is -1), every other one n
+            want = [n] * (2 * n - 1)
+            for q, c in enumerate(row):
+                want[c] = q
+            assert list(who) == want
+        for shared in (tables.pairs[0], tables.who[0]):
+            with pytest.raises(TypeError):
+                shared[0] = 1
+
+    @pytest.mark.parametrize("wide", [WIDE_LEVEL, 1])
+    def test_later_searches_read_the_tables_of_an_earlier_one(self, wide):
+        # the first search builds the tables of n = 70, the later ones on
+        # graphs of that n only read them
+        _mask_tables.cache_clear()
+        graphs = [random_graph(70, d, s) for d, s in [(0.3, 1), (0.9, 2), (0.6, 3), (0.3, 4)]]
+        with mock.patch.object(ctagsched.initial_mapping, "WIDE_LEVEL", wide):
+            for g in graphs:
+                for beam, tie_seed in [(8, 0), (2, 5)]:
+                    got = astar_initial_mapping(g, beam, tie_seed)
+                    assert got == rows_astar_initial_mapping(g, beam, tie_seed)
+        # built by the first search alone, and read by all eight
+        assert _mask_tables.cache_info()[:2] == (7, 1)  # (hits, misses)
+
+    def test_threads_share_the_tables_of_a_fresh_n(self):
+        # more searches than cores start together on a cleared cache, with
+        # the interpreter switching threads often, so any of them may build
+        # the tables of n = 80 while the others read them
+        _mask_tables.cache_clear()
+        graphs = [random_graph(80, d, s) for d, s in [(0.7, 1), (0.4, 2), (0.9, 3), (0.5, 4)]]
+        start = threading.Barrier(len(graphs), timeout=60)
+
+        def search(g):
+            start.wait()
+            return astar_initial_mapping(g, 8, 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(graphs)) as pool:
+                futures = [pool.submit(search, g) for g in graphs]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [rows_astar_initial_mapping(g, 8, 3) for g in graphs]
+        assert _mask_tables.cache_info().currsize == 1
 
 
 def near_clique(n, removed, seed):

@@ -255,6 +255,14 @@ class TestMetrics:
         assert m.cphase_count == 15
         assert m.decomposed_gate_count == 3 * 15 + 3 * m.swap_count + 12
 
+    def test_qubit_count_must_be_the_circuit_s(self):
+        # the gate count adds 2n, so a wrong n would read a wrong count
+        c = generate_clique_pattern(6)
+        for n in (1, 7):
+            with pytest.raises(ValueError, match=f"qubit count 6, got {n}"):
+                metrics(c, n)
+        assert metrics(c, 6).decomposed_gate_count == 87
+
     def test_independent_recount(self):
         g = make_problem_graph(7, [(0, 4), (2, 6), (1, 3)])
         c = prune_pattern(g, identity_mapping(7), linear(7), range(7))

@@ -1,7 +1,8 @@
 """Problem graphs, hardware coupling graphs, and qubit mappings."""
 from __future__ import annotations
 
-from functools import cached_property
+import gc
+from functools import cached_property, wraps
 
 Edge = tuple[int, int]
 
@@ -46,6 +47,35 @@ def _check_int(value, what: str, low: int | None = None, none_ok: bool = False):
     if low is not None and value < low:
         raise ValueError(f"{what} must be at least {low}, got {value}")
     return value
+
+
+def _nogc(fn):
+    """fn, run with the cyclic garbage collector paused.
+
+    The collector is switched off for the call and switched back on after
+    it, also when it raises, but only if it was on at entry, so a paused
+    call nested in another changes nothing.  The calls that return a whole
+    circuit run this way (schedule, prune_pattern, generate_clique_pattern
+    and generate_2xn_pattern): a dense compile builds tens of thousands of
+    Gate tuples, which the collector would otherwise scan again at each of
+    its passes while they are built.  A compile creates no reference
+    cycles, so the pause holds back no memory: reference counting frees
+    all that a compile drops.  gc.isenabled() is one flag for the whole
+    process, so a caller in another thread that switches the collector off
+    while a compile runs may find it on again afterwards.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was:
+                gc.enable()
+
+    return paused
 
 
 def _check_pairs(pairs, what: str, count: int) -> None:

@@ -30,6 +30,7 @@ from ctagsched.graphs import (
     Mapping,
     ProblemGraph,
     _check_int,
+    _nogc,
     clique,
     grid,
     identity_mapping,
@@ -107,12 +108,14 @@ def _meets(n: int):
         yield occ[a:b] if kind == CPHASE else []
 
 
+@_nogc
 def generate_clique_pattern(n: int) -> ScheduledCircuit:
     """Clique schedule on linear(n) with the natural-order initial mapping.
 
     n is a plain int of at least 2, which clique(n) checks.  Abstract depth
     is 2n-2 for n >= 3 and 1 for n=2; every unordered pair executes exactly
-    once.
+    once.  Runs with the cyclic garbage collector paused, clique(n) too (see
+    graphs._nogc).
     """
     return prune_pattern(clique(n), identity_mapping(n), linear(n), range(n))
 
@@ -174,6 +177,7 @@ def _pattern_cycles(g: ProblemGraph, init: Mapping, arch: Architecture, chain):
         yield tuple(gates)
 
 
+@_nogc
 def prune_pattern(
     g: ProblemGraph, init: Mapping, arch: Architecture, chain
 ) -> ScheduledCircuit:
@@ -182,6 +186,7 @@ def prune_pattern(
     One walk of the layer stream, through _pattern_cycles.  Execution cycles
     emptied by pruning stay as empty cycles (the SWAP cadence around them is
     unchanged), but everything after the last surviving CPHASE is removed.
+    Runs with the cyclic garbage collector paused (see graphs._nogc).
     """
     cycles = _trim(tuple(_pattern_cycles(g, init, arch, chain)))
     return ScheduledCircuit(cycles, Mapping(tuple(chain[p] for p in init.pi)), arch)
@@ -265,6 +270,7 @@ def _routed_start(g: ProblemGraph, m0: Mapping, chain, k: int) -> tuple[Mapping,
     return sites, remaining, len(g.edges) - len(remaining) + swaps
 
 
+@_nogc
 def generate_2xn_pattern(n: int) -> ScheduledCircuit:
     """Clique schedule on grid(2, ceil(n/2)) in 3n/2-1 cycles (even n).
 
@@ -276,7 +282,8 @@ def generate_2xn_pattern(n: int) -> ScheduledCircuit:
     pays one real SWAP per dropped cycle to carry the lone last-column qubit
     across; that SWAP shares a cycle with the next CPHASE layer, which never
     touches the last column, so the depth is 3(n-1)/2+1.  n is a plain int
-    of at least 4.
+    of at least 4.  Runs with the cyclic garbage collector paused (see
+    graphs._nogc).
     """
     _check_int(n, "n", 4)
     cols = (n + 1) // 2

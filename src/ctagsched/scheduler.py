@@ -39,6 +39,7 @@ from ctagsched.graphs import (
     ProblemGraph,
     _bfs,
     _check_int,
+    _nogc,
     _spec_ints,
     identity_mapping,
     random_initial_mapping,
@@ -550,6 +551,7 @@ def _bfs_placement(arch: Architecture, n: int) -> Mapping:
     return Mapping(tuple(_bfs(arch.adj, 0)[0][:n]))
 
 
+@_nogc
 def schedule(
     g: ProblemGraph, arch: Architecture, cfg: SchedulerConfig | None = None
 ) -> ScheduledCircuit:
@@ -561,7 +563,8 @@ def schedule(
     passes verify(c, g, arch).  The shallowest candidate wins; ties go to
     fewer gates, then to the smallest text form, then to the first in the
     pool.  ctag-h compares keys read without building its candidates and
-    builds only the winner; ties are read cycle by cycle.
+    builds only the winner; ties are read cycle by cycle.  Runs with the
+    cyclic garbage collector paused (see graphs._nogc).
     """
     if cfg is None:
         cfg = SchedulerConfig()

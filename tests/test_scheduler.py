@@ -1,21 +1,26 @@
 """Heuristic scheduler: pattern prefix, matching, routing, and end-to-end runs."""
 
+import gc
 import hashlib
 import importlib
 import importlib.util
 from collections import Counter, deque
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ctagsched.embedding
 import ctagsched.initial_mapping
 import ctagsched.scheduler
 from ctagsched.graphs import (
     Architecture,
     Mapping,
     _Toward,
+    _nogc,
     clique,
     grid,
     identity_mapping,
@@ -34,6 +39,7 @@ from ctagsched.pattern import (
     _layer_stream,
     _pattern_key,
     _routed_start,
+    generate_2xn_pattern,
     generate_clique_pattern,
     prune_pattern,
     to_json_dict,
@@ -1953,3 +1959,131 @@ def test_every_traced_scheduler_name_is_still_called(monkeypatch):
         arch = make_architecture(spec)
         assert verify(schedule(g, arch, SchedulerConfig(strategy=strategy)), g, arch).ok
     assert {name for name in names if calls[name] == 0} <= KNOWN_DEAD_TRACED
+
+
+def count_collections(call):
+    # collections per generation, young to full, while call() runs
+    counts = [0, 0, 0]
+
+    def hook(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.callbacks.append(hook)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(hook)
+    return counts
+
+
+@contextmanager
+def collector_restored():
+    # the body sets the collector as it likes; its state is put back after
+    was = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def collector():
+    with collector_restored():
+        yield
+
+
+def test_circuit_calls_run_no_collection(collector):
+    # the three calls that return a whole circuit each build tens of
+    # thousands of gates; unpaused, each ran more than 50 young and 5 middle
+    # collections.  The graph and the device are built first, and the list
+    # shows that the hook counts.
+    gc.enable()
+    g, arch = clique(200), linear(200)
+    assert count_collections(lambda: [[] for _ in range(10_000)])[0] > 0
+    calls = [
+        lambda: schedule(g, arch, SchedulerConfig("ctag-i-astar")),
+        lambda: generate_clique_pattern(200),
+        lambda: generate_2xn_pattern(200),
+    ]
+    assert [count_collections(call) for call in calls] == [[0, 0, 0]] * 3
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_circuit_calls_restore_the_collector(collector, enabled):
+    g, arch = random_graph(12, 0.5, 1), make_architecture("grid:3x4")
+    for call in (
+        lambda: schedule(g, arch),
+        lambda: prune_pattern(g, identity_mapping(12), linear(12), range(12)),
+        lambda: generate_clique_pattern(12),
+        lambda: generate_2xn_pattern(12),
+    ):
+        (gc.enable if enabled else gc.disable)()
+        call()
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(
+    "n, spec, cfg, match",
+    [
+        (12, "linear:12", SchedulerConfig("ctag-x"), "unknown strategy"),
+        (12, "linear:12", SchedulerConfig(threshold=1.5), "threshold"),
+        (12, "linear:8", SchedulerConfig(), "has 8 qubits"),
+        (24, "ibm27", SchedulerConfig("pattern-only"), "no chain"),
+    ],
+    ids=["strategy", "threshold", "small-device", "no-chain"],
+)
+def test_a_raising_schedule_restores_the_collector(collector, enabled, n, spec, cfg, match):
+    g, arch = random_graph(n, 0.3, 1), make_architecture(spec)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(ValueError, match=match):
+        schedule(g, arch, cfg)
+    assert gc.isenabled() is enabled
+
+
+def test_a_nested_pause_leaves_the_collector_off_until_the_outer_call_ends(collector):
+    gc.enable()
+    inside = []
+
+    @_nogc
+    def outer():
+        generate_2xn_pattern(8)
+        inside.append(gc.isenabled())
+        schedule(make_problem_graph(3, [(0, 1)]), linear(2))  # raises: 2 sites
+
+    with pytest.raises(ValueError, match="has 2 qubits"):
+        outer()
+    assert inside == [False] and gc.isenabled()
+
+
+@settings(max_examples=30, deadline=None)
+@given(ctag_h_inputs(), st.sampled_from(STRATEGIES), st.none())
+# ibm27 has no 24-site chain: ctag-h routes from the breadth-first
+# placement, and a line strategy raises
+@example((random_graph(24, 0.2, 1), make_architecture("ibm27"), 0.5, 8, 0), "ctag-h", None)
+@example((random_graph(24, 0.2, 1), make_architecture("ibm27"), 0.5, 8, 0), "ctag-i-iso", None)
+# a chain search of 22 sites on ibm27 that exhausts a budget of 20 node
+# expansions, so no chain is found and ctag-h routes
+@example((random_graph(22, 0.3, 1), make_architecture("ibm27"), 0.5, 8, 0), "ctag-h", 20)
+def test_a_compile_leaves_no_cyclic_garbage(drawn, strategy, budget):
+    # what keeps the collector's pause safe: a compile creates no reference
+    # cycles, so nothing is left for the collector to free after it
+    g, arch, threshold, beam, seed = drawn
+    cfg = SchedulerConfig(strategy, threshold, beam, seed)
+    arch = fresh_copy(arch)  # searches for its chains under this budget
+    with collector_restored(), pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            search = partial(ctagsched.embedding.find_line_embedding, budget=budget)
+            mp.setattr(ctagsched.embedding, "find_line_embedding", search)
+        gc.collect()
+        gc.disable()
+        error = None
+        try:
+            schedule(g, arch, cfg)
+        except ValueError as exc:
+            error = str(exc)
+        found = gc.collect()
+    assert found == 0
+    assert error is None or (strategy != "ctag-h" and error.startswith("no chain"))
+

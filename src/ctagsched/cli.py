@@ -74,18 +74,18 @@ def cmd_schedule(
     text_path = prefix + ".sched.txt"
     json_path = prefix + ".sched.json"
     metrics_path = prefix + ".metrics.json"
-    with open(text_path, "w") as fh:
+    with open(text_path, "w", encoding="utf-8") as fh:
         fh.write(to_text(c))
     # one write of the whole document: json.dump under indent hands the file
     # each of its many small chunks on its own
-    with open(json_path, "w") as fh:
+    with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(to_json_dict(c), indent=2) + "\n")
     doc = mx | {
         "strategy": cfg.strategy,
         "compile_time_ms": round(secs * 1000, 3),
         "verified": report.ok,
     }
-    with open(metrics_path, "w") as fh:
+    with open(metrics_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -225,7 +225,7 @@ def cmd_bench(args) -> int:
         body = buf.getvalue()
 
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)

@@ -27,9 +27,9 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _check_int(value, what: str, low: int | None = None, none_ok: bool = False):
-    """value itself if it is a plain int of at least `low`, or None where
-    none_ok allows it; anything else raises ValueError naming `what`.
+def _check_int(value, what: str, low: int | None = None):
+    """value itself if it is a plain int of at least `low`; anything else
+    raises ValueError naming `what`.
 
     The one check of the library's integer arguments: seeds, beams,
     budgets, sizes, lengths, positions, vertices, sites and mapping
@@ -40,10 +40,8 @@ def _check_int(value, what: str, low: int | None = None, none_ok: bool = False):
     computed, and the edge-list parser, which reports line numbers, keep
     their own checks.
     """
-    if value is None and none_ok:
-        return value
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer{' or None' if none_ok else ''}, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{what} must be at least {low}, got {value}")
     return value
@@ -525,7 +523,7 @@ def _load_coupling_file(text: str, name: str) -> Architecture:
 def _packaged(relpath: str) -> str:
     from importlib import resources
 
-    return resources.files("ctagsched.data").joinpath(relpath).read_text()
+    return resources.files("ctagsched.data").joinpath(relpath).read_text(encoding="utf-8")
 
 
 def ibm20() -> Architecture:
@@ -576,7 +574,7 @@ def load_problem_graph(path: str) -> ProblemGraph:
 
 
 def save_problem_graph(g: ProblemGraph, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.m}\n")
         for u, v in sorted(g.edges):
             fh.write(f"{u} {v}\n")

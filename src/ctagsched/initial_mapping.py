@@ -7,10 +7,10 @@ the neighbours placed before it, and build their result with _as_mapping.
 
 astar_initial_mapping scores each level of its beam search one of two ways,
 with the same children kept either way.  A narrow level, whose vertex has
-fewer than WIDE_LEVEL placed neighbours (or any level without a beam),
-reads those neighbours' meet rows for every free position.  A wide level
-rejects positions with bit operations instead: _MeetMasks holds, for a
-working cycle T, the positions that each position meets after T, so one OR
+fewer than WIDE_LEVEL placed neighbours, reads those neighbours' meet rows
+for every free position.  A wide level rejects positions with bit
+operations instead: _MeetMasks holds, for a working cycle T, the
+positions that each position meets after T, so one OR
 over the neighbours' masks drops every position that would cost more than
 T, and only the rest are scored exactly, by a walk down a partner row.
 The masks follow one search's T and are its only per-search cost; the
@@ -83,14 +83,13 @@ _Heap = list[tuple[int, int, int, int]]
 
 
 def astar_initial_mapping(
-    g: ProblemGraph, beam: int | None = 8, tie_seed: int = 0
+    g: ProblemGraph, beam: int = 8, tie_seed: int = 0
 ) -> tuple[Mapping, int]:
     """Assign vertices (highest degree first) to positions, keeping the best
     `beam` partial assignments per level by max meeting cycle.
 
-    beam=1 is the greedy search, beam=None expands every branch and is exact;
-    a beam that is neither None nor an int of at least 1 is a ValueError,
-    and so is a tie_seed that is not an int.
+    beam=1 is the greedy search.  A beam that is not an int of at least 1
+    is a ValueError, and so is a tie_seed that is not an int.
     Returns the mapping and its finishing cycle count, which equals the
     depth of the pruned pattern under that mapping.
 
@@ -107,11 +106,10 @@ def astar_initial_mapping(
     heap holds the `beam` smallest keys whatever order the children come
     in, so the two ways of scoring a level keep the same children:
 
-    - A narrow level (fewer than WIDE_LEVEL placed neighbours, or
-      beam=None, which leaves the heap unbounded) reads the neighbours' meet
-      rows per free position.  A child's cost only rises while its rows are
-      read, so a scan stops as soon as the running cost passes the bar, and
-      a parent already past it is skipped.
+    - A narrow level (fewer than WIDE_LEVEL placed neighbours) reads the
+      neighbours' meet rows per free position.  A child's cost only rises
+      while its rows are read, so a scan stops as soon as the running cost
+      passes the bar, and a parent already past it is skipped.
     - A wide level guesses a cycle T: the lowest parent cost plus the last
       level's slack, from that level's lowest parent cost to its worst kept
       child.  Masks drop every child that would cost more than T; the rest
@@ -125,19 +123,17 @@ def astar_initial_mapping(
     then differ in rank and salt alone, so each later level's first child
     is the first parent plus its free position of least salt, and the first
     parent wins the final tie.  The search returns that mapping at once,
-    the first parent's prefix followed by its free positions in salt order,
-    beam=None included.
+    the first parent's prefix followed by its free positions in salt order.
     """
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     # a float beam would never fill the heap, so its bar would never apply
-    _check_int(beam, "beam", 1, none_ok=True)
+    _check_int(beam, "beam", 1)
     _check_int(tie_seed, "tie_seed")
     table = _meet_table(n)
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
-    cap = float("inf") if beam is None else beam
     bits = [1 << p for p in range(n)]  # bit p stands for position p
     masks = None  # built at the first wide level
     top = 2 * n - 3  # the last cycle of the pattern
@@ -153,7 +149,7 @@ def astar_initial_mapping(
             prefix, _, taken = parents[0]
             rest = sorted((p for p in range(n) if not taken & bits[p]), key=salt.__getitem__)
             return _as_mapping(order, prefix + tuple(rest)), top + 1
-        if beam is not None and len(nbrs[k]) >= WIDE_LEVEL:
+        if len(nbrs[k]) >= WIDE_LEVEL:
             # the lowest parent cost plus the last level's slack; no cost
             # falls from parent to child, so low >= last_low and the guess
             # is at least every parent's cost
@@ -163,7 +159,7 @@ def astar_initial_mapping(
                 masks = _MeetMasks(tables.pairs, bits, guess)
             heap = _masked_children(parents, nbrs[k], tables, masks, bits, salt, beam, guess)
         else:
-            heap = _scanned_children(parents, nbrs[k], table, salt, cap)
+            heap = _scanned_children(parents, nbrs[k], table, salt, beam)
         last_low = low
         # back to salted order: by parent rank, then by the new position's
         # salt (the entries are negated, hence the reverse sort)
@@ -369,12 +365,7 @@ def _masked_children(
         step *= 2
 
 
-def iso_initial_mapping(
-    g: ProblemGraph,
-    budget: int = ISO_NODE_BUDGET,
-    beam: int | None = 8,
-    tie_seed: int = 0,
-) -> tuple[Mapping, int]:
+def iso_initial_mapping(g: ProblemGraph, beam: int = 8, tie_seed: int = 0) -> tuple[Mapping, int]:
     """astar_initial_mapping refined by an exact, node-budgeted search.
 
     Depth-first branch and bound over the meet table in astar's vertex
@@ -384,12 +375,12 @@ def iso_initial_mapping(
     placed at position p cannot finish before the d-th smallest meet in row
     p of the table (it meets one partner per cycle), which bounds every
     placement from below.  The search ends when it proves the incumbent
-    optimal, meets the bound over all positions, or has tried `budget`
-    placements; it returns the best mapping found and its finishing cycle
-    count, as astar_initial_mapping does.  A budget that is not an int of
-    at least 0 is a ValueError, and so is a bad beam or tie_seed.
+    optimal, meets the bound over all positions, or has tried
+    ISO_NODE_BUDGET placements, read at each call; it returns the best
+    mapping found and its finishing cycle count, as astar_initial_mapping
+    does.  A bad beam or tie_seed is a ValueError.
     """
-    _check_int(budget, "budget", 0)
+    budget = ISO_NODE_BUDGET
     mapping, depth = astar_initial_mapping(g, beam, tie_seed)
     n = g.n
     table = _meet_table(n)

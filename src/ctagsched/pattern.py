@@ -210,10 +210,11 @@ def meet_cycle(n: int, pos_a: int, pos_b: int) -> int:
     n is a plain int of at least 2 and the positions two distinct plain
     ints below n; anything else raises ValueError."""
     _check_int(n, "n", 2)
-    if _check_int(pos_a, "pos_a") == _check_int(pos_b, "pos_b"):
+    for pos, name in ((pos_a, "pos_a"), (pos_b, "pos_b")):
+        if _check_int(pos, name, 0) >= n:
+            raise ValueError(f"{name} must be below n={n}, got {pos}")
+    if pos_a == pos_b:
         raise ValueError("positions must differ")
-    if not (0 <= pos_a < n and 0 <= pos_b < n):
-        raise ValueError(f"positions out of range for n={n}")
     return _meet_table(n)[pos_a][pos_b]
 
 

@@ -93,7 +93,7 @@ class SchedulerConfig(NamedTuple):
 
     strategy: str = "ctag-h"
     threshold: float = 0.5
-    beam: int | None = 8
+    beam: int = 8
     seed: int = 0
 
 
@@ -572,7 +572,7 @@ def schedule(
         raise ValueError(f"unknown strategy {cfg.strategy!r}")
     # every knob is checked here, whether or not this strategy reads it
     _check_threshold(cfg.threshold)
-    _check_int(cfg.beam, "beam", 1, none_ok=True)
+    _check_int(cfg.beam, "beam", 1)
     _check_int(cfg.seed, "seed")
     if arch.q < g.n:
         raise ValueError(f"{arch.name} has {arch.q} qubits, input needs {g.n}")

@@ -453,11 +453,10 @@ def rows_astar_initial_mapping(g: ProblemGraph, beam=8, tie_seed=0):
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    _check_int(beam, "beam", 1, none_ok=True)
+    _check_int(beam, "beam", 1)
     table = _meet_table(n)
     order, nbrs = _search_order(g)
     salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
-    cap = float("inf") if beam is None else beam
 
     # this level's kept children, negated: (-cost, -parent rank, -salt[p], -p)
     heap: list[tuple[int, int, int, int]] = []
@@ -473,7 +472,7 @@ def rows_astar_initial_mapping(g: ProblemGraph, beam=8, tie_seed=0):
         heap = []
         lim = 2 * n  # above every meet cycle until the heap is full
         for rank, (prefix, cost) in enumerate(parents):
-            if len(heap) == cap:
+            if len(heap) == beam:
                 lim = bar(rank)
                 if cost > lim:
                     continue
@@ -490,9 +489,9 @@ def rows_astar_initial_mapping(g: ProblemGraph, beam=8, tie_seed=0):
                             break
                 else:
                     key = (-c, -rank, -salt[p], -p)
-                    if len(heap) < cap:
+                    if len(heap) < beam:
                         heappush(heap, key)
-                        if len(heap) == cap:
+                        if len(heap) == beam:
                             lim = bar(rank)
                     elif key > heap[0]:
                         heapreplace(heap, key)

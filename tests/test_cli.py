@@ -109,6 +109,39 @@ def test_no_process_loads_dataclasses_or_inspect(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_no_file_is_read_or_written_in_the_locale_encoding(tmp_path):
+    # every file the package writes, and the packaged device data it reads,
+    # is UTF-8 whatever the locale says: under -X warn_default_encoding an
+    # open() or read_text() without an encoding warns, and -W makes that an
+    # error, in save_problem_graph, schedule on ibm20 (packaged data, three
+    # output files), verify and bench --out
+    src = str(Path(ctagsched.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from ctagsched import cli, random_graph, save_problem_graph\n"
+        "save_problem_graph(random_graph(12, 0.3, 1), 'rg12.graph')\n"
+        "for argv in (\n"
+        "    ['schedule', '--graph', 'rg12.graph', '--arch', 'ibm20'],\n"
+        "    ['verify', '--schedule', 'rg12.sched.json', '--graph', 'rg12.graph',\n"
+        "     '--arch', 'ibm20'],\n"
+        "    ['bench', '--n', '6', '--density', '0.5', '--arch', 'ibm27', '--jobs', '1',\n"
+        "     '--out', 'bench.csv'],\n"
+        "):\n"
+        "    rc = cli.main(argv)\n"
+        "    assert rc == 0, (argv, rc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", code],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bench.csv", "rg12.graph", "rg12.metrics.json", "rg12.sched.json", "rg12.sched.txt",
+    ]
+
+
 # values that start with "-" but are no plain negative number, and how the
 # range checks print them
 DASH_NON_FINITE = [("-inf", "-inf"), ("-nan", "nan"), ("-infinity", "-inf")]

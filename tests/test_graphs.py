@@ -35,7 +35,7 @@ from ctagsched.graphs import (
     save_problem_graph,
     shortest_dist,
 )
-from ctagsched.initial_mapping import astar_initial_mapping
+from ctagsched.initial_mapping import astar_initial_mapping, iso_initial_mapping
 from ctagsched.pattern import (
     ScheduledCircuit,
     generate_2xn_pattern,
@@ -599,6 +599,10 @@ INT_PARAMETERS = {
     "Mapping site": (lambda v: Mapping((0, v, 2)), "a mapping's site", -1, False),
     "astar tie_seed": (lambda v: astar_initial_mapping(clique(3), tie_seed=v), "tie_seed", -1,
                        False),
+    "astar beam": (lambda v: astar_initial_mapping(clique(3), beam=v), "beam", 1, True),
+    "iso beam": (lambda v: iso_initial_mapping(clique(3), beam=v), "beam", 1, True),
+    "schedule beam": (lambda v: schedule(clique(3), linear(3), SchedulerConfig(beam=v)), "beam",
+                      1, True),
     "generate_clique_pattern n": (generate_clique_pattern, "n", 2, True),
     "generate_2xn_pattern n": (generate_2xn_pattern, "n", 4, True),
     "hilbert_embedding rows": (lambda v: hilbert_embedding(v, 3), "rows", 2, True),
@@ -655,8 +659,9 @@ def test_integer_parameter_refuses_every_other_value(case, bad):
     assert str(ei.value) == f"{name} must be an integer, got {bad!r}"
     call(smallest)
     if bounded:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as ei:
             call(smallest - 1)
+        assert name in str(ei.value)
 
 
 def test_records_are_read_only_values():
@@ -693,9 +698,9 @@ def test_records_are_read_only_values():
     )
     assert repr(m) == "Mapping(pi=(2, 0, 1))"
 
-    cfg = SchedulerConfig("ctag-r", 0.25, None, 3)
-    assert cfg == SchedulerConfig(strategy="ctag-r", threshold=0.25, beam=None, seed=3)
-    assert cfg != SchedulerConfig("ctag-r", 0.25, None, 4)
+    cfg = SchedulerConfig("ctag-r", 0.25, 2, 3)
+    assert cfg == SchedulerConfig(strategy="ctag-r", threshold=0.25, beam=2, seed=3)
+    assert cfg != SchedulerConfig("ctag-r", 0.25, 2, 4)
     assert repr(SchedulerConfig()) == (
         "SchedulerConfig(strategy='ctag-h', threshold=0.5, beam=8, seed=0)"
     )

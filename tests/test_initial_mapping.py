@@ -5,6 +5,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from math import factorial
 from itertools import permutations
 from unittest import mock
 
@@ -136,8 +137,10 @@ class TestAstar:
         assert depth == exhaustive_best(g)
 
     def test_exhaustive_beam_agrees_with_ground_truth(self):
+        # no level of a 5-vertex search has more than 5! prefixes, so this
+        # beam never fills and nothing is cut
         g = make_problem_graph(5, [(0, 2), (1, 3), (2, 4), (0, 1)])
-        _, depth = astar_initial_mapping(g, beam=None)
+        _, depth = astar_initial_mapping(g, beam=factorial(5))
         assert depth == exhaustive_best(g)
 
     def test_one_vertex_is_rejected(self):
@@ -150,17 +153,20 @@ class TestAstar:
         with pytest.raises(ValueError, match="beam must be at least 1"):
             astar_initial_mapping(path(6), beam=beam)
 
-    @pytest.mark.parametrize("beam", [2.5, True, "8"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize(
+        "beam", [2.5, True, "8", None], ids=["float", "bool", "str", "none"]
+    )
     def test_beam_that_is_not_an_int_is_rejected(self, beam):
         # a float beam would never fill the heap, so the bar would never
-        # apply, and True would silently be a beam of 1
-        with pytest.raises(ValueError, match="beam must be an integer or None"):
+        # apply, True would silently be a beam of 1, and None would leave
+        # the search unbounded
+        with pytest.raises(ValueError, match="^beam must be an integer, got "):
             astar_initial_mapping(path(6), beam=beam)
 
     def test_beam_never_beats_exhaustive(self):
         g = make_problem_graph(6, [(0, 3), (1, 4), (2, 5), (1, 2), (3, 4)])
         _, d_beam = astar_initial_mapping(g, beam=4)
-        _, d_full = astar_initial_mapping(g, beam=None)
+        _, d_full = astar_initial_mapping(g, beam=factorial(6))
         assert d_full <= d_beam
         assert d_full == exhaustive_best(g)
 
@@ -189,14 +195,19 @@ class TestIso:
         with pytest.raises(ValueError, match="seed must be an integer"):
             iso_initial_mapping(path(6), tie_seed=tie_seed)
 
-    @pytest.mark.parametrize("budget", ["x", 1.5, True, None], ids=["str", "float", "bool", "none"])
-    def test_budget_that_is_not_an_int_is_rejected(self, budget):
-        with pytest.raises(ValueError, match="budget must be an integer"):
-            iso_initial_mapping(path(6), budget=budget)
+    @pytest.mark.parametrize("beam", [0, -1])
+    def test_beam_below_one_is_rejected(self, beam):
+        with pytest.raises(ValueError, match="^beam must be at least 1, got "):
+            iso_initial_mapping(path(6), beam=beam)
 
-    def test_negative_budget_is_rejected(self):
-        with pytest.raises(ValueError, match="budget must be at least 0"):
-            iso_initial_mapping(path(6), budget=-5)
+    @pytest.mark.parametrize(
+        "beam", [2.5, True, "8", None], ids=["float", "bool", "str", "none"]
+    )
+    def test_beam_that_is_not_an_int_is_rejected(self, beam):
+        # iso takes astar's beam and no budget of its own, so no value of
+        # either argument leaves its incumbent search unbounded
+        with pytest.raises(ValueError, match="^beam must be an integer, got "):
+            iso_initial_mapping(path(6), beam=beam)
 
     def test_matching_fits_the_first_layer(self):
         g = make_problem_graph(6, [(0, 1), (2, 3), (4, 5)])
@@ -224,34 +235,36 @@ class TestIso:
     def test_never_worse_than_astar_exhaustive(self):
         g = make_problem_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 4)])
         _, d_iso = iso_initial_mapping(g)
-        _, d_astar = astar_initial_mapping(g, beam=None)
-        assert d_iso == d_astar
+        assert d_iso == exhaustive_best(g)
 
-    def test_zero_budget_keeps_astar(self):
+    def test_zero_budget_keeps_astar(self, monkeypatch):
         # the refinement takes this graph from 14 cycles to 10
         g = random_graph(9, 0.4, 3)
-        assert iso_initial_mapping(g, budget=0) == astar_initial_mapping(g)
         assert iso_initial_mapping(g)[1] == 10
+        monkeypatch.setattr(ctagsched.initial_mapping, "ISO_NODE_BUDGET", 0)
+        assert iso_initial_mapping(g) == astar_initial_mapping(g)
 
-    @pytest.mark.parametrize("beam, seed", [(1, 0), (8, 3), (None, 5)])
-    def test_incumbent_is_astar_under_beam_and_seed(self, beam, seed):
+    @pytest.mark.parametrize("beam, seed", [(1, 0), (8, 3)])
+    def test_incumbent_is_astar_under_beam_and_seed(self, beam, seed, monkeypatch):
         # beam and tie_seed reach the astar incumbent, and on this graph
         # every pair of them gives another one than the default
         g = random_graph(9, 0.4, 2)
         incumbent = astar_initial_mapping(g, beam, seed)
         assert incumbent != astar_initial_mapping(g)
-        assert iso_initial_mapping(g, budget=0, beam=beam, tie_seed=seed) == incumbent
         assert iso_initial_mapping(g, beam=beam, tie_seed=seed)[1] <= incumbent[1]
+        monkeypatch.setattr(ctagsched.initial_mapping, "ISO_NODE_BUDGET", 0)
+        assert iso_initial_mapping(g, beam=beam, tie_seed=seed) == incumbent
 
     def test_deterministic(self):
         g = random_graph(10, 0.5, 7)
         assert iso_initial_mapping(g) == iso_initial_mapping(g)
 
-    def test_budget_bounds_the_search(self):
+    def test_budget_bounds_the_search(self, monkeypatch):
         # 40 vertices are far beyond exhaustive search; the node budget ends
         # it, and the result may only improve on astar
         g = random_graph(40, 0.2, 1)
-        mapping, depth = iso_initial_mapping(g, budget=2000)
+        monkeypatch.setattr(ctagsched.initial_mapping, "ISO_NODE_BUDGET", 2000)
+        mapping, depth = iso_initial_mapping(g)
         assert depth <= astar_initial_mapping(g)[1]
         assert depth == 1 + max(meet_cycle(40, mapping[u], mapping[v]) for u, v in g.edges)
 
@@ -294,7 +307,7 @@ def ref_astar_initial_mapping(g, beam=8, tie_seed=0):
             children.sort(key=lambda ch: (ch[1], [salt[p] for p in ch[0]]))
         else:
             children.sort(key=lambda ch: (ch[1], ch[0]))
-        frontier = children if beam is None else children[:beam]
+        frontier = children[:beam]
     best, cost = frontier[0]
     pi = [0] * n
     for k, v in enumerate(order):
@@ -309,7 +322,7 @@ def search_inputs(draw):
     keep = draw(st.floats(0.0, 1.0))
     bits = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, b in zip(pairs, bits) if b < keep]
-    beam = draw(st.sampled_from([1, 2, 8] + ([None] if n <= 6 else [])))
+    beam = draw(st.sampled_from([1, 2, 8]))
     tie_seed = draw(st.sampled_from([0, draw(st.integers(1, 2**31))]))
     return make_problem_graph(n, edges), beam, tie_seed
 
@@ -464,7 +477,7 @@ def near_clique(n, removed, seed):
 def near_clique_inputs(draw):
     n = draw(st.integers(3, 60))
     g = near_clique(n, draw(st.integers(1, min(3, n - 1))), draw(st.integers(0, 2**31)))
-    beam = draw(st.sampled_from([1, 2, 8] + ([None] if n <= 7 else [])))
+    beam = draw(st.sampled_from([1, 2, 8]))
     return g, beam, draw(st.sampled_from([0, 3, 7]))
 
 
@@ -476,7 +489,7 @@ class TestSaturation:
     @pytest.mark.parametrize("n", range(2, 61))
     def test_cliques_match_the_row_search(self, n):
         g = clique(n)
-        for beam in (1, 2, 8) + ((None,) if n <= 7 else ()):
+        for beam in (1, 2, 8):
             for tie_seed in (0, 3, 7):
                 got = astar_initial_mapping(g, beam, tie_seed)
                 assert got == rows_astar_initial_mapping(g, beam, tie_seed), (beam, tie_seed)
@@ -553,5 +566,6 @@ ISO_PINNED = [
 
 
 @pytest.mark.parametrize("n, dens, seed, budget, pi, depth", ISO_PINNED)
-def test_iso_output_is_pinned(n, dens, seed, budget, pi, depth):
-    assert iso_initial_mapping(random_graph(n, dens, seed), budget) == (Mapping(pi), depth)
+def test_iso_output_is_pinned(n, dens, seed, budget, pi, depth, monkeypatch):
+    monkeypatch.setattr(ctagsched.initial_mapping, "ISO_NODE_BUDGET", budget)
+    assert iso_initial_mapping(random_graph(n, dens, seed)) == (Mapping(pi), depth)

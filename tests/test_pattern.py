@@ -359,10 +359,18 @@ class TestMeetCycle:
         assert _meet_table(n) == ref_meet_table(n)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            meet_cycle(6, 2, 2)
-        with pytest.raises(ValueError):
-            meet_cycle(6, 0, 6)
+        # each bad position is named, at either end of its range
+        for pos_a, pos_b, message in [
+            (2, 2, "positions must differ"),
+            (7, 2, "pos_a must be below n=6, got 7"),
+            (6, 2, "pos_a must be below n=6, got 6"),
+            (-1, 2, "pos_a must be at least 0, got -1"),
+            (0, 6, "pos_b must be below n=6, got 6"),
+            (0, -1, "pos_b must be at least 0, got -1"),
+        ]:
+            with pytest.raises(ValueError) as ei:
+                meet_cycle(6, pos_a, pos_b)
+            assert str(ei.value) == message
 
 
 class TestInteractionRanks:

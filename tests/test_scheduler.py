@@ -1345,6 +1345,30 @@ def test_capped_pool_picks_the_uncapped_winner(drawn):
     assert c == ref_schedule(g, arch, threshold, beam, seed)
 
 
+@settings(max_examples=500, deadline=None)
+@given(ctag_h_inputs())
+@example((random_graph(12, 0.8, 2), make_architecture("grid:3x4"), 0.5, 8, 0))
+@example((random_graph(24, 0.2, 1), make_architecture("ibm27"), 0.5, 8, 0))  # no chain
+def test_ctag_h_never_picks_worse_than_the_line_strategies_it_contains(drawn):
+    # ctag-h's first chain is the one a line strategy lays its pattern on,
+    # and its pool holds the astar and natural mappings' patterns on it, so
+    # its pick is at most ctag-i-astar's and pattern-only's under the same
+    # threshold, beam and seed wherever those find a chain
+    g, arch, threshold, beam, seed = drawn
+    key = lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c))  # noqa: E731
+    chains = _line_orders(arch, g.n, seed, 1)
+    if chains:
+        assert chains[0] == _line_orders(arch, g.n, seed, CHAINS)[0]
+    picked = key(schedule(g, arch, SchedulerConfig("ctag-h", threshold, beam, seed)))
+    for strategy in ("ctag-i-astar", "pattern-only"):
+        cfg = SchedulerConfig(strategy, threshold, beam, seed)
+        if not chains:
+            with pytest.raises(ValueError, match="^no chain of "):
+                schedule(g, arch, cfg)
+            continue
+        assert picked <= key(schedule(g, arch, cfg)), strategy
+
+
 def test_capped_routed_runs_stop_early(monkeypatch):
     # route-sparse's linear:40 d=0.1 instance at seed 1: the pattern ends at
     # 62 cycles and the uncapped routed runs at 92 and 101, so both capped

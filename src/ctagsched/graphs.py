@@ -88,7 +88,8 @@ def _check_pairs(pairs, what: str, count: int) -> None:
             raise ValueError(f"{what} pair {e!r} is not a tuple of two")
         a, b = _check_int(e[0], what), _check_int(e[1], what)
         if a == b or not (0 <= a < count and 0 <= b < count):
-            raise ValueError(f"{what} pair {e} is not two distinct {what}s below {count}")
+            whats = "vertices" if what == "vertex" else f"{what}s"
+            raise ValueError(f"{what} pair {e} is not two distinct {whats} below {count}")
         if a > b:
             raise ValueError(f"{what} pair {e} is not normalized")
 

@@ -241,24 +241,6 @@ def _pattern_key(g: ProblemGraph, m0: Mapping) -> tuple[int, int]:
     return depth, len(g.edges) + _swaps_before(g.n, depth)
 
 
-def _same_pattern(g: ProblemGraph, m1: Mapping, m2: Mapping) -> bool:
-    # True when the pattern pruned to g lays the same text under m2 as under
-    # m1 on any chain: a CPHASE stands where two start positions meet, so
-    # the texts agree exactly when both mappings put g's edges on the same
-    # start-position pairs, that is when the relabelling m1^-1 . m2 maps
-    # every edge of g onto an edge of g; O(|E|), stopping at the first miss
-    n, edges = g.n, g.edges
-    if len(edges) == n * (n - 1) // 2:
-        return True  # every relabelling maps a complete graph onto itself
-    inv = m1.inverse()
-    tau = [inv[p] for p in m2.pi]
-    for u, v in edges:
-        a, b = tau[u], tau[v]
-        if ((a, b) if a < b else (b, a)) not in edges:
-            return False
-    return True
-
-
 def _routed_start(g: ProblemGraph, m0: Mapping, chain, k: int) -> tuple[Mapping, set[Edge], int]:
     # the pattern on `chain` under m0 after its first k cycles: each qubit's
     # site, from a walk of its first k layers, the edges it has not run

@@ -14,16 +14,17 @@ A chain is a tuple of sites.  A line strategy lays its one mapping on one
 chain.  ctag-h takes up to CHAINS chains; each (chain, mapping) pair gives
 the pattern and, ahead of it unless its first cycles run every edge, a
 routed candidate that runs those cycles and schedules the rest in
-matching/swap-routing rounds; a mapping whose pattern lays an earlier
-mapping's text adds only its routed candidate.  Candidates are compared
-by keys (a pattern's depth and gates come from the meet table, and a
-routed run stops once deeper than the best so far), ties are read cycle by
-cycle, and only the winner is built.  With no chain, a line strategy raises ValueError and
-ctag-h routes from a breadth-first placement.
+matching/swap-routing rounds.  Candidates are compared by keys (a
+pattern's depth and gates come from the meet table, and a routed run stops
+once deeper than the best so far); the winner is the first of least (depth,
+gates) in pool order, and only it is built.  With no chain, a line strategy
+raises ValueError and ctag-h routes from a breadth-first placement.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from ctagsched.embedding import (
@@ -56,8 +57,6 @@ from ctagsched.pattern import (
     _pattern_cycles,
     _pattern_key,
     _routed_start,
-    _same_pattern,
-    cycle_line,
     prune_pattern,
     to_text,  # not called here; the benchmark's tracer rebinds this name
 )
@@ -513,38 +512,6 @@ def _line_orders(
     return out
 
 
-def _select(pool: list, arch: Architecture) -> ScheduledCircuit:
-    # The first candidate of least (depth, gates, to_text) in `pool`, built
-    # whole.  Each entry is (key, seen, cycles, k, tail, init): key is
-    # (depth, gates); cycle t is seen[t] below k, drawn in turn from the
-    # iterator `cycles` into the list `seen` (a routed run shares both with
-    # its pattern), and tail[t - k] from there.  Texts of one depth agree up
-    # to the first cycle whose lines differ, and there the smaller line
-    # decides: the newline that ends a line sorts below every character in
-    # one.  So cycle t of every tied candidate is read in lockstep, lines
-    # are rendered only where their sites or kinds differ, those above the
-    # least line drop out, and the reads stop once one is left.  A cycle
-    # that every survivor reads as one object (a routed run and its pattern
-    # below k) cannot differ, so it is neither sliced nor rendered.
-    low = min(c[0] for c in pool)
-    tied = [c for c in pool if c[0] == low]
-    t = 0
-    while len(tied) > 1 and t < low[0]:
-        for _, seen, cycles, k, _, _ in tied:
-            if t == len(seen) < k:  # a list two survivors share grows once
-                seen.append(next(cycles))
-        row = [seen[t] if t < k else tail[t - k] for _, seen, _, k, tail, _ in tied]
-        first = row[0]
-        if any(c is not first for c in row) and len({tuple(x[:3] for x in c) for c in row}) > 1:
-            lines = [cycle_line(t, c) for c in row]
-            least = min(lines)
-            tied = [c for c, line in zip(tied, lines) if line == least]
-        t += 1
-    _, seen, cycles, k, tail, init = tied[0]
-    seen += (next(cycles) for _ in range(k - len(seen)))
-    return ScheduledCircuit(tuple(seen[:k]) + tail, init, arch)
-
-
 def _bfs_placement(arch: Architecture, n: int) -> Mapping:
     """Logical i on the i-th site of the breadth-first walk from site 0,
     the placement ctag-h routes from where the device has no n-site chain."""
@@ -560,11 +527,11 @@ def schedule(
     Every strategy builds one candidate pool: the pattern pruned onto each
     of its chains under each of its initial mappings, and under ctag-h a
     routed candidate ahead of each pattern.  The returned circuit always
-    passes verify(c, g, arch).  The shallowest candidate wins; ties go to
-    fewer gates, then to the smallest text form, then to the first in the
-    pool.  ctag-h compares keys read without building its candidates and
-    builds only the winner; ties are read cycle by cycle.  Runs with the
-    cyclic garbage collector paused (see graphs._nogc).
+    passes verify(c, g, arch).  The winner is the first of least (depth,
+    gates) in pool order: chain by chain, the astar mapping then the natural
+    one, each routed run ahead of its own pattern.  ctag-h compares keys
+    read without building its candidates and builds only the winner.  Runs
+    with the cyclic garbage collector paused (see graphs._nogc).
     """
     if cfg is None:
         cfg = SchedulerConfig()
@@ -602,34 +569,25 @@ def schedule(
         # one chain and one mapping: the pattern is the only candidate
         return prune_pattern(g, m0, arch, chains[0])
     inits = [m0] if m0.pi == tuple(range(n)) else [m0, identity_mapping(n)]
-    # each mapping's pattern key and prefix length hold on every chain, and
-    # so does a twin: a pattern that lays an earlier mapping's text ties
-    # with that one on key and text, so it could never win and stays out of
-    # the pool (its routed run still joins it)
-    keyed = []
-    for m in inits:
-        key = _pattern_key(g, m)
-        twin = any(key == k1 and _same_pattern(g, m1, m) for m1, k1, _, _ in keyed)
-        keyed.append((m, key, partial_pattern_cycles(g, m, cfg.threshold), twin))
+    # each mapping's pattern key and prefix length hold on every chain
+    keyed = [(m, _pattern_key(g, m), partial_pattern_cycles(g, m, cfg.threshold)) for m in inits]
     # every routed run is capped at the best depth so far, as a run past it
-    # could not win; the pool keeps each routed run ahead of its pattern,
-    # and both read the (chain, mapping) pattern's cycles from one generator
-    cap = min(key for _, key, _, _ in keyed)[0]
-    pool = []  # (key, seen, cycles, k, tail, init), as _select reads them
+    # could not win; the pool keeps each routed run ahead of its pattern.
+    # An entry is (key, mapping, chain, k, tail): cycles 0..k-1 of the
+    # (chain, mapping) pattern, then tail
+    cap = min(key for _, key, _ in keyed)[0]
+    pool = []
     for chain in chains:
-        for m0, key, k, twin in keyed:
+        for m0, key, k in keyed:
             # a prefix that ran every edge would only copy the pattern
-            routes = k < key[0]
-            if twin and not routes:
-                continue
-            seen, cycles = [], _pattern_cycles(g, m0, arch, chain)
-            init = Mapping(tuple(chain[p] for p in m0.pi))
-            if routes:
+            if k < key[0]:
                 start, remaining, gates = _routed_start(g, m0, chain, k)
                 tail = _route(SchedulerState(g, arch, start, remaining), cap - k)
                 if tail is not None:
                     cap = k + len(tail)
-                    pool.append(((cap, gates + sum(map(len, tail))), seen, cycles, k, tail, init))
-            if not twin:
-                pool.append((key, seen, cycles, key[0], (), init))
-    return _select(pool, arch)
+                    pool.append(((cap, gates + sum(map(len, tail))), m0, chain, k, tail))
+            pool.append((key, m0, chain, key[0], ()))
+    # min keeps the first of equal keys; only the winner is built
+    _, m0, chain, k, tail = min(pool, key=itemgetter(0))
+    cycles = tuple(islice(_pattern_cycles(g, m0, arch, chain), k)) + tail
+    return ScheduledCircuit(cycles, Mapping(tuple(chain[p] for p in m0.pi)), arch)

@@ -7,8 +7,8 @@ package functions: the pattern built in full and then pruned, the pattern
 walk and the meet-table builder that move one pair at a time, the
 pattern's relabelling onto a chain, the recursive chain search and
 shortest-path walk, a routed start replayed gate by gate, ctag-h's uncapped
-candidate pool, built whole, with its whole-text tie-break, and the beam
-search that scores every level by reading meet rows.  Nothing in the package calls them; the tests compare
+candidate pool, built whole, and the beam search that scores every level by
+reading meet rows.  Nothing in the package calls them; the tests compare
 them with the layer stream, the meet table and the package's outputs.
 """
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ctagsched.pattern import (
     _layer_stream,
     _trim,
     prune_pattern,
-    to_text,
 )
 
 
@@ -408,10 +407,10 @@ def ref_routed(g: ProblemGraph, arch: Architecture, init: Mapping, prefix) -> Sc
 
 def ref_schedule(g: ProblemGraph, arch: Architecture, threshold=0.5, beam=8, seed=0):
     """schedule() under ctag-h as it was before candidates were keyed from
-    the meet table, routed runs capped and ties compared cycle by cycle:
-    every candidate is built whole, each routed start is a replay of its
-    pattern's first cycles, every routed run goes to its end, and the first
-    candidate of least (depth, CPHASE + SWAP count, to_text) wins."""
+    the meet table and routed runs capped: every candidate is built whole,
+    each routed start is a replay of its pattern's first cycles, every
+    routed run goes to its end, and the first candidate of least (depth,
+    CPHASE + SWAP count) in pool order wins."""
     from ctagsched.initial_mapping import astar_initial_mapping
     from ctagsched.scheduler import (
         CHAINS,
@@ -437,7 +436,7 @@ def ref_schedule(g: ProblemGraph, arch: Architecture, threshold=0.5, beam=8, see
             if k < full.depth:
                 pool.append(ref_routed(g, arch, full.init, full.cycles[:k]))
             pool.append(full)
-    return min(pool, key=lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c)))
+    return min(pool, key=lambda c: (c.depth, c.cphase_count + c.swap_count))
 
 
 def rows_astar_initial_mapping(g: ProblemGraph, beam=8, tie_seed=0):

@@ -555,14 +555,16 @@ def test_record_of_a_bad_type_is_rejected_when_built(build, message):
         (lambda: ProblemGraph(3, frozenset({(2, 1)})), "vertex pair (2, 1) is not normalized"),
         (lambda: Architecture(3, frozenset({(0, 1), (1, 3)})),
          "site pair (1, 3) is not two distinct sites below 3"),
+        (lambda: make_problem_graph(2, [(0, 0)]),
+         "vertex pair (0, 0) is not two distinct vertices below 2"),
         (lambda: Architecture(3, frozenset({(0, 1), (2, 1)})), "site pair (2, 1) is not normalized"),
         (lambda: clique(1), "n must be at least 2, got 1"),
         (lambda: grid(0, 3), "rows must be at least 1, got 0"),
         (lambda: linear(0), "n must be at least 1, got 0"),
         (lambda: SplitMix64(1).below(0), "bound must be positive"),
     ],
-    ids=["graph-unnormalized", "arch-bad-coupling", "arch-unnormalized", "clique-1",
-         "grid-0x3", "linear-0", "below-0"],
+    ids=["graph-unnormalized", "arch-bad-coupling", "graph-self-loop", "arch-unnormalized",
+         "clique-1", "grid-0x3", "linear-0", "below-0"],
 )
 def test_out_of_range_argument_is_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -58,7 +58,6 @@ from ctagsched.scheduler import (
     _first_hops,
     _line_orders,
     _route,
-    _select,
     _shortest_paths,
     enumerate_swap_strategies,
     maximal_matching,
@@ -953,24 +952,20 @@ def test_round_without_progress_raises(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "g, spec, chains, generators",
+    "g, spec",
     [
-        (random_graph(12, 0.25, 17), "grid:3x4", 2, 4),
-        (random_graph(16, 0.8, 1), "grid:4x4", 2, 4),
-        # every relabelling of a clique lays the same text, so the natural
-        # mapping's pattern is a twin of astar's and, with no routed run to
-        # feed either (every layer clears the bar), starts no generator
-        (clique(10), "linear:10", 1, 1),
-        (clique(10), "grid:2x5", 2, 2),
+        (random_graph(12, 0.25, 17), "grid:3x4"),
+        (random_graph(16, 0.8, 1), "grid:4x4"),
+        (clique(10), "linear:10"),
+        (clique(10), "grid:2x5"),
     ],
     ids=["sparse-grid3x4", "dense-grid4x4", "clique-linear10", "clique-grid2x5"],
 )
-def test_ctag_h_builds_only_the_circuit_it_returns(monkeypatch, g, spec, chains, generators):
-    # two initial mappings: ctag-h prunes no pattern whole and starts one
-    # pattern generator per (chain, mapping) pair that adds a candidate,
-    # which its routed run shares; the prefix is measured once per mapping,
-    # and the losers' generators are read only up to the cycle that drops
-    # them
+def test_ctag_h_builds_only_the_circuit_it_returns(monkeypatch, g, spec):
+    # two initial mappings: ctag-h prunes no pattern whole and measures the
+    # prefix once per mapping; it starts one pattern generator, the
+    # winner's, and reads it only for the cycles the winner keeps of it
+    # (none on the sparse grid, where a run routed from cycle 0 wins)
     arch = make_architecture(spec)
     S = ctagsched.scheduler
     real_cycles, real_prefix = S._pattern_cycles, S.partial_pattern_cycles
@@ -998,12 +993,12 @@ def test_ctag_h_builds_only_the_circuit_it_returns(monkeypatch, g, spec, chains,
     monkeypatch.setattr(S, "partial_pattern_cycles", prefix)
     c = schedule(g, arch, SchedulerConfig(strategy="ctag-h"))
     assert verify(c, g, arch).ok
-    assert len({chain for chain, _ in started}) == chains
-    assert len(started) == len(set(started)) == generators
     assert len(measured) == len(set(measured)) == 2
-    assert {pi for _, pi in started} <= set(measured)
-    # only the winner's pattern may be read through to its end
-    assert all(count < c.depth for count in sorted(drawn.values())[:-1])
+    [(chain, pi)] = started
+    assert pi in measured and c.init.pi == tuple(chain[p] for p in pi)
+    k = drawn[chain, pi]
+    assert k <= c.depth
+    assert c.cycles[:k] == tuple(real_cycles(g, Mapping(pi), arch, chain))[:k]
 
 
 @pytest.mark.parametrize("spec", ["linear:20", "linear:24", "grid:4x5", "ibm20"])
@@ -1101,8 +1096,8 @@ def test_ctag_i_iso_searches_under_the_configured_beam_and_seed(monkeypatch):
 
 def test_text_form_is_never_rendered(monkeypatch):
     # depth and gate count decide the grid instance outright; on K6 the
-    # ctag-h candidates tie on both and their texts differ, so the winner is
-    # picked cycle by cycle, and still without a whole to_text render
+    # ctag-h candidates tie on both and their texts differ, and the first in
+    # the pool, astar's pattern on the first chain, wins without a render
     real = ctagsched.scheduler.to_text
     rendered = []
 
@@ -1110,15 +1105,7 @@ def test_text_form_is_never_rendered(monkeypatch):
         rendered.append(c)
         return real(c)
 
-    real_select = ctagsched.scheduler._select
-    pools = []
-
-    def recording(pool, arch):
-        pools.append(list(pool))
-        return real_select(pool, arch)
-
     monkeypatch.setattr(ctagsched.scheduler, "to_text", counting)
-    monkeypatch.setattr(ctagsched.scheduler, "_select", recording)
     for name in ("sparse-grid3x4", "K6-grid2x3"):
         g, spec, digests = POOL_DIGESTS[name]
         arch = make_architecture(spec)
@@ -1127,179 +1114,24 @@ def test_text_form_is_never_rendered(monkeypatch):
         blob = to_text(c) + " ".join(map(str, c.init.pi))
         assert hashlib.sha256(blob.encode()).hexdigest() == digests[STRATEGIES.index("ctag-h")]
     assert rendered == []
-
-    key = (c.depth, c.cphase_count + c.swap_count)
-    # a pool of one entry is that entry built whole
-    tied = [_select([entry], arch) for entry in pools[-1] if entry[0] == key]
-    # one pattern per chain: the natural mapping's pattern lays the same
-    # text as astar's on K6, so it never joins the pool
-    assert len(tied) == len({to_text(r) for r in tied}) == 2
-    assert to_text(c) == min(map(to_text, tied))
+    assert c == schedule(g, arch, SchedulerConfig(strategy="ctag-i-astar"))
 
 
-# gates whose lines collide in the ways the tie-break must get right: one
-# site pair under two logical pairs (same line), a line that is a prefix of
-# another (SWAP(1,2) and SWAP(1,23)), and the empty cycle's bare "t:"
-TIE_GATES = [
-    Gate(SWAP, 1, 2),
-    Gate(SWAP, 1, 23),
-    Gate(SWAP, 12, 3),
-    Gate(CPHASE, 1, 2, (0, 1)),
-    Gate(CPHASE, 1, 2, (2, 3)),
-    Gate(CPHASE, 2, 3, (0, 1)),
-]
-TIE_CYCLES = st.lists(st.sampled_from(TIE_GATES), max_size=3).map(tuple)
-
-
-def _relogical(gate):
-    # the same sites and kind under the other logical pair: the same line
-    if gate.logical is None:
-        return gate
-    return gate._replace(logical=(2, 3) if gate.logical == (0, 1) else (0, 1))
-
-
-@st.composite
-def candidate_pools(draw, depths):
-    """Candidates in pool order, each of a depth drawn from `depths`, with
-    their pool entries: fresh ones, some made of shared cycle objects, some
-    copying another's first cycles and some another's every cycle under
-    other logical pairs.  A fresh or relogical entry draws its own cycles up
-    to a drawn split and holds the rest as its tail; a copying one draws its
-    first cycles from the copied one's source (the same list and iterator,
-    so the same objects), as a routed run draws its pattern's."""
-    shared = draw(st.lists(TIE_CYCLES, min_size=1, max_size=4))
-    cycle = st.one_of(st.sampled_from(shared), TIE_CYCLES)
-    pool, sources, entries = [], [], []
-    for _ in range(draw(st.integers(1, 6))):
-        how = draw(st.sampled_from(["fresh", "prefix", "relogical"] if pool else ["fresh"]))
-        source = None
-        if how == "relogical":
-            base = draw(st.sampled_from(pool))
-            cycles = tuple(tuple(map(_relogical, cyc)) for cyc in base.cycles)
-        else:
-            depth = draw(st.sampled_from(depths))
-            head = ()
-            if how == "prefix":
-                i = draw(st.integers(0, len(pool) - 1))
-                head, source = pool[i].cycles[: draw(st.integers(0, depth))], sources[i]
-            cycles = head + tuple(draw(cycle) for _ in range(depth - len(head)))
-        c = ScheduledCircuit(cycles, identity_mapping(2), linear(24))
-        k = len(head) if source else draw(st.integers(0, c.depth))
-        sources.append(([], iter(cycles)))
-        key = (c.depth, c.cphase_count + c.swap_count)
-        pool.append(c)
-        entries.append((key, *(source or sources[-1]), k, cycles[k:], c.init))
-    return pool, entries
-
-
-def _on_sites(*cycles):
-    circuit = ScheduledCircuit(tuple(cycles), identity_mapping(2), linear(24))
-    return circuit, (len(cycles), 0), [], iter(cycles), len(cycles), (), circuit.init
-
-
-def _examples(*candidates):
-    return [c for c, *_ in candidates], [tuple(entry) for _, *entry in candidates]
-
-
-SWAP_12, SWAP_1_23 = (Gate(SWAP, 1, 2),), (Gate(SWAP, 1, 23),)
-CPHASE_12 = (Gate(CPHASE, 1, 2, (0, 1)),)
-
-
-def _selected(pool, entries):
-    c = _select(entries, linear(24))
-    # the init objects are distinct, so they name the pool position
-    [chosen] = [x for x in pool if x.init is c.init]
-    assert c == chosen
-    return chosen
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda d: candidate_pools([d])))
-@example(_examples(_on_sites(SWAP_12, SWAP_12), _on_sites(SWAP_12, CPHASE_12)))  # kind only
-@example(_examples(_on_sites(SWAP_1_23), _on_sites(SWAP_12)))  # a line's prefix
-@example(_examples(_on_sites(CPHASE_12), _on_sites(tuple(map(_relogical, CPHASE_12)))))
-def test_lazy_tie_break_is_the_smallest_text(drawn):
-    # one key for all (the depths are equal), so only the text decides;
-    # among equal texts the first in the pool stays
-    pool, entries = drawn
-    tied = [((key[0], 0), *rest) for key, *rest in entries]
-    assert _selected(pool, tied) is min(pool, key=to_text)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 4).flatmap(lambda d: candidate_pools([d, d + 1])))
-def test_pick_is_least_depth_gates_then_text(drawn):
-    pool, entries = drawn
-    key = lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c))  # noqa: E731
-    assert _selected(pool, entries) is min(pool, key=key)
-
-
-def test_tie_break_skips_the_cycles_a_routed_run_shares(monkeypatch):
-    # a routed run and its pattern read one `seen` list below k, so every
-    # such cycle is one object in both rows: the tie-break slices no gate
-    # of it and renders no line of it, and the first difference decides
-    sliced = []
-
-    class SliceCounting(Gate):
-        __slots__ = ()
-
-        def __getitem__(self, i):
-            if isinstance(i, slice):
-                sliced.append(self)
-            return tuple.__getitem__(self, i)
-
-    rendered = []
-    real_line = ctagsched.scheduler.cycle_line
-
-    def line(t, cyc):
-        rendered.append(t)
-        return real_line(t, cyc)
-
-    monkeypatch.setattr(ctagsched.scheduler, "cycle_line", line)
-    k, depth = 4, 6
-    pattern = tuple((SliceCounting(CPHASE, 2 * t, 2 * t + 1, (0, 1)),) for t in range(depth))
-    tail = ((SliceCounting(SWAP, 0, 1, None),), pattern[k + 1])
-    seen, cycles = [], iter(pattern)
-    routed, own = identity_mapping(2), Mapping((1, 0))
-    key = (depth, depth)
-    pool = [(key, seen, cycles, k, tail, routed), (key, seen, cycles, depth, (), own)]
-    c = _select(pool, linear(24))
-    shared = {id(x) for cyc in pattern[:k] for x in cyc}
-    assert sliced and not shared & {id(x) for x in sliced}
-    assert rendered == [k, k]
-    # "4: CPHASE(8,9)" sorts below "4: SWAP(0,1)"
-    assert c.init is own and c.cycles == pattern
-
-
-def test_a_routed_run_ties_with_its_pattern_up_to_its_prefix(monkeypatch):
+def test_a_routed_run_wins_a_tie_with_its_own_pattern():
     # astar's pattern on this graph keeps 197 of its 198 cycles as ctag-h's
-    # prefix, and its routed run ties with it on key: the tie-break reads
-    # the 197 shared cycles without a line and renders only cycle 0, where
-    # the natural mapping's pattern drops out, and cycle 197
+    # prefix, and its routed run ties with it, and with the natural
+    # mapping's pattern, on (198, 9306); the run stands first in the pool,
+    # so it wins, and its last cycle differs from its pattern's
     g, arch = random_graph(100, 0.9, 5090), linear(100)
-    real_select, real_line = ctagsched.scheduler._select, ctagsched.scheduler.cycle_line
-    pools, rendered = [], Counter()
-
-    def recording(pool, arch):
-        pools.append(list(pool))
-        return real_select(pool, arch)
-
-    def line(t, cyc):
-        rendered[t] += 1
-        return real_line(t, cyc)
-
-    monkeypatch.setattr(ctagsched.scheduler, "_select", recording)
-    monkeypatch.setattr(ctagsched.scheduler, "cycle_line", line)
+    m0 = astar_initial_mapping(g)[0]
+    own = prune_pattern(g, m0, arch, range(100))
+    assert partial_pattern_cycles(g, m0, 0.5) == 197
+    assert _pattern_key(g, m0) == _pattern_key(g, identity_mapping(100)) == (198, 9306)
     c = schedule(g, arch)
-    [pool] = pools
-    [run] = [e for e in pool if e[3] < e[0][0]]
-    [own] = [e for e in pool if e[1] is run[1] and e is not run]
-    assert (run[0], run[3]) == (own[0], 197) == ((198, 9306), 197)
-    assert rendered == {0: 3, 197: 2}
+    assert c == ref_routed(g, arch, own.init, own.cycles[:197])
+    assert (c.depth, c.cphase_count + c.swap_count) == (198, 9306)
+    assert c.cycles[:197] == own.cycles[:197] and c.cycles != own.cycles
     assert verify(c, g, arch).ok
-    # captured before the tie-break skipped shared cycles
-    digest = "58c474e64a5344cb222746e53b98e21bd92928d095f7a7541b80ab7507198e79"
-    assert hashlib.sha256(to_text(c).encode()).hexdigest() == digest
 
 
 @st.composite
@@ -1326,20 +1158,21 @@ def ctag_h_inputs(draw):
 @given(ctag_h_inputs())
 @example((random_graph(40, 0.1, 1120), linear(40), 0.5, 8, 0))
 # dense ties: six candidates at (22, 108), two of them routed from k = 21,
-# and the third wins; eight at one key on the 4x4 grid, four routed
+# and the first, a routed run, wins; eight at one key on the 4x4 grid, four
+# routed
 @example((random_graph(12, 0.8, 2), make_architecture("grid:3x4"), 0.5, 8, 0))
 @example((random_graph(16, 0.8, 1), make_architecture("grid:4x4"), 0.5, 8, 0))
-# complete graphs: the natural mapping's pattern is a twin of astar's, and
-# under threshold 1 the odd layers miss the bar, so the twin still routes
+# complete graphs: the natural mapping's pattern lays astar's text, and
+# under threshold 1 the odd layers miss the bar, so both mappings route
 @example((clique(10), linear(10), 0.5, 8, 0))
 @example((clique(10), make_architecture("grid:2x5"), 0.5, 8, 0))
 @example((clique(10), make_architecture("grid:2x5"), 1.0, 8, 0))
 @example((clique(8), make_architecture("grid:3x3"), 1.0, 1, 2))
 def test_capped_pool_picks_the_uncapped_winner(drawn):
     # the reference builds every candidate whole, replays each routed start
-    # and renders ties whole; keys from the meet table, capped runs from the
-    # pattern's state and the lockstep tie-break must not change the
-    # circuit, down to its logical pairs and pool position
+    # and runs it to its end; keys from the meet table and capped runs from
+    # the pattern's state must not change the circuit, down to its logical
+    # pairs and pool position
     g, arch, threshold, beam, seed = drawn
     c = schedule(g, arch, SchedulerConfig("ctag-h", threshold, beam, seed))
     assert c == ref_schedule(g, arch, threshold, beam, seed)
@@ -1355,7 +1188,7 @@ def test_ctag_h_never_picks_worse_than_the_line_strategies_it_contains(drawn):
     # its pick is at most ctag-i-astar's and pattern-only's under the same
     # threshold, beam and seed wherever those find a chain
     g, arch, threshold, beam, seed = drawn
-    key = lambda c: (c.depth, c.cphase_count + c.swap_count, to_text(c))  # noqa: E731
+    key = lambda c: (c.depth, c.cphase_count + c.swap_count)  # noqa: E731
     chains = _line_orders(arch, g.n, seed, 1)
     if chains:
         assert chains[0] == _line_orders(arch, g.n, seed, CHAINS)[0]
@@ -1367,6 +1200,42 @@ def test_ctag_h_never_picks_worse_than_the_line_strategies_it_contains(drawn):
                 schedule(g, arch, cfg)
             continue
         assert picked <= key(schedule(g, arch, cfg)), strategy
+
+
+@settings(max_examples=200, deadline=None)
+@given(ctag_h_inputs())
+@example((random_graph(12, 0.8, 2), make_architecture("grid:3x4"), 0.5, 8, 0))
+@example((random_graph(40, 0.1, 1120), linear(40), 0.5, 8, 0))
+def test_a_candidate_added_at_the_end_wins_only_when_strictly_better(drawn):
+    # a third chain adds its candidates after the first two chains', which
+    # the chain search finds in order; the first of least (depth, gates)
+    # then moves only to a candidate strictly below the old winner
+    g, arch, threshold, beam, seed = drawn
+    cfg = SchedulerConfig("ctag-h", threshold, beam, seed)
+    two = schedule(g, arch, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ctagsched.scheduler, "CHAINS", CHAINS + 1)
+        assert _line_orders(arch, g.n, seed, CHAINS + 1)[:CHAINS] == _line_orders(
+            arch, g.n, seed, CHAINS
+        )
+        three = schedule(g, arch, cfg)
+    assert verify(three, g, arch).ok
+    key = lambda c: (c.depth, c.cphase_count + c.swap_count)  # noqa: E731
+    assert three == two or key(three) < key(two)
+
+
+@pytest.mark.parametrize(
+    "n, spec",
+    [(100, "grid:2x50"), (20, "ibm20"), (10, "linear:10"), (12, "grid:3x4"), (16, "grid:4x4")],
+)
+def test_ctag_h_lays_ctag_i_astar_circuit_on_a_complete_graph(n, spec):
+    # every relabelling of a complete graph lays the same pattern key and
+    # every layer clears the prefix bar, so no candidate routes and all tie:
+    # the first in the pool, astar's pattern on the first chain, wins
+    g, arch = clique(n), make_architecture(spec)
+    c = schedule(g, arch)
+    astar = schedule(g, arch, SchedulerConfig(strategy="ctag-i-astar"))
+    assert c == astar and to_text(c) == to_text(astar)
 
 
 def test_capped_routed_runs_stop_early(monkeypatch):

@@ -54,13 +54,15 @@ def _nogc(fn):
     it, also when it raises, but only if it was on at entry, so a paused
     call nested in another changes nothing.  The calls that return a whole
     circuit run this way (schedule, prune_pattern, generate_clique_pattern
-    and generate_2xn_pattern): a dense compile builds tens of thousands of
-    Gate tuples, which the collector would otherwise scan again at each of
-    its passes while they are built.  A compile creates no reference
-    cycles, so the pause holds back no memory: reference counting frees
-    all that a compile drops.  gc.isenabled() is one flag for the whole
-    process, so a caller in another thread that switches the collector off
-    while a compile runs may find it on again afterwards.
+    and generate_2xn_pattern), and so do the graph builders clique and
+    random_graph: a dense compile builds tens of thousands of Gate tuples,
+    and a dense graph tens of thousands of edge tuples, which the collector
+    would otherwise scan again at each of its passes while they are built.
+    None of these calls creates a reference cycle, so the pause holds back
+    no memory: reference counting frees all that they drop.  gc.isenabled()
+    is one flag for the whole process, so a caller in another thread that
+    switches the collector off while such a call runs may find it on again
+    afterwards.
     """
 
     @wraps(fn)
@@ -236,6 +238,7 @@ def make_problem_graph(n: int, edges) -> ProblemGraph:
     return ProblemGraph(n, frozenset(norm))
 
 
+@_nogc
 def clique(n: int) -> ProblemGraph:
     """Complete graph on n vertices (density-1 workload), n a plain int of
     at least 2."""
@@ -305,6 +308,7 @@ def _edge_count(n: int, dens) -> int:
     return m
 
 
+@_nogc
 def random_graph(n: int, dens, seed: int) -> ProblemGraph:
     """Seeded uniform random graph with m = round(density * n(n-1)/2) edges.
 

@@ -14,11 +14,13 @@ A chain is a tuple of sites.  A line strategy lays its one mapping on one
 chain.  ctag-h takes up to CHAINS chains; each (chain, mapping) pair gives
 the pattern and, ahead of it unless its first cycles run every edge, a
 routed candidate that runs those cycles and schedules the rest in
-matching/swap-routing rounds.  Candidates are compared by keys (a
-pattern's depth and gates come from the meet table, and a routed run stops
-once deeper than the best so far); the winner is the first of least (depth,
-gates) in pool order, and only it is built.  With no chain, a line strategy
-raises ValueError and ctag-h routes from a breadth-first placement.
+matching/swap-routing rounds.  Candidates are compared by keys: a
+pattern's depth and gates come from the meet table, and a routed run is
+capped at the best depth so far, so it stops at the first round from which
+its farthest remaining edge cannot run within the cap.  The winner is the
+first of least (depth, gates) in pool order, and only it is built.  With no
+chain, a line strategy raises ValueError and ctag-h routes from a
+breadth-first placement.
 """
 from __future__ import annotations
 
@@ -380,7 +382,17 @@ def _apply_swaps(state: SchedulerState, hops) -> None:
 
 def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, ...], ...] | None:
     """Schedule state.remaining in heuristic rounds from state's sites: the
-    cycles they add, or None as soon as they need more than `cap`.
+    cycles they add, or None once they cannot fit in `cap`.
+
+    A routed run stops at the first round from which its farthest remaining
+    edge cannot run within the cap.  A cycle's gates are site-disjoint, so
+    each qubit moves at most one hop per cycle and an edge's distance falls
+    by at most 2: an edge at distance D needs D // 2 more cycles of SWAPs
+    and one to run.  Every run this stops would have reached the cap
+    unfinished, so the result is the one stopping at the cap gives, with
+    one exception: a capped run whose later rounds would make no progress
+    returns None where it would have raised RuntimeError, if the bound
+    fires first.  An uncapped run (cap None) still raises.
 
     One cycle per round: a maximal matching of the executable edges plus
     the first SWAPs of the best-scored strategy for each distant edge.  A
@@ -408,13 +420,15 @@ def _route(state: SchedulerState, cap: int | None = None) -> tuple[tuple[Gate, .
     new = tuple.__new__
     cycles = []
     while remaining:
-        if cap is not None and len(cycles) >= cap:
-            return None
         # each distance is read once per round: edge (u, v) at distance d
         # ranks by the int d*n*n + u*n + v, the order of (d, (u, v)), so
         # the adjacent edges (d == 1, keys below 2*n*n) come first and are
         # executable, and the others are routed nearest first, ties by edge
         keys = sorted([dist[pi[u]][pi[v]] * nn + u * n + v for u, v in remaining])
+        # the farthest edge, at distance D, needs D // 2 cycles of SWAPs and
+        # one to run; D >= 1, so this also stops a run already at the cap
+        if cap is not None and len(cycles) + keys[-1] // nn // 2 + 1 > cap:
+            return None
         split = bisect_left(keys, 2 * nn)
         re = [divmod(k - nn, n) for k in keys[:split]]
         matching = maximal_matching(re, pi)
@@ -572,7 +586,9 @@ def schedule(
     # each mapping's pattern key and prefix length hold on every chain
     keyed = [(m, _pattern_key(g, m), partial_pattern_cycles(g, m, cfg.threshold)) for m in inits]
     # every routed run is capped at the best depth so far, as a run past it
-    # could not win; the pool keeps each routed run ahead of its pattern.
+    # could not win: it stops at the first round from which its farthest
+    # remaining edge cannot run within the cap.  The pool keeps each routed
+    # run ahead of its pattern.
     # An entry is (key, mapping, chain, k, tail): cycles 0..k-1 of the
     # (chain, mapping) pattern, then tail
     cap = min(key for _, key, _ in keyed)[0]

@@ -951,6 +951,42 @@ def test_round_without_progress_raises(monkeypatch):
         schedule(g, make_architecture("ibm27"), SchedulerConfig(strategy="ctag-h"))
 
 
+def test_a_capped_run_that_cannot_fit_stops_before_its_first_round(monkeypatch):
+    # qubits 3 hops apart need a SWAP cycle and a CPHASE cycle, so under a
+    # cap of 1 the distance bound fires before the round that would find no
+    # strategy and raise; with room for that round, the round still raises
+    monkeypatch.setattr(ctagsched.scheduler, "enumerate_swap_strategies", lambda e, st: [])
+    g = make_problem_graph(2, [(0, 1)])
+    state = SchedulerState(g, linear(4), Mapping((0, 3)), set(g.edges))
+    assert _route(state, 1) is None
+    assert state.remaining == {(0, 1)} and state.pi == [0, 3]
+    for cap in (2, None):
+        with pytest.raises(RuntimeError, match="round made no progress"):
+            _route(SchedulerState(g, linear(4), Mapping((0, 3)), set(g.edges)), cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(route_inputs())
+@example(IBM27_NO_CHAIN)
+def test_a_capped_run_returns_none_exactly_when_it_cannot_fit(drawn):
+    # the uncapped run from a state takes L cycles; under any cap it gives
+    # those cycles if they fit and None if not, however early it stops.  The
+    # bound it stops by holds: each cycle brings an edge's endpoints at most
+    # 2 hops closer, so the farthest edge, at distance D, needs D // 2 + 1
+    g, arch, init, prefix = drawn
+
+    def fresh():
+        return SchedulerState(g, arch, *replay_start(g, init, prefix))
+
+    start = fresh()
+    full = _route(fresh())
+    if start.remaining:
+        far = max(arch.dist[start.pi[u]][start.pi[v]] for u, v in start.remaining)
+        assert len(full) >= far // 2 + 1
+    for cap in range(len(full) + 2):
+        assert _route(fresh(), cap) == (None if cap < len(full) else full)
+
+
 @pytest.mark.parametrize(
     "g, spec",
     [
@@ -1241,7 +1277,9 @@ def test_ctag_h_lays_ctag_i_astar_circuit_on_a_complete_graph(n, spec):
 def test_capped_routed_runs_stop_early(monkeypatch):
     # route-sparse's linear:40 d=0.1 instance at seed 1: the pattern ends at
     # 62 cycles and the uncapped routed runs at 92 and 101, so both capped
-    # runs give up; maximal_matching runs once per heuristic round
+    # runs give up; maximal_matching runs once per heuristic round.  The
+    # distance bound stops them after 90 rounds together, where stopping at
+    # the cap of 62 took 124
     g, arch = random_graph(40, 0.1, 1120), linear(40)
     real = ctagsched.scheduler.maximal_matching
     rounds = []
@@ -1256,7 +1294,7 @@ def test_capped_routed_runs_stop_early(monkeypatch):
     rounds.clear()
     assert c == ref_schedule(g, arch)
     assert c.depth == 62
-    assert 0 < capped < len(rounds)
+    assert capped == 90 < len(rounds)
 
 
 @pytest.mark.parametrize(
@@ -1888,7 +1926,8 @@ def collector():
 
 def test_circuit_calls_run_no_collection(collector):
     # the three calls that return a whole circuit each build tens of
-    # thousands of gates; unpaused, each ran more than 50 young and 5 middle
+    # thousands of gates, and the two graph builders tens of thousands of
+    # edges; unpaused, each circuit call ran more than 50 young and 5 middle
     # collections.  The graph and the device are built first, and the list
     # shows that the hook counts.
     gc.enable()
@@ -1898,8 +1937,10 @@ def test_circuit_calls_run_no_collection(collector):
         lambda: schedule(g, arch, SchedulerConfig("ctag-i-astar")),
         lambda: generate_clique_pattern(200),
         lambda: generate_2xn_pattern(200),
+        lambda: clique(200),
+        lambda: random_graph(196, 0.9, 1),
     ]
-    assert [count_collections(call) for call in calls] == [[0, 0, 0]] * 3
+    assert [count_collections(call) for call in calls] == [[0, 0, 0]] * 5
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
@@ -1910,10 +1951,20 @@ def test_circuit_calls_restore_the_collector(collector, enabled):
         lambda: prune_pattern(g, identity_mapping(12), linear(12), range(12)),
         lambda: generate_clique_pattern(12),
         lambda: generate_2xn_pattern(12),
+        lambda: clique(12),
+        lambda: random_graph(12, 0.5, 1),
     ):
         (gc.enable if enabled else gc.disable)()
         call()
         assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_a_raising_graph_builder_restores_the_collector(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(ValueError, match="density must be in"):
+        random_graph(10, 1.5, 1)
+    assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])

@@ -18,13 +18,13 @@ pair arrays that move T and the partner rows are facts of n alone, built
 whole once per n (_mask_tables) at the first wide level that needs them
 and shared by every later search.  Once every parent of a level costs the
 pattern's last cycle, the search is settled and stops scoring (see
-astar_initial_mapping).
+astar_initial_mapping); a complete graph is settled before the first
+level, so neither search builds one there.
 """
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from heapq import heappush, heapreplace
-from itertools import islice
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -64,6 +64,13 @@ def _search_order(g: ProblemGraph) -> tuple[list[int], list[list[int]]]:
     level = {v: k for k, v in enumerate(order)}
     nbrs = [[level[u] for u in g.adj[v] if level[u] < k] for k, v in enumerate(order)]
     return order, nbrs
+
+
+def _complete(g: ProblemGraph) -> bool:
+    # every mapping of a complete graph on n >= 3 vertices runs the whole
+    # pattern; K2's one pair meets at cycle 0, before the last cycle
+    n = g.n
+    return n > 2 and g.m == n * (n - 1) // 2
 
 
 def _as_mapping(order: list[int], positions) -> Mapping:
@@ -124,6 +131,10 @@ def astar_initial_mapping(
     is the first parent plus its free position of least salt, and the first
     parent wins the final tie.  The search returns that mapping at once,
     the first parent's prefix followed by its free positions in salt order.
+    A complete graph on n >= 3 vertices is saturated before the first
+    level: the pattern meets every pair, so every mapping runs to its last
+    cycle, and the search returns the positions in salt order (the natural
+    mapping at tie_seed 0) without building a level.
     """
     n = g.n
     if n < 2:
@@ -131,9 +142,13 @@ def astar_initial_mapping(
     # a float beam would never fill the heap, so its bar would never apply
     _check_int(beam, "beam", 1)
     _check_int(tie_seed, "tie_seed")
+    salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
+    if _complete(g):
+        # saturated before the first level: every degree ties, so the order
+        # is 0..n-1 and vertex k takes the position of k-th least salt
+        return Mapping(tuple(sorted(range(n), key=salt.__getitem__))), 2 * n - 2
     table = _meet_table(n)
     order, nbrs = _search_order(g)
-    salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
     bits = [1 << p for p in range(n)]  # bit p stands for position p
     masks = None  # built at the first wide level
     top = 2 * n - 3  # the last cycle of the pattern
@@ -320,8 +335,7 @@ def _masked_children(
     step = 1
     while True:
         T = masks.move(T, pairs, bits)
-        # who[p][T] is the entry `skip` places from the end
-        above, skip = masks.above, 2 * n - 2 - T
+        above = masks.above
         lim = 2 * n
         cut = False
         for rank, (prefix, cost, taken) in enumerate(parents):
@@ -346,7 +360,7 @@ def _masked_children(
                 low = fresh & -fresh
                 fresh ^= low
                 p = low.bit_length() - 1
-                c = table[p][next(filter(is_near, islice(reversed(who[p]), skip, None)))]
+                c = table[p][next(filter(is_near, reversed(who[p][: T + 1])))]
                 if c < cost:
                     c = cost
                 elif c > lim:
@@ -378,10 +392,14 @@ def iso_initial_mapping(g: ProblemGraph, beam: int = 8, tie_seed: int = 0) -> tu
     optimal, meets the bound over all positions, or has tried
     ISO_NODE_BUDGET placements, read at each call; it returns the best
     mapping found and its finishing cycle count, as astar_initial_mapping
-    does.  A bad beam or tie_seed is a ValueError.
+    does.  A bad beam or tie_seed is a ValueError.  On a complete graph
+    every mapping ties with the incumbent, so astar's mapping is returned
+    without a search.
     """
     budget = ISO_NODE_BUDGET
     mapping, depth = astar_initial_mapping(g, beam, tie_seed)
+    if _complete(g):
+        return mapping, depth
     n = g.n
     table = _meet_table(n)
     order, placed_nbrs = _search_order(g)

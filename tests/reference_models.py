@@ -442,7 +442,9 @@ def ref_schedule(g: ProblemGraph, arch: Architecture, threshold=0.5, beam=8, see
 def rows_astar_initial_mapping(g: ProblemGraph, beam=8, tie_seed=0):
     """astar_initial_mapping as it was before wide levels took bit masks:
     every level reads its placed neighbours' meet rows for each free
-    position, stopping a scan once the running cost passes the bar."""
+    position, stopping a scan once the running cost passes the bar.  A
+    complete graph on n >= 3 vertices builds no level: every mapping costs
+    the whole pattern, and vertex k takes the position of k-th least salt."""
     from heapq import heappush, heapreplace
 
     from ctagsched.graphs import _check_int, random_initial_mapping
@@ -453,9 +455,11 @@ def rows_astar_initial_mapping(g: ProblemGraph, beam=8, tie_seed=0):
     if n < 2:
         raise ValueError("need at least 2 vertices")
     _check_int(beam, "beam", 1)
+    salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
+    if n >= 3 and len(g.edges) == n * (n - 1) // 2:
+        return Mapping(tuple(sorted(range(n), key=salt.__getitem__))), 2 * n - 2
     table = _meet_table(n)
     order, nbrs = _search_order(g)
-    salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
 
     # this level's kept children, negated: (-cost, -parent rank, -salt[p], -p)
     heap: list[tuple[int, int, int, int]] = []

@@ -28,12 +28,19 @@ from ctagsched.initial_mapping import (
     astar_initial_mapping,
     iso_initial_mapping,
 )
-from ctagsched.pattern import _meet_table, _meets, meet_cycle, prune_pattern
+from ctagsched.pattern import _meet_table, _meets, _pattern_key, meet_cycle, prune_pattern
 from reference_models import rows_astar_initial_mapping
 
 
 def path(n):
     return make_problem_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def near_clique(n, removed, seed):
+    # clique(n) less `removed` seeded edges
+    pairs = sorted(clique(n).edges)
+    drop = {pairs[i] for i in random_initial_mapping(len(pairs), seed).pi[:removed]}
+    return make_problem_graph(n, [e for e in pairs if e not in drop])
 
 
 def exhaustive_best(g):
@@ -284,13 +291,19 @@ class TestIso:
 
 def ref_astar_initial_mapping(g, beam=8, tie_seed=0):
     """Beam search as first written: whole prefix tuples per child, sorted by
-    (cost, prefix) or (cost, salted prefix).  Reference for the rewrite."""
+    (cost, prefix) or (cost, salted prefix).  Reference for the rewrite.
+    A complete graph on n >= 3 vertices is not searched: every mapping
+    costs the whole pattern, so the least (salted) prefix of all wins, the
+    positions in (salt) order."""
     n = g.n
+    salt = random_initial_mapping(n, tie_seed).pi if tie_seed else None
+    if n >= 3 and len(g.edges) == n * (n - 1) // 2:
+        by_salt = salt.__getitem__ if salt else None
+        return Mapping(tuple(sorted(range(n), key=by_salt))), 2 * n - 2
     table = _meet_table(n)
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     vertex_level = {v: k for k, v in enumerate(order)}
     frontier = [((), -1)]
-    salt = random_initial_mapping(n, tie_seed).pi if tie_seed else None
     for level, v in enumerate(order):
         nbrs = [u for u in g.adj[v] if vertex_level[u] < level]
         children = []
@@ -344,11 +357,12 @@ class TestAstarMatchesReference:
                     g, 8, tie_seed
                 )
 
-    # large enough that the beam fills early and the bar cuts most scans
+    # large enough that the beam fills early and the bar cuts most scans;
+    # K60 less one edge saturates, where K60 itself builds no level
     @pytest.mark.parametrize(
         "g",
-        [random_graph(120, 0.3, 3), random_graph(90, 0.9, 2), clique(60)],
-        ids=["n120-d0.3", "n90-d0.9", "clique60"],
+        [random_graph(120, 0.3, 3), random_graph(90, 0.9, 2), near_clique(60, 1, 60)],
+        ids=["n120-d0.3", "n90-d0.9", "near-clique60"],
     )
     @pytest.mark.parametrize("beam", [1, 8])
     @pytest.mark.parametrize("tie_seed", [0, 5])
@@ -368,11 +382,14 @@ def dense_inputs(draw):
 
 
 # the graphs on which line-dense runs astar_initial_mapping, or close to them:
-# nearly every level is wide, so the mask path does most of the search
+# nearly every level is wide, so the mask path does most of the search.  The
+# search returns on K200 before its first level, and on K200 less one edge
+# at saturation, about halfway down
 @lru_cache(maxsize=None)
 def large_graph(name):
     return {
         "clique": lambda: clique(200),
+        "near-clique": lambda: near_clique(200, 1, 200),
         "rg196": lambda: random_graph(196, 0.9, 1),
         "rg150": lambda: random_graph(150, 0.5, 1),
         "rg100": lambda: random_graph(100, 0.8, 1),
@@ -390,7 +407,7 @@ class TestMaskedLevels:
             got = astar_initial_mapping(g, beam, tie_seed)
         assert got == rows_astar_initial_mapping(g, beam, tie_seed)
 
-    @pytest.mark.parametrize("name", ["clique", "rg196", "rg150", "rg100"])
+    @pytest.mark.parametrize("name", ["near-clique", "rg196", "rg150", "rg100"])
     @pytest.mark.parametrize("beam", [1, 8])
     @pytest.mark.parametrize("tie_seed", [0, 5])
     def test_large_dense_graphs_match_the_row_search(self, name, beam, tie_seed):
@@ -466,13 +483,6 @@ class TestMaskTables:
         assert _mask_tables.cache_info().currsize == 1
 
 
-def near_clique(n, removed, seed):
-    # clique(n) less `removed` seeded edges
-    pairs = sorted(clique(n).edges)
-    drop = {pairs[i] for i in random_initial_mapping(len(pairs), seed).pi[:removed]}
-    return make_problem_graph(n, [e for e in pairs if e not in drop])
-
-
 @st.composite
 def near_clique_inputs(draw):
     n = draw(st.integers(3, 60))
@@ -486,14 +496,16 @@ class TestSaturation:
     first parent's prefix and then the free positions in salt order; that
     is the mapping the whole search would reach."""
 
-    @pytest.mark.parametrize("n", range(2, 61))
-    def test_cliques_match_the_row_search(self, n):
-        g = clique(n)
+    @pytest.mark.parametrize("n", range(5, 61))
+    def test_cliques_less_one_edge_match_the_row_search(self, n):
+        # from n = 5 a clique less one edge still runs the whole pattern,
+        # and its search saturates before the last level
+        g = near_clique(n, 1, n)
         for beam in (1, 2, 8):
             for tie_seed in (0, 3, 7):
                 got = astar_initial_mapping(g, beam, tie_seed)
                 assert got == rows_astar_initial_mapping(g, beam, tie_seed), (beam, tie_seed)
-                assert got[1] == (1 if n == 2 else 2 * n - 2)
+                assert got[1] == 2 * n - 2
 
     @settings(max_examples=120, deadline=None)
     @given(near_clique_inputs())
@@ -505,8 +517,8 @@ class TestSaturation:
         )
 
     def test_the_search_stops_at_saturation(self):
-        # on K200 every parent costs the last cycle from about halfway down
-        # the order, so the levels past it are never scored
+        # on K200 less one edge every parent costs the last cycle from about
+        # halfway down the order, so the levels past it are never scored
         levels = []
         im = ctagsched.initial_mapping
         real = {name: getattr(im, name) for name in ("_masked_children", "_scanned_children")}
@@ -519,18 +531,56 @@ class TestSaturation:
             return score
 
         with mock.patch.multiple(im, **{name: counted(name) for name in real}):
-            mapping, depth = astar_initial_mapping(clique(200), 8, 0)
+            mapping, depth = astar_initial_mapping(large_graph("near-clique"), 8, 0)
         assert depth == 398
         assert 0 < len(levels) < 200
 
 
-# astar_initial_mapping's sha256 of repr(pi) and depth on the four large
-# graphs, captured from the row search before wide levels took bit masks
+class TestCompleteGraphs:
+    """Every mapping of a complete graph on n >= 3 vertices runs the whole
+    pattern, so both searches return at once the mapping their tie rule
+    puts first: vertex k at the position of k-th least salt."""
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_the_tie_rule_picks_the_first_of_all_assignments(self, n):
+        g = clique(n)
+        every = list(permutations(range(n)))
+        [(depth, _)] = {_pattern_key(g, Mapping(pi)) for pi in every}
+        assert depth == 2 * n - 2
+        for tie_seed in (0, 3, 7):
+            salt = random_initial_mapping(n, tie_seed).pi if tie_seed else range(n)
+            first = min(every, key=lambda pi: [salt[p] for p in pi])
+            for search in (astar_initial_mapping, iso_initial_mapping):
+                assert search(g, 8, tie_seed) == (Mapping(first), 2 * n - 2), tie_seed
+
+    def test_neither_search_builds_a_level(self):
+        def unreached(*args):
+            raise AssertionError("a complete graph was searched")
+
+        im = ctagsched.initial_mapping
+        with mock.patch.multiple(im, _meet_table=unreached, _search_order=unreached):
+            for beam, tie_seed in [(1, 0), (8, 5)]:
+                got = astar_initial_mapping(clique(200), beam, tie_seed)
+                assert got == iso_initial_mapping(clique(200), beam, tie_seed)
+                assert got[1] == 398
+        salt = random_initial_mapping(200, 5).pi
+        assert got[0] == Mapping(tuple(sorted(range(200), key=salt.__getitem__)))
+
+
+# astar_initial_mapping's sha256 of repr(pi) and depth on the large graphs,
+# captured from the row search before wide levels took bit masks; the
+# near-clique rows were captured from the search before a complete graph
+# skipped it, and the clique rows since: the positions in salt order, so
+# the natural mapping at tie_seed 0, whatever the beam
 ASTAR_PINNED = [
-    ("clique", 1, 0, "de5bbad65a85a6aaf7bc1fe152b72b7771e7f7f928dc4002f63b9aa1304a4904", 398),
-    ("clique", 1, 5, "8efd8f7858f11ea22e3f97afeca9847aa65f4903831aafd2b15b08b250c32e5c", 398),
-    ("clique", 8, 0, "de5bbad65a85a6aaf7bc1fe152b72b7771e7f7f928dc4002f63b9aa1304a4904", 398),
-    ("clique", 8, 5, "ea8895cee16aad4fddf960e5aed92eb0f77b4b51edab2757fcea91705f8061e8", 398),
+    ("clique", 1, 0, "20e7f6ec6b2efac89571cc0c4cbd244619d13c84237a4b1d0d36c502925cb81c", 398),
+    ("clique", 1, 5, "a09ec80e5df9b66c41e7fe16fc0e74db4fffb4360391f07afc17d2c765a5fdb0", 398),
+    ("clique", 8, 0, "20e7f6ec6b2efac89571cc0c4cbd244619d13c84237a4b1d0d36c502925cb81c", 398),
+    ("clique", 8, 5, "a09ec80e5df9b66c41e7fe16fc0e74db4fffb4360391f07afc17d2c765a5fdb0", 398),
+    ("near-clique", 1, 0, "874146715a33a8c957f18b346ab3465aa628a8732abbe61a0c95b59ae9c7076d", 398),
+    ("near-clique", 1, 5, "f78bba7c2991f70c8229f0ebe1fd3794f254d087df422c52c354e0e5a9e215d4", 398),
+    ("near-clique", 8, 0, "874146715a33a8c957f18b346ab3465aa628a8732abbe61a0c95b59ae9c7076d", 398),
+    ("near-clique", 8, 5, "4970e201a57e80c7f72bfb54bc1d30a3e12724542332b84fe89b848e0cc2ec6f", 398),
     ("rg196", 1, 0, "bd04d858f6794dbeff14dd4686c944bcd5b1e234dfcacf5a0c24d3a75f7229c4", 390),
     ("rg196", 1, 5, "41b54e1061afb462d702b49a2e2c0f7be3040f1612eae6ea30bc7c06923afe3f", 390),
     ("rg196", 8, 0, "bd04d858f6794dbeff14dd4686c944bcd5b1e234dfcacf5a0c24d3a75f7229c4", 390),

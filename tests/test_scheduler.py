@@ -992,16 +992,18 @@ def test_a_capped_run_returns_none_exactly_when_it_cannot_fit(drawn):
     [
         (random_graph(12, 0.25, 17), "grid:3x4"),
         (random_graph(16, 0.8, 1), "grid:4x4"),
-        (clique(10), "linear:10"),
-        (clique(10), "grid:2x5"),
+        (random_graph(10, 0.95, 1), "linear:10"),
+        (random_graph(10, 0.95, 1), "grid:2x5"),
     ],
-    ids=["sparse-grid3x4", "dense-grid4x4", "clique-linear10", "clique-grid2x5"],
+    ids=["sparse-grid3x4", "dense-grid4x4", "k10less2-linear10", "k10less2-grid2x5"],
 )
 def test_ctag_h_builds_only_the_circuit_it_returns(monkeypatch, g, spec):
     # two initial mappings: ctag-h prunes no pattern whole and measures the
     # prefix once per mapping; it starts one pattern generator, the
     # winner's, and reads it only for the cycles the winner keeps of it
-    # (none on the sparse grid, where a run routed from cycle 0 wins)
+    # (none on the sparse grid, where a run routed from cycle 0 wins).  K10
+    # less two edges still runs every layer in its prefix, as a clique does,
+    # but its astar mapping is not the natural one
     arch = make_architecture(spec)
     S = ctagsched.scheduler
     real_cycles, real_prefix = S._pattern_cycles, S.partial_pattern_cycles
@@ -1132,8 +1134,9 @@ def test_ctag_i_iso_searches_under_the_configured_beam_and_seed(monkeypatch):
 
 def test_text_form_is_never_rendered(monkeypatch):
     # depth and gate count decide the grid instance outright; on K6 the
-    # ctag-h candidates tie on both and their texts differ, and the first in
-    # the pool, astar's pattern on the first chain, wins without a render
+    # ctag-h candidates, the natural mapping's pattern on each chain, tie on
+    # both and their texts differ, and the first in the pool wins without a
+    # render
     real = ctagsched.scheduler.to_text
     rendered = []
 
@@ -1198,8 +1201,9 @@ def ctag_h_inputs(draw):
 # routed
 @example((random_graph(12, 0.8, 2), make_architecture("grid:3x4"), 0.5, 8, 0))
 @example((random_graph(16, 0.8, 1), make_architecture("grid:4x4"), 0.5, 8, 0))
-# complete graphs: the natural mapping's pattern lays astar's text, and
-# under threshold 1 the odd layers miss the bar, so both mappings route
+# complete graphs: astar's mapping is the natural one at seed 0 and a salted
+# one at seed 2, and under threshold 1 the odd layers miss the bar, so each
+# mapping routes
 @example((clique(10), linear(10), 0.5, 8, 0))
 @example((clique(10), make_architecture("grid:2x5"), 0.5, 8, 0))
 @example((clique(10), make_architecture("grid:2x5"), 1.0, 8, 0))
@@ -1272,6 +1276,21 @@ def test_ctag_h_lays_ctag_i_astar_circuit_on_a_complete_graph(n, spec):
     c = schedule(g, arch)
     astar = schedule(g, arch, SchedulerConfig(strategy="ctag-i-astar"))
     assert c == astar and to_text(c) == to_text(astar)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 40), st.sampled_from(["linear", "grid"]))
+def test_searched_strategies_lay_the_pattern_text_on_a_complete_graph(n, kind):
+    # no mapping search runs on a complete graph, and every mapping lays the
+    # same gates, so each searching strategy writes pattern-only's text
+    g = clique(n)
+    arch = make_architecture(f"linear:{n}" if kind == "linear" else f"grid:2x{(n + 1) // 2}")
+    text = to_text(schedule(g, arch, SchedulerConfig(strategy="pattern-only")))
+    for strategy in ("ctag-i-astar", "ctag-i-iso", "ctag-h"):
+        c = schedule(g, arch, SchedulerConfig(strategy=strategy))
+        assert verify(c, g, arch).ok
+        assert c.depth == 2 * n - 2
+        assert to_text(c) == text, strategy
 
 
 def test_capped_routed_runs_stop_early(monkeypatch):
@@ -1347,15 +1366,17 @@ def test_covering_prefix_is_not_routed(monkeypatch, g, arch_spec, routed):
 
 # sha256 of to_text plus init under every strategy, in STRATEGIES order,
 # captured before the line strategies and ctag-h shared one candidate pool;
-# None marks a line strategy that finds no chain.  On K6 the four ctag-h
-# candidates tie on depth and gates, so their text decides the winner
+# None marks a line strategy that finds no chain.  The K6 row was captured
+# again once a complete graph skipped the mapping searches: every strategy
+# but ctag-r then lays the natural mapping on the first chain, the
+# pattern-only circuit, as its two ctag-h candidates tie on depth and gates
 POOL_DIGESTS = {
     "K6-grid2x3": (clique(6), "grid:2x3", (
         "95534ee810d18315fbdbd99ba6f501629667d98bb83cc433afe6ffd9eade68b9",
         "2468261765093697c7183dc2a477cdc392ecef28cf8384eef48007422fb6c864",
-        "f3dc8ee96b5623981af43c1fc9cd6d4aba2bd5f04ab6e332655df0abb1c44d93",
-        "f3dc8ee96b5623981af43c1fc9cd6d4aba2bd5f04ab6e332655df0abb1c44d93",
-        "f3dc8ee96b5623981af43c1fc9cd6d4aba2bd5f04ab6e332655df0abb1c44d93",
+        "95534ee810d18315fbdbd99ba6f501629667d98bb83cc433afe6ffd9eade68b9",
+        "95534ee810d18315fbdbd99ba6f501629667d98bb83cc433afe6ffd9eade68b9",
+        "95534ee810d18315fbdbd99ba6f501629667d98bb83cc433afe6ffd9eade68b9",
     )),
     "sparse-grid3x4": (random_graph(12, 0.25, 17), "grid:3x4", (
         "732d9d4db5ca2cd5481c5786da1c1661197d07d88270ffafd848018e590ab7a9",
